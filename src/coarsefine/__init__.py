@@ -26,7 +26,7 @@ from .corpus import (
     save_corpus,
     tokenize,
 )
-from .embed import HashingEmbedder, QueryRepresentation, hash_embed
+from .embed import DocumentMatrix, HashingEmbedder, QueryRepresentation, hash_embed
 from .errors import RetrievalError
 from .evaluation import acc_at_k, evaluate_results, index_diagnostics, position_error_rate, recall_at_k
 from .inter import CentroidScorer, ClusterHypothesis, StepScorer, decode_clusters, inter_loss
@@ -63,6 +63,7 @@ __all__ = [
     "ClusterNode",
     "ClusterTree",
     "Document",
+    "DocumentMatrix",
     "HashingEmbedder",
     "IntraScore",
     "LinearAdapter",

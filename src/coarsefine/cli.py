@@ -24,8 +24,8 @@ from .pipeline import (
     RetrievalConfig,
     add_documents,
     build_index,
-    load_config,
     load_index,
+    read_config_file,
     retrieve,
     save_index,
 )
@@ -36,7 +36,9 @@ CONFIG_FLAGS = [
     ("beam_size", int, "beam width for identifier decoding"),
     ("length_penalty", float, "exponent of the hypothesis length penalty"),
     ("k_clusters", int, "number of clusters recalled per query"),
-    ("expected_clusters", int, "target leaf count used to derive the recursion threshold"),
+    ("expected_clusters", int,
+     "sets the recursion threshold c = ceil(N / expected_clusters), at least 2; "
+     "it does not bound the leaf count"),
     ("branching", int, "k-means branching factor of the identifier tree"),
     ("temperature", float, "softmax temperature of the centroid step scorer"),
     ("dim", int, "embedding dimension"),
@@ -56,11 +58,13 @@ def _add_config_flags(parser: argparse.ArgumentParser, names: list[str] | None =
 
 
 def _resolve_config(args: argparse.Namespace, base: RetrievalConfig | None = None) -> RetrievalConfig:
-    """Defaults (or the index's stored config), then config file, then flags."""
+    """Defaults (or the index's stored config), then config file, then flags.
+
+    A config file overrides only the keys it contains.
+    """
     values = dataclasses.asdict(base if base is not None else RetrievalConfig())
     if getattr(args, "config", None):
-        file_cfg = load_config(args.config)
-        values.update(dataclasses.asdict(file_cfg))
+        values.update(read_config_file(args.config))
     for name, _, _ in CONFIG_FLAGS:
         flag = getattr(args, name, None)
         if flag is not None:

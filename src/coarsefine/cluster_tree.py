@@ -9,16 +9,23 @@ floored at 2. A child that k-means failed to shrink (all points in one
 cluster, e.g. k == 1 or duplicate points) becomes a leaf regardless, so the
 recursion always terminates.
 
+In memory, every internal node holds its children's centroids as one
+stacked float32 matrix ordered by child label (labels are 1..n), and each
+child's `centroid` is a row view of that matrix; a prefix -> node map replaces
+walking the tree from the root. Each leaf keeps, next to its `members`, an
+int array of the members' rows in the document matrix the tree was built
+from (or, for a loaded index, attached to).
+
 Once built, a tree is immutable as far as this module is concerned and safe
 for concurrent readers; the retrieval pipeline is the single writer that may
-append newly ingested documents to leaf member lists.
+append newly ingested documents to leaf member lists (place_documents).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,6 +45,8 @@ class ClusterNode:
     centroid: np.ndarray
     children: list["ClusterNode"] = field(default_factory=list)
     members: list[str] = field(default_factory=list)
+    rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
+    child_centroids: np.ndarray | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -54,10 +63,43 @@ class ClusterTree:
     cid_by_doc: dict[str, Cid]
     leaves: dict[Cid, ClusterNode]
     build_members: dict[Cid, tuple[str, ...]]
+    nodes: dict[Cid, ClusterNode] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        """Index every node by its digit path and stack each node's child centroids."""
+        self.nodes = {}
+        stack: list[tuple[Cid, ClusterNode]] = [((), self.root)]
+        while stack:
+            path, node = stack.pop()
+            self.nodes[path] = node
+            if not node.children:
+                continue
+            labels = [child.label for child in node.children]
+            if labels != list(range(1, len(labels) + 1)):
+                raise ValueError(f"children of {path} must be labelled 1..n, got {labels}")
+            node.child_centroids = np.stack([child.centroid for child in node.children]).astype(
+                np.float32, copy=False
+            )
+            for child, row in zip(node.children, node.child_centroids):
+                child.centroid = row
+                stack.append((path + (child.label,), child))
 
     @property
     def leaf_count(self) -> int:
         return len(self.leaves)
+
+
+def row_dots(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """float64 inner product of every row of `matrix` with `vec`.
+
+    Bit-identical to float(vec64 @ row64) taken one row at a time: the stacked
+    (n, 1, d) @ (d, 1) matmul sends each row through the same BLAS dot as a
+    1-D product, whereas a gemv `matrix @ vec` may round differently in the
+    last ulp and so would change scores, rankings and saved outputs.
+    """
+    rows = np.ascontiguousarray(matrix, dtype=np.float64)
+    col = np.ascontiguousarray(vec, dtype=np.float64)[:, None]
+    return np.matmul(rows[:, None, :], col)[:, 0, 0]
 
 
 def compute_c(corpus_size: int, expected_clusters: int) -> int:
@@ -92,6 +134,7 @@ def _split(
             _split(child, X, member_idx, ids, child_path, k, c, seed, cid_by_doc, leaves)
         else:
             child.members = [ids[i] for i in member_idx]
+            child.rows = member_idx
             cid = child_path + (TERMINAL,)
             leaves[cid] = child
             for doc_id in child.members:
@@ -103,9 +146,10 @@ def build_cluster_tree(
 ) -> ClusterTree:
     """Recursively cluster document embeddings into an identifier tree.
 
-    The mapping's iteration order fixes the document order, and all k-means
-    sub-seeds are derived from (seed, digit path), so the same inputs always
-    produce the same tree. Raises EmptyCorpus when the mapping is empty.
+    The mapping's iteration order fixes the document order (and the leaves'
+    `rows`), and all k-means sub-seeds are derived from (seed, digit path), so
+    the same inputs always produce the same tree. Raises EmptyCorpus when the
+    mapping is empty.
     """
     ids = list(embeddings)
     if not ids:
@@ -143,20 +187,33 @@ def assign_cid(tree: ClusterTree, doc_id: str) -> Cid:
 def assign_new_document(tree: ClusterTree, embedding: np.ndarray) -> Cid:
     """CID for a new document: descend by highest inner product per level.
 
-    Ties prefer the smaller child label. Read-only: the tree is not modified.
+    Ties prefer the smaller child label (argmax returns the first maximum).
+    Read-only: the tree is not modified.
     """
-    emb = np.asarray(embedding, dtype=np.float64)
     node = tree.root
     path: list[int] = []
     while node.children:
-        best, best_score = None, -np.inf
-        for child in node.children:
-            score = float(emb @ child.centroid.astype(np.float64))
-            if score > best_score:
-                best, best_score = child, score
-        node = best
+        node = node.children[int(np.argmax(row_dots(node.child_centroids, embedding)))]
         path.append(node.label)
     return tuple(path) + (TERMINAL,)
+
+
+def place_documents(tree: ClusterTree, ids: Sequence[str], matrix: np.ndarray,
+                    rows: Sequence[int]) -> None:
+    """Append documents to the leaves that greedy descent picks for them.
+
+    `rows[i]` is the row of `ids[i]` in the document matrix `matrix`; it is
+    appended to the leaf's row array next to the id.
+    """
+    added: dict[Cid, list[int]] = {}
+    for doc_id, row in zip(ids, rows):
+        cid = assign_new_document(tree, matrix[row])
+        tree.leaves[cid].members.append(doc_id)
+        tree.cid_by_doc[doc_id] = cid
+        added.setdefault(cid, []).append(row)
+    for cid, new_rows in added.items():
+        leaf = tree.leaves[cid]
+        leaf.rows = np.concatenate([leaf.rows, np.asarray(new_rows, dtype=np.intp)])
 
 
 def prefix_overlap_pair(s1: Cid, s2: Cid) -> float:
@@ -285,13 +342,16 @@ def load_tree(json_path: str, bin_path: str) -> ClusterTree:
     if cursor != len(centroids):
         raise ParseError(f"{bin_path}: blob has more centroids than the manifest")
     build_members = {cid: tuple(leaf.members) for cid, leaf in leaves.items()}
-    return ClusterTree(
-        root=root,
-        k=int(manifest["k"]),
-        c=int(manifest["c"]),
-        seed=int(manifest["seed"]),
-        dim=int(dim),
-        cid_by_doc=cid_by_doc,
-        leaves=leaves,
-        build_members=build_members,
-    )
+    try:
+        return ClusterTree(
+            root=root,
+            k=int(manifest["k"]),
+            c=int(manifest["c"]),
+            seed=int(manifest["seed"]),
+            dim=int(dim),
+            cid_by_doc=cid_by_doc,
+            leaves=leaves,
+            build_members=build_members,
+        )
+    except ValueError as exc:
+        raise ParseError(f"{json_path}: {exc}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,10 +65,44 @@ class HashingEmbedder:
 
 @dataclass(frozen=True)
 class QueryRepresentation:
-    """Pooled query vector, with optional per-token features for custom scorers."""
+    """Pooled query vector, the input of a step scorer."""
 
     pooled: np.ndarray
-    token_features: np.ndarray | None = None
+
+
+class DocumentMatrix(Mapping[str, np.ndarray]):
+    """Document vectors as one float32 [N, dim] matrix, looked up by id.
+
+    Row i belongs to ids[i]. Values are row views of the one matrix, not
+    copies; append() replaces the matrix by a grown one, so the old rows are
+    released unless a caller still holds a view of them.
+    """
+
+    def __init__(self, ids: Sequence[str], matrix: np.ndarray):
+        if matrix.ndim != 2 or matrix.shape[0] != len(ids):
+            raise DimMismatch("document matrix must have one row per id")
+        self.ids = list(ids)
+        self.matrix = matrix
+        self.row = {doc_id: i for i, doc_id in enumerate(self.ids)}
+
+    def __getitem__(self, doc_id: str) -> np.ndarray:
+        return self.matrix[self.row[doc_id]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def append(self, ids: Sequence[str], vectors: Sequence[np.ndarray]) -> range:
+        """Add one row per id at the end; returns the new rows' numbers."""
+        start = len(self.ids)
+        new = np.asarray(vectors, dtype=np.float32).reshape(len(ids), self.matrix.shape[1])
+        self.matrix = np.concatenate([self.matrix, new])
+        for doc_id in ids:
+            self.row[doc_id] = len(self.ids)
+            self.ids.append(doc_id)
+        return range(start, len(self.ids))
 
 
 def save_embedding_sidecar(

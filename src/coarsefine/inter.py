@@ -5,6 +5,18 @@ digits the trie allows next. Beam decoding multiplies those step
 probabilities along root-to-leaf paths; a completed hypothesis keeps the raw
 product as its cluster score while ranking applies a length penalty,
 log_prob / len**length_penalty, with len counting the terminal digit.
+
+The centroid scorer looks a prefix up in the tree's prefix -> node map and
+scores every allowed child in one call against the node's stacked float32
+child-centroid matrix, cast to float64. It uses a stacked (n, 1, d) @ (d, 1)
+matmul rather than the gemv `C @ q`: the stacked form runs each row through
+the same BLAS dot product as scoring one centroid at a time, so logits are
+bit-identical to the per-child loop, whereas the gemv uses another kernel and
+rounds differently in the last ulp for some rows (measured with numpy 2.4 and
+OpenBLAS 0.3.31 on a 2-vCPU Xeon: 118 of 224,061 logits on the decode-heavy
+benchmark corpus, 72 of 6,000 on fine-heavy), which can reorder results.
+Per call on that machine, at dim 256, the stacked matmul took 11 us for 30
+rows and 76 us for 430, against 91 us and 1,143 us for a per-row loop.
 """
 
 from __future__ import annotations
@@ -15,7 +27,7 @@ from typing import Mapping, Protocol
 
 import numpy as np
 
-from .cluster_tree import Cid, ClusterTree, TERMINAL
+from .cluster_tree import Cid, ClusterTree, TERMINAL, row_dots
 from .embed import QueryRepresentation
 from .errors import BeamTooSmall, InvalidPrefix, UnknownCid
 from .trie import PrefixTrie
@@ -33,24 +45,16 @@ class StepScorer(Protocol):
 class CentroidScorer:
     """Softmax over inner products between the query and child centroids.
 
-    Logits are <pooled, centroid>/temperature for each child the trie allows.
-    At a leaf-complete prefix the terminal digit gets probability 1. Stateless
-    over an immutable tree, so instances are safe to share across threads.
+    Logits are <pooled, centroid>/temperature for each child the trie allows,
+    all of one step computed by a single stacked matmul over the node's child
+    centroid matrix (rows are selected only when `valid` is a strict subset of
+    the children). At a leaf-complete prefix the terminal digit gets
+    probability 1. Stateless over an immutable tree, so instances are safe to
+    share across threads.
     """
 
     tree: ClusterTree
     temperature: float = 0.1
-
-    def _node_at(self, prefix: Cid):
-        node = self.tree.root
-        for digit in prefix:
-            for child in node.children:
-                if child.label == digit:
-                    node = child
-                    break
-            else:
-                raise InvalidPrefix(f"{tuple(prefix)} does not name a tree node")
-        return node
 
     def score_next(
         self, query: QueryRepresentation, prefix: Cid, valid: frozenset[int]
@@ -64,19 +68,20 @@ class CentroidScorer:
             raise InvalidPrefix(
                 f"{tuple(prefix)}: terminal digit mixed with branch digits"
             )
-        node = self._node_at(prefix)
-        by_label = {child.label: child for child in node.children}
+        node = self.tree.nodes.get(tuple(prefix))
+        if node is None:
+            raise InvalidPrefix(f"{tuple(prefix)} does not name a tree node")
         digits = sorted(valid)
-        pooled = np.asarray(query.pooled, dtype=np.float64)
-        logits = np.empty(len(digits), dtype=np.float64)
-        for i, digit in enumerate(digits):
-            if digit not in by_label:
-                raise InvalidPrefix(f"digit {digit} is not a child of {tuple(prefix)}")
-            centroid = by_label[digit].centroid.astype(np.float64)
-            logits[i] = float(pooled @ centroid) / self.temperature
+        centroids = node.child_centroids
+        n_children = 0 if centroids is None else len(centroids)
+        if digits[0] < 1 or digits[-1] > n_children:
+            raise InvalidPrefix(f"digits {digits} are not all children of {tuple(prefix)}")
+        if len(digits) < n_children:
+            centroids = centroids[[digit - 1 for digit in digits]]
+        logits = row_dots(centroids, query.pooled) / self.temperature
         exps = np.exp(logits - logits.max())
         probs = exps / exps.sum()
-        return {digit: float(p) for digit, p in zip(digits, probs)}
+        return dict(zip(digits, probs.tolist()))
 
 
 @dataclass(frozen=True)

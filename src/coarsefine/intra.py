@@ -25,8 +25,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cluster_tree import ClusterTree
+from .cluster_tree import ClusterTree, row_dots
 from .corpus import TrainingPair
+from .embed import DocumentMatrix
 from .errors import DimMismatch, DivergedLoss, UnknownCid, UnknownDoc
 from .kmeans import derive_seed
 
@@ -62,15 +63,38 @@ def rank_within_cluster(
     m: int,
     embeddings: Mapping[str, np.ndarray],
 ) -> list[IntraScore]:
-    """Top-min(m, cluster size) members of a leaf by s_intra, ties by doc id."""
+    """Top-min(m, cluster size) members of a leaf by s_intra, ties by doc id.
+
+    With a DocumentMatrix the leaf's rows are gathered in one indexing step;
+    any other mapping is read member by member. Either way all similarities
+    come from one stacked matmul (row_dots), equal bit for bit to intra_score
+    on each member.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
     leaf = tree.leaves.get(tuple(cid))
     if leaf is None:
         raise UnknownCid(f"{tuple(cid)} is not a leaf CID of the tree")
-    scored = [intra_score(q, embeddings[doc_id], doc_id) for doc_id in leaf.members]
-    scored.sort(key=lambda s: (-s.s_intra, s.doc_id))
-    return scored[:m]
+    if not leaf.members:
+        return []
+    if isinstance(embeddings, DocumentMatrix):
+        docs = embeddings.matrix.take(leaf.rows, axis=0)
+    else:
+        docs = np.array([embeddings[doc_id] for doc_id in leaf.members])
+    q = np.asarray(q)
+    if docs.shape[1:] != q.shape:
+        raise DimMismatch(f"query dim {q.shape} != document dim {docs.shape[1:]}")
+    members = leaf.members
+    sims = row_dots(docs, q).tolist()
+    s_intra = [_sigmoid(sim) for sim in sims]
+    candidates: Sequence[int] = range(len(sims))
+    if len(sims) > m:
+        # Only members scoring at least the m-th largest s_intra can be in the top m.
+        values = np.array(s_intra)
+        cutoff = np.partition(values, len(values) - m)[len(values) - m]
+        candidates = np.flatnonzero(values >= cutoff).tolist()
+    top = sorted(candidates, key=lambda i: (-s_intra[i], members[i]))[:m]
+    return [IntraScore(doc_id=members[i], sim=sims[i], s_intra=s_intra[i]) for i in top]
 
 
 @dataclass(frozen=True)

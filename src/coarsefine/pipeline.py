@@ -12,6 +12,16 @@ then ascending doc id. Documents can be appended to an existing index
 without rebuilding: each new document descends the frozen tree to its
 nearest leaf, so existing identifiers, centroids, and scores never change.
 
+In memory an index holds its document vectors as one float32 [N, dim]
+DocumentMatrix in the row order of embeddings.bin (corpus order, as
+save_index writes it), so loading reads the file into that matrix without
+copying rows. Each tree leaf carries an int array of its members' rows next to
+their ids, so the fine stage scores a recalled leaf with one gather and one
+stacked matmul; each internal tree node stacks its children's centroids, so
+a beam step is one stacked matmul too (see inter.py for why a stacked
+1 x d . d x 1 matmul and not a gemv). `index.embeddings` is still a mapping
+from id to vector; its values are row views of the matrix.
+
 On disk an index is a directory: corpus.jsonl, embeddings.bin +
 manifest.json (sidecar format), tree.json + centroids.bin, config.json, and
 optionally adapter.bin + adapter.json. tree.json records construction-time
@@ -32,13 +42,14 @@ import numpy as np
 
 from .cluster_tree import (
     ClusterTree,
-    assign_new_document,
     build_cluster_tree,
     load_tree,
+    place_documents,
     save_tree,
 )
 from .corpus import Document, TrainingPair, load_corpus, save_corpus
 from .embed import (
+    DocumentMatrix,
     HashingEmbedder,
     QueryRepresentation,
     load_embedding_sidecar,
@@ -101,7 +112,7 @@ class RetrievalResult:
 @dataclass
 class RetrievalIndex:
     corpus: dict[str, Document]
-    embeddings: dict[str, np.ndarray]
+    embeddings: DocumentMatrix
     tree: ClusterTree
     trie: PrefixTrie
     scorer: StepScorer
@@ -126,13 +137,13 @@ def build_index(
         raise EmptyCorpus("cannot build an index from zero documents")
     embedder = HashingEmbedder(dim=config.dim, seed=derive_seed(config.seed, "embed"))
     corpus: dict[str, Document] = {}
-    embeddings: dict[str, np.ndarray] = {}
+    vectors: list[np.ndarray] = []
     for doc in docs:
         if doc.doc_id in corpus:
             raise DuplicateId(f"duplicate document id {doc.doc_id!r}")
         corpus[doc.doc_id] = doc
         if doc_embeddings is None:
-            embeddings[doc.doc_id] = embedder.embed(doc.text)
+            vectors.append(embedder.embed(doc.text))
         else:
             if doc.doc_id not in doc_embeddings:
                 raise UnknownDoc(f"no externally supplied embedding for {doc.doc_id!r}")
@@ -143,7 +154,9 @@ def build_index(
                 )
             if not np.isfinite(vec).all() or abs(float(np.linalg.norm(vec)) - 1.0) > 1e-3:
                 raise ValueError(f"embedding for {doc.doc_id!r} must be finite and unit length")
-            embeddings[doc.doc_id] = vec
+            vectors.append(vec)
+    embeddings = DocumentMatrix(list(corpus), np.stack(vectors))
+    del vectors  # the matrix is now the only copy of the document vectors
     tree = build_cluster_tree(
         embeddings, config.branching, config.expected_clusters, derive_seed(config.seed, "tree")
     )
@@ -180,7 +193,8 @@ def retrieve(index: RetrievalIndex, query_text: str, k: int) -> RetrievalResult:
     if not index.corpus:
         raise EmptyIndex("index contains no documents")
     cfg = index.config
-    q = query_vector(index, query_text)
+    # Every score is computed in float64; cast once instead of on every step.
+    q = query_vector(index, query_text).astype(np.float64)
     rep = QueryRepresentation(pooled=q)
     hypotheses = decode_clusters(
         rep, index.scorer, index.trie, cfg.beam_size, cfg.length_penalty, cfg.k_clusters
@@ -206,20 +220,20 @@ def add_documents(index: RetrievalIndex, docs: Sequence[Document]) -> RetrievalI
     Each document is embedded and assigned to the leaf reached by greedy
     centroid descent. The tree structure, centroids, trie, and all existing
     assignments are left untouched. Raises DuplicateId for ids already
-    present (or repeated within this call).
+    present (or repeated within this call). Every document is embedded before
+    the index changes, so a text that fails to embed leaves it as it was.
     """
     fresh: set[str] = set()
     for doc in docs:
         if doc.doc_id in index.corpus or doc.doc_id in fresh:
             raise DuplicateId(f"duplicate document id {doc.doc_id!r}")
         fresh.add(doc.doc_id)
+    vectors = [index.embedder.embed(doc.text) for doc in docs]
+    ids = [doc.doc_id for doc in docs]
     for doc in docs:
-        vec = index.embedder.embed(doc.text)
-        cid = assign_new_document(index.tree, vec)
         index.corpus[doc.doc_id] = doc
-        index.embeddings[doc.doc_id] = vec
-        index.tree.leaves[cid].members.append(doc.doc_id)
-        index.tree.cid_by_doc[doc.doc_id] = cid
+    rows = index.embeddings.append(ids, vectors)
+    place_documents(index.tree, ids, index.embeddings.matrix, rows)
     return index
 
 
@@ -261,13 +275,10 @@ ADAPTER_META_FILE = "adapter.json"
 
 def save_index(index: RetrievalIndex, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
-    docs = list(index.corpus.values())
-    save_corpus(docs, os.path.join(directory, CORPUS_FILE))
-    ids = [doc.doc_id for doc in docs]
-    matrix = np.stack([index.embeddings[i] for i in ids])
+    save_corpus(list(index.corpus.values()), os.path.join(directory, CORPUS_FILE))
     save_embedding_sidecar(
-        ids,
-        matrix,
+        index.embeddings.ids,
+        index.embeddings.matrix,
         os.path.join(directory, EMBEDDINGS_FILE),
         os.path.join(directory, MANIFEST_FILE),
     )
@@ -287,7 +298,8 @@ def save_index(index: RetrievalIndex, directory: str) -> None:
             fh.write("\n")
 
 
-def load_config(path: str) -> RetrievalConfig:
+def read_config_file(path: str) -> dict:
+    """The settings of a flat JSON config file; rejects keys RetrievalConfig lacks."""
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -299,7 +311,11 @@ def load_config(path: str) -> RetrievalConfig:
     unknown = set(raw) - known
     if unknown:
         raise ParseError(f"{path}: unknown config keys {sorted(unknown)}")
-    return RetrievalConfig(**raw)
+    return raw
+
+
+def load_config(path: str) -> RetrievalConfig:
+    return RetrievalConfig(**read_config_file(path))
 
 
 def load_index(directory: str) -> RetrievalIndex:
@@ -315,18 +331,21 @@ def load_index(directory: str) -> RetrievalIndex:
         os.path.join(directory, EMBEDDINGS_FILE),
         os.path.join(directory, MANIFEST_FILE),
     )
-    if set(ids) != {d.doc_id for d in docs}:
+    corpus = {doc.doc_id: doc for doc in docs}
+    if len(ids) != len(corpus) or set(ids) != corpus.keys():
         raise ParseError(f"{directory}: embedding manifest ids do not match corpus")
+    embeddings = DocumentMatrix(ids, matrix)
     tree = load_tree(
         os.path.join(directory, TREE_FILE), os.path.join(directory, CENTROIDS_FILE)
     )
-    corpus = {doc.doc_id: doc for doc in docs}
-    embeddings = {doc_id: matrix[i].copy() for i, doc_id in enumerate(ids)}
-    for doc in docs:
-        if doc.doc_id not in tree.cid_by_doc:
-            cid = assign_new_document(tree, embeddings[doc.doc_id])
-            tree.leaves[cid].members.append(doc.doc_id)
-            tree.cid_by_doc[doc.doc_id] = cid
+    for leaf in tree.leaves.values():
+        try:
+            leaf.rows = np.array([embeddings.row[doc_id] for doc_id in leaf.members],
+                                 dtype=np.intp)
+        except KeyError as exc:
+            raise ParseError(f"{directory}: {TREE_FILE} lists {exc} outside the corpus")
+    added = [doc_id for doc_id in corpus if doc_id not in tree.cid_by_doc]
+    place_documents(tree, added, embeddings.matrix, [embeddings.row[d] for d in added])
     adapter = None
     adapter_path = os.path.join(directory, ADAPTER_FILE)
     if os.path.exists(adapter_path):

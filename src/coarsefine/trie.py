@@ -40,9 +40,6 @@ class PrefixTrie:
         except KeyError:
             raise InvalidPrefix(f"{tuple(prefix)} is not a prefix of any stored CID")
 
-    def is_prefix(self, prefix: Cid) -> bool:
-        return tuple(prefix) in self._children
-
     def is_terminal(self, prefix: Cid) -> bool:
         return tuple(prefix) in self._cids
 

@@ -211,3 +211,24 @@ def binary_depth2_tree(dim=8):
         leaves=leaves,
         build_members={cid: tuple(node.members) for cid, node in leaves.items()},
     )
+
+
+def reference_step_probs(tree, pooled, prefix, valid, temperature):
+    """Step distribution of the centroid scorer, one dot product per child.
+
+    Walks the tree from the root and scores each allowed child with its own
+    float(pooled @ centroid) in float64, as the scorer did before it stacked
+    child centroids into one matrix.
+    """
+    node = tree.root
+    for digit in prefix:
+        node = next(child for child in node.children if child.label == digit)
+    by_label = {child.label: child for child in node.children}
+    digits = sorted(valid)
+    pooled = np.asarray(pooled, dtype=np.float64)
+    logits = np.empty(len(digits), dtype=np.float64)
+    for i, digit in enumerate(digits):
+        logits[i] = float(pooled @ by_label[digit].centroid.astype(np.float64)) / temperature
+    exps = np.exp(logits - logits.max())
+    probs = exps / exps.sum()
+    return {digit: float(p) for digit, p in zip(digits, probs)}

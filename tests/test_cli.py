@@ -183,3 +183,32 @@ def test_inspect_command(tmp_path, corpus_path, capsys):
     assert main(["inspect", "--index", idx]) == 0
     text = capsys.readouterr().out
     assert "documents" in text and "leaf" in text
+
+
+def test_config_file_overrides_only_the_keys_it_holds(tmp_path, corpus_path, capsys):
+    idx = build(tmp_path, corpus_path, ["--beta", "0.5"])
+    docs = topic_corpus(4, 30, seed=0)
+    pairs = tmp_path / "pairs.jsonl"
+    write_jsonl(pairs, [{"query_id": f"p{i}", "query_text": " ".join(d.text.split()[:6]),
+                         "positive_doc_id": d.doc_id} for i, d in enumerate(docs[::5])])
+    gamma_cfg = tmp_path / "gamma.json"
+    gamma_cfg.write_text(json.dumps({"gamma": 3.0}))
+    assert main(["train-adapter", "--index", idx, "--pairs", str(pairs), "--epochs", "1",
+                 "--config", str(gamma_cfg)]) == 0
+    capsys.readouterr()
+    assert main(["inspect", "--index", idx]) == 0
+    text = capsys.readouterr().out
+    assert "dim = 64" in text and "beta = 0.5" in text and "gamma = 3.0" in text
+
+
+def test_retrieve_config_file_keeps_the_stored_beta(tmp_path, corpus_path, queries_path):
+    idx = build(tmp_path, corpus_path, ["--beta", "0.5"])
+    k_cfg = tmp_path / "k.json"
+    k_cfg.write_text(json.dumps({"k_clusters": 50}))
+    out = str(tmp_path / "results.jsonl")
+    assert main(["retrieve", "--index", idx, "--queries", queries_path, "--out", out,
+                 "--config", str(k_cfg)]) == 0
+    entries = [e for line in open(out) for e in json.loads(line)["results"]]
+    assert entries
+    for e in entries:
+        assert e["s_overall"] == e["s_inter"] + 0.5 * e["s_intra"]

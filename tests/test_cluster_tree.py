@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,11 @@ from coarsefine.cluster_tree import (
     load_tree,
     mean_prefix_overlap,
     prefix_overlap_pair,
+    row_dots,
     save_tree,
 )
 from coarsefine.errors import EmptyCorpus, MissingCid, ParseError, UnknownDoc
-from helpers import blob_embeddings
+from helpers import binary_depth2_tree, blob_embeddings
 
 
 def blob_tree(counts=(40, 40, 40), dim=16, seed=0, expected=6, branching=8):
@@ -159,5 +162,46 @@ def test_load_tree_rejects_truncated_centroids(tmp_path):
     save_tree(tree, jp, bp)
     blob = open(bp, "rb").read()
     open(bp, "wb").write(blob[:-4])
+    with pytest.raises(ParseError):
+        load_tree(jp, bp)
+
+
+@pytest.mark.parametrize("rows,dim", [(1, 8), (5, 16), (30, 256), (430, 256), (64, 33)])
+def test_row_dots_equals_one_dot_product_per_row_bit_for_bit(rows, dim):
+    rng = np.random.default_rng(rows * 1000 + dim)
+    matrix = rng.standard_normal((rows, dim)).astype(np.float32)
+    vec = rng.standard_normal(dim).astype(np.float32)
+    got = row_dots(matrix, vec)
+    vec64 = vec.astype(np.float64)
+    expected = [float(vec64 @ row.astype(np.float64)) for row in matrix]
+    assert got.dtype == np.float64
+    assert got.tolist() == expected
+
+
+def test_child_centroids_are_row_views_of_one_stacked_matrix():
+    emb, tree = blob_tree()
+    for node in tree.nodes.values():
+        if node.children:
+            assert node.child_centroids.dtype == np.float32
+            for i, child in enumerate(node.children):
+                assert child.label == i + 1
+                assert np.shares_memory(child.centroid, node.child_centroids)
+                assert child.centroid.tobytes() == node.child_centroids[i].tobytes()
+
+
+def test_assign_new_document_breaks_ties_toward_the_smaller_label():
+    tree = binary_depth2_tree()
+    point = np.zeros(8, dtype=np.float32)
+    point[4] = point[5] = 1.0  # equal inner product with both top-level centroids
+    assert assign_new_document(tree, point)[0] == 1
+
+
+def test_load_tree_rejects_children_not_labelled_one_to_n(tmp_path):
+    emb, tree = blob_tree()
+    jp, bp = str(tmp_path / "tree.json"), str(tmp_path / "centroids.bin")
+    save_tree(tree, jp, bp)
+    manifest = json.loads(open(jp).read())
+    manifest["root"]["children"][0]["label"] = 7
+    open(jp, "w").write(json.dumps(manifest))
     with pytest.raises(ParseError):
         load_tree(jp, bp)

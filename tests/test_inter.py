@@ -15,6 +15,7 @@ from helpers import (
     brute_force_hypotheses,
     random_cids,
     rank_by_penalized,
+    reference_step_probs,
 )
 from coarsefine.cluster_tree import build_cluster_tree
 
@@ -173,3 +174,37 @@ def test_lower_temperature_sharpens_the_step_distribution():
     cold = CentroidScorer(tree, temperature=0.05).score_next(q, (), valid)
     warm = CentroidScorer(tree, temperature=5.0).score_next(q, (), valid)
     assert max(cold.values()) > max(warm.values())
+
+
+def test_centroid_scorer_equals_the_per_child_reference_exactly():
+    emb = blob_embeddings((40, 40, 40, 40), dim=32, seed=4)
+    tree = build_cluster_tree(emb, k=3, expected_clusters=40, seed=4)
+    internal = [p for p, node in tree.nodes.items() if node.children]
+    assert max(len(p) for p in internal) >= 2
+    scorer = CentroidScorer(tree, temperature=0.1)
+    rng = np.random.default_rng(4)
+    queries = [rng.standard_normal(32).astype(np.float32) for _ in range(5)]
+    queries.append(next(iter(emb.values())))
+    checked_subsets = 0
+    for pooled in queries:
+        q = QueryRepresentation(pooled=pooled)
+        for prefix in internal:
+            labels = [child.label for child in tree.nodes[prefix].children]
+            subsets = [labels] + [labels[i::2] for i in range(2) if len(labels) > 2]
+            subsets += [[d] for d in labels if len(labels) > 1]
+            for digits in subsets:
+                valid = frozenset(digits)
+                got = scorer.score_next(q, prefix, valid)
+                assert got == reference_step_probs(tree, pooled, prefix, valid, 0.1)
+                checked_subsets += len(digits) < len(labels)
+    assert checked_subsets > 0
+
+
+def test_centroid_scorer_rejects_digits_that_are_not_children():
+    tree = binary_depth2_tree()
+    scorer = CentroidScorer(tree, temperature=0.1)
+    q = QueryRepresentation(pooled=np.ones(8, dtype=np.float32))
+    with pytest.raises(InvalidPrefix):
+        scorer.score_next(q, (1,), frozenset({1, 3}))
+    with pytest.raises(InvalidPrefix):
+        scorer.score_next(q, (1, 1), frozenset({1}))

@@ -1,4 +1,7 @@
+import gc
+import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -18,8 +21,9 @@ from coarsefine import (
     total_loss,
 )
 from coarsefine.corpus import TrainingPair
-from coarsefine.errors import DuplicateId, EmptyCorpus, EmptyIndex, ParseError
-from coarsefine.intra import LinearAdapter, intra_score
+from coarsefine.embed import DocumentMatrix
+from coarsefine.errors import DuplicateId, EmptyCorpus, EmptyIndex, EmptyText, ParseError
+from coarsefine.intra import LinearAdapter, intra_score, rank_within_cluster
 from coarsefine.pipeline import load_config, query_vector
 from helpers import AxisEmbedder, UniformScorer, binary_depth2_tree, topic_corpus
 
@@ -272,3 +276,60 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     path.write_text('{"beta": 1.0, "mystery": 3}')
     with pytest.raises(ParseError):
         load_config(str(path))
+
+
+def test_embeddings_are_row_views_of_one_matrix_and_adds_leave_no_copy(tmp_path):
+    docs, idx = small_index(seed=15)
+    save_index(idx, str(tmp_path / "idx"))
+    loaded = load_index(str(tmp_path / "idx"))
+    for index in (idx, loaded):
+        assert isinstance(index.embeddings, DocumentMatrix)
+        assert index.embeddings.matrix.dtype == np.float32
+        assert index.embeddings.ids == list(index.corpus)
+        for doc_id in list(index.corpus)[:5]:
+            assert np.shares_memory(index.embeddings[doc_id], index.embeddings.matrix)
+    old = weakref.ref(loaded.embeddings.matrix)
+    extra = [Document("new_" + d.doc_id, d.text) for d in topic_corpus(2, 5, seed=16)]
+    add_documents(loaded, extra)
+    gc.collect()
+    assert old() is None
+    assert loaded.embeddings.matrix.shape == (len(docs) + len(extra), loaded.config.dim)
+    for leaf in loaded.tree.leaves.values():
+        assert [loaded.embeddings.ids[r] for r in leaf.rows] == leaf.members
+
+
+def test_rank_within_cluster_on_the_document_matrix_equals_intra_score():
+    docs, idx = small_index(seed=17)
+    q = query_vector(idx, docs[0].text)
+    for cid, leaf in idx.tree.leaves.items():
+        ranked = rank_within_cluster(q, idx.tree, cid, len(leaf.members), idx.embeddings)
+        oracle = sorted((intra_score(q, idx.embeddings[m], m) for m in leaf.members),
+                        key=lambda s: (-s.s_intra, s.doc_id))
+        assert ranked == oracle
+        top = rank_within_cluster(q, idx.tree, cid, 2, idx.embeddings)
+        assert top == oracle[:2]
+
+
+def test_failed_add_leaves_the_index_unchanged():
+    docs, idx = small_index(seed=18)
+    cids = dict(idx.tree.cid_by_doc)
+    members = {cid: list(leaf.members) for cid, leaf in idx.tree.leaves.items()}
+    with pytest.raises(EmptyText):
+        add_documents(idx, [Document("ok1", "alpha beta"), Document("bad", "   ")])
+    assert "ok1" not in idx.corpus and "ok1" not in idx.embeddings
+    assert idx.tree.cid_by_doc == cids
+    assert {cid: leaf.members for cid, leaf in idx.tree.leaves.items()} == members
+
+
+def test_load_index_rejects_tree_members_outside_the_corpus(tmp_path):
+    docs, idx = small_index(seed=19)
+    path = tmp_path / "idx"
+    save_index(idx, str(path))
+    manifest = json.loads((path / "tree.json").read_text())
+    node = manifest["root"]
+    while node["children"]:
+        node = node["children"][0]
+    node["members"].append("ghost")
+    (path / "tree.json").write_text(json.dumps(manifest))
+    with pytest.raises(ParseError):
+        load_index(str(path))
