@@ -312,6 +312,8 @@ def load_tree(json_path: str, bin_path: str) -> ClusterTree:
         if key not in manifest:
             raise ParseError(f"{json_path}: manifest is missing {key!r}")
     dim = manifest["dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise ParseError(f"{json_path}: dim must be a positive integer, got {dim!r}")
     raw = np.fromfile(bin_path, dtype="<f4")
     if raw.size % dim != 0:
         raise ParseError(f"{bin_path}: blob size is not a multiple of dim")
@@ -348,7 +350,7 @@ def load_tree(json_path: str, bin_path: str) -> ClusterTree:
             k=int(manifest["k"]),
             c=int(manifest["c"]),
             seed=int(manifest["seed"]),
-            dim=int(dim),
+            dim=dim,
             cid_by_doc=cid_by_doc,
             leaves=leaves,
             build_members=build_members,

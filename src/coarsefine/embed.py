@@ -3,13 +3,23 @@
 The default embedder maps unigram and bigram features to signed buckets of a
 fixed-width vector and L2-normalizes the result. It is a pure function of
 (text, dim, seed), so rebuilding an index under the same seed reproduces
-every vector bit for bit. External embedders can replace it by supplying
-vectors through the sidecar format: a little-endian float32 binary matrix
-plus a JSON manifest {"dim": ..., "ids": [...]} giving the row order.
+every vector bit for bit.
+
+Each feature is hashed with BLAKE2b keyed by the seed. The keyed state is
+built once per seed and copied for every feature, so a feature costs one
+compression instead of two (the key block is compressed only once). Bucket
+sums are counted in Python ints and converted to float64 once; they are
+small integers, which float64 holds exactly, so the vector and its norm are
+the same bytes as when every +-1 is added in float64.
+
+External embedders can replace it by supplying vectors through the sidecar
+format: a little-endian float32 binary matrix plus a JSON manifest
+{"dim": ..., "ids": [...]} giving the row order.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from collections.abc import Iterator, Mapping, Sequence
@@ -23,14 +33,18 @@ from .errors import BadDim, DimMismatch, EmptyText, ParseError
 MIN_DIM = 8
 
 
-def _feature_hash(feature: str, seed: int) -> int:
-    key = str(seed).encode("utf-8")[:64]
-    digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=8, key=key).digest()
-    return int.from_bytes(digest, "little")
+@functools.lru_cache(maxsize=32)
+def _keyed_state(key: bytes):
+    # Only ever copied, never updated, so concurrent callers can share it.
+    return hashlib.blake2b(digest_size=8, key=key)
 
 
 def hash_embed(text: str, dim: int, seed: int = 0) -> np.ndarray:
     """Signed feature-hash embedding of unigrams and bigrams, unit L2 norm.
+
+    The norm is never zero: n >= 1 tokens give 2n - 1 features, an odd number
+    of +-1 terms, so the bucket sums add up to an odd number and at least one
+    bucket is nonzero.
 
     Raises EmptyText when the text has no tokens and BadDim when dim < 8.
     """
@@ -41,17 +55,15 @@ def hash_embed(text: str, dim: int, seed: int = 0) -> np.ndarray:
         raise EmptyText("text has no tokens")
     features = [f"1:{t}" for t in tokens]
     features += [f"2:{a} {b}" for a, b in zip(tokens, tokens[1:])]
-    vec = np.zeros(dim, dtype=np.float64)
+    keyed = _keyed_state(str(seed).encode("utf-8")[:64])
+    counts = [0] * dim
     for feature in features:
-        h = _feature_hash(feature, seed)
-        vec[(h >> 1) % dim] += 1.0 if h & 1 else -1.0
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        # Signed buckets cancelled out entirely; fall back to a single
-        # deterministic bucket so the output is still unit length.
-        vec[_feature_hash("0:" + " ".join(tokens), seed) % dim] = 1.0
-        norm = 1.0
-    return (vec / norm).astype(np.float32)
+        state = keyed.copy()
+        state.update(feature.encode("utf-8"))
+        h = int.from_bytes(state.digest(), "little")
+        counts[(h >> 1) % dim] += 1 if h & 1 else -1
+    vec = np.array(counts, dtype=np.float64)
+    return (vec / float(np.linalg.norm(vec))).astype(np.float32)
 
 
 @dataclass(frozen=True)

@@ -325,19 +325,27 @@ def load_index(directory: str) -> RetrievalIndex:
     tree membership are documents that were added later; they are re-assigned
     to their leaves by the same deterministic descent used at add time.
     """
-    config = load_config(os.path.join(directory, CONFIG_FILE))
+    config_path = os.path.join(directory, CONFIG_FILE)
+    config = load_config(config_path)
     docs = load_corpus(os.path.join(directory, CORPUS_FILE))
+    manifest_path = os.path.join(directory, MANIFEST_FILE)
     ids, matrix = load_embedding_sidecar(
-        os.path.join(directory, EMBEDDINGS_FILE),
-        os.path.join(directory, MANIFEST_FILE),
+        os.path.join(directory, EMBEDDINGS_FILE), manifest_path
     )
+    if matrix.shape[1] != config.dim:
+        raise ParseError(
+            f"{manifest_path}: dim {matrix.shape[1]} disagrees with {config_path} dim {config.dim}"
+        )
     corpus = {doc.doc_id: doc for doc in docs}
     if len(ids) != len(corpus) or set(ids) != corpus.keys():
         raise ParseError(f"{directory}: embedding manifest ids do not match corpus")
     embeddings = DocumentMatrix(ids, matrix)
-    tree = load_tree(
-        os.path.join(directory, TREE_FILE), os.path.join(directory, CENTROIDS_FILE)
-    )
+    tree_path = os.path.join(directory, TREE_FILE)
+    tree = load_tree(tree_path, os.path.join(directory, CENTROIDS_FILE))
+    if tree.dim != config.dim:
+        raise ParseError(
+            f"{tree_path}: dim {tree.dim} disagrees with {config_path} dim {config.dim}"
+        )
     for leaf in tree.leaves.values():
         try:
             leaf.rows = np.array([embeddings.row[doc_id] for doc_id in leaf.members],

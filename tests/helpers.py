@@ -1,11 +1,13 @@
 """Shared test utilities: synthetic corpora, pluggable scorers, brute-force oracles."""
 
+import hashlib
 import math
 
 import numpy as np
 
 from coarsefine import Document
 from coarsefine.cluster_tree import TERMINAL, ClusterNode, ClusterTree
+from coarsefine.corpus import tokenize
 from coarsefine.kmeans import derive_seed
 
 
@@ -232,3 +234,31 @@ def reference_step_probs(tree, pooled, prefix, valid, temperature):
     exps = np.exp(logits - logits.max())
     probs = exps / exps.sum()
     return {digit: float(p) for digit, p in zip(digits, probs)}
+
+
+def _reference_feature_hash(feature: str, seed: int) -> int:
+    key = str(seed).encode("utf-8")[:64]
+    digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=8, key=key).digest()
+    return int.from_bytes(digest, "little")
+
+
+def reference_hash_embed(text: str, dim: int, seed: int = 0) -> np.ndarray:
+    """The hashing embedder as one fresh keyed BLAKE2b and one float64 add per feature.
+
+    This is the embedder before it cached the keyed state and counted buckets
+    in ints, kept verbatim (zero-norm fallback included) as an oracle.
+    """
+    tokens = tokenize(text)
+    features = [f"1:{t}" for t in tokens]
+    features += [f"2:{a} {b}" for a, b in zip(tokens, tokens[1:])]
+    vec = np.zeros(dim, dtype=np.float64)
+    for feature in features:
+        h = _reference_feature_hash(feature, seed)
+        vec[(h >> 1) % dim] += 1.0 if h & 1 else -1.0
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        # Signed buckets cancelled out entirely; fall back to a single
+        # deterministic bucket so the output is still unit length.
+        vec[_reference_feature_hash("0:" + " ".join(tokens), seed) % dim] = 1.0
+        norm = 1.0
+    return (vec / norm).astype(np.float32)

@@ -196,6 +196,18 @@ def test_assign_new_document_breaks_ties_toward_the_smaller_label():
     assert assign_new_document(tree, point)[0] == 1
 
 
+@pytest.mark.parametrize("dim", [0, "256"])
+def test_load_tree_rejects_a_dim_that_is_not_a_positive_int(tmp_path, dim):
+    emb, tree = blob_tree()
+    jp, bp = str(tmp_path / "tree.json"), str(tmp_path / "centroids.bin")
+    save_tree(tree, jp, bp)
+    manifest = json.loads(open(jp).read())
+    manifest["dim"] = dim
+    open(jp, "w").write(json.dumps(manifest))
+    with pytest.raises(ParseError, match="tree.json"):
+        load_tree(jp, bp)
+
+
 def test_load_tree_rejects_children_not_labelled_one_to_n(tmp_path):
     emb, tree = blob_tree()
     jp, bp = str(tmp_path / "tree.json"), str(tmp_path / "centroids.bin")

@@ -1,5 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsefine.embed import (
     HashingEmbedder,
@@ -8,6 +13,33 @@ from coarsefine.embed import (
     save_embedding_sidecar,
 )
 from coarsefine.errors import BadDim, EmptyText, ParseError
+from coarsefine.kmeans import derive_seed
+from helpers import reference_hash_embed
+
+EXACT_DIMS = (8, 13, 256)
+EXACT_SEEDS = (0, 1, derive_seed(0, "embed"))
+# Letters, marks, numbers, punctuation and symbols: never whitespace, always UTF-8.
+TOKEN = st.text(st.characters(whitelist_categories=("L", "M", "N", "P", "S")),
+                min_size=1, max_size=6)
+SEPARATOR = st.sampled_from([" ", "  ", "\t", "\n", "\u00a0", "\u2003", "\u3000"])
+
+
+@st.composite
+def texts(draw):
+    """Texts over a small token pool, so tokens and bigrams repeat."""
+    pool = draw(st.lists(TOKEN, min_size=1, max_size=5))
+    tokens = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    seps = draw(st.lists(SEPARATOR, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    return seps[0] + "".join(t + s for t, s in zip(tokens, seps[1:]))
+
+
+def assert_matches_reference(text):
+    # Seeds vary fastest, so a keyed state cached for one seed is always
+    # followed by a call under another.
+    for dim in EXACT_DIMS:
+        for seed in EXACT_SEEDS + EXACT_SEEDS[::-1]:
+            got = hash_embed(text, dim, seed)
+            assert got.tobytes() == reference_hash_embed(text, dim, seed).tobytes()
 
 
 def test_hash_embed_is_unit_norm_float32():
@@ -74,3 +106,43 @@ def test_sidecar_rejects_size_mismatch(tmp_path):
         fh.write(b"\x00\x00\x00\x00")
     with pytest.raises(ParseError):
         load_embedding_sidecar(bin_path, man_path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts())
+def test_hash_embed_is_bit_identical_to_the_per_feature_reference(text):
+    assert_matches_reference(text)
+
+
+@pytest.mark.parametrize("text", [
+    "solo", "Ünïcödé", "日本語", "x" * 200, "repeat repeat repeat repeat",
+    "a\u3000b\u00a0a\u2003b", "\t  mixed\nCASE case  \u3000",
+])
+def test_hash_embed_matches_the_reference_on_fixed_texts(text):
+    assert_matches_reference(text)
+
+
+def test_threads_sharing_the_cached_keyed_state_match_the_reference():
+    corpus = [f"t{i} shared words t{i % 7} more" for i in range(60)]
+    expected = {(t, s): reference_hash_embed(t, 64, s).tobytes()
+                for t in corpus for s in EXACT_SEEDS}
+    mismatches = []
+
+    def work(offset):
+        for i, text in enumerate(corpus):
+            seed = EXACT_SEEDS[(i + offset) % len(EXACT_SEEDS)]
+            if hash_embed(text, 64, seed).tobytes() != expected[(text, seed)]:
+                mismatches.append((text, seed))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []

@@ -333,3 +333,24 @@ def test_load_index_rejects_tree_members_outside_the_corpus(tmp_path):
     (path / "tree.json").write_text(json.dumps(manifest))
     with pytest.raises(ParseError):
         load_index(str(path))
+
+
+def test_load_index_rejects_a_config_dim_that_disagrees_with_the_embeddings(tmp_path):
+    docs, idx = small_index(seed=20)
+    path = tmp_path / "idx"
+    save_index(idx, str(path))
+    config = json.loads((path / "config.json").read_text())
+    config["dim"] = 128
+    (path / "config.json").write_text(json.dumps(config))
+    with pytest.raises(ParseError, match="manifest.json"):
+        load_index(str(path))
+
+
+def test_load_index_rejects_a_tree_of_another_dim(tmp_path):
+    docs = topic_corpus(5, 40, seed=21)
+    save_index(build_index(docs, small_config(seed=21)), str(tmp_path / "a"))
+    save_index(build_index(docs, small_config(seed=21, dim=32)), str(tmp_path / "b"))
+    for name in ("tree.json", "centroids.bin"):
+        (tmp_path / "a" / name).write_bytes((tmp_path / "b" / name).read_bytes())
+    with pytest.raises(ParseError, match="tree.json"):
+        load_index(str(tmp_path / "a"))
