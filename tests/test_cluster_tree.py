@@ -196,7 +196,7 @@ def test_assign_new_document_breaks_ties_toward_the_smaller_label():
     assert assign_new_document(tree, point)[0] == 1
 
 
-@pytest.mark.parametrize("dim", [0, "256"])
+@pytest.mark.parametrize("dim", [0, "256", True])
 def test_load_tree_rejects_a_dim_that_is_not_a_positive_int(tmp_path, dim):
     emb, tree = blob_tree()
     jp, bp = str(tmp_path / "tree.json"), str(tmp_path / "centroids.bin")
