@@ -9,12 +9,17 @@ floored at 2. A child that k-means failed to shrink (all points in one
 cluster, e.g. k == 1 or duplicate points) becomes a leaf regardless, so the
 recursion always terminates.
 
-In memory, every internal node holds its children's centroids as one
-stacked float32 matrix ordered by child label (labels are 1..n), and each
-child's `centroid` is a row view of that matrix; a prefix -> node map replaces
-walking the tree from the root. Each leaf keeps, next to its `members`, an
-int array of the members' rows in the document matrix the tree was built
-from (or, for a loaded index, attached to).
+In memory, the centroids of every node but the root are the rows of one
+float32 matrix in breadth-first order, children in label order (labels are
+1..n). So each node's children are a contiguous block of rows: a node's
+`child_centroids` is a slice view of that matrix and each node's `centroid` a
+row view. Next to the matrix, per row, the tree keeps the row of the node's
+first child, its child count, its preorder rank (which sorts nodes like their
+digit paths, across depths too) and, for a leaf, its CID; the root's
+children are rows 0..n-1. A prefix -> node map replaces walking the tree from
+the root. Each leaf keeps, next to its `members`, an int array of the
+members' rows in the document matrix the tree was built from (or, for a
+loaded index, attached to).
 
 Once built, a tree is immutable as far as this module is concerned and safe
 for concurrent readers; the retrieval pipeline is the single writer that may
@@ -64,25 +69,51 @@ class ClusterTree:
     leaves: dict[Cid, ClusterNode]
     build_members: dict[Cid, tuple[str, ...]]
     nodes: dict[Cid, ClusterNode] = field(init=False, repr=False)
+    centroid_rows: np.ndarray = field(init=False, repr=False)
+    first_child: np.ndarray = field(init=False, repr=False)
+    child_count: np.ndarray = field(init=False, repr=False)
+    preorder: np.ndarray = field(init=False, repr=False)
+    leaf_cid: list[Cid | None] = field(init=False, repr=False)
 
     def __post_init__(self):
-        """Index every node by its digit path and stack each node's child centroids."""
-        self.nodes = {}
-        stack: list[tuple[Cid, ClusterNode]] = [((), self.root)]
-        while stack:
-            path, node = stack.pop()
-            self.nodes[path] = node
-            if not node.children:
-                continue
-            labels = [child.label for child in node.children]
-            if labels != list(range(1, len(labels) + 1)):
-                raise ValueError(f"children of {path} must be labelled 1..n, got {labels}")
-            node.child_centroids = np.stack([child.centroid for child in node.children]).astype(
-                np.float32, copy=False
-            )
-            for child, row in zip(node.children, node.child_centroids):
-                child.centroid = row
-                stack.append((path + (child.label,), child))
+        """Index every node by its digit path and lay all centroids out breadth-first."""
+        order: list[tuple[Cid, ClusterNode]] = [((), self.root)]
+        first: list[int] = []  # per node of `order`, the row of its first child
+        i = 0
+        while i < len(order):
+            path, node = order[i]
+            i += 1
+            first.append(len(order) - 1)  # rows skip the root, so row = place in order - 1
+            if node.children:
+                labels = [child.label for child in node.children]
+                if labels != list(range(1, len(labels) + 1)):
+                    raise ValueError(f"children of {path} must be labelled 1..n, got {labels}")
+                order.extend([(path + (j,), child) for j, child in zip(labels, node.children)])
+        self.nodes = dict(order)
+        rows = order[1:]  # the root's children are rows 0..n-1
+        self.centroid_rows = (
+            np.array([node.centroid for _, node in rows], dtype=np.float32)
+            if rows else np.empty((0, self.dim), dtype=np.float32)
+        )
+        for (_, node), start in zip(order, first):
+            if node.children:
+                node.child_centroids = self.centroid_rows[start : start + len(node.children)]
+        for row, (_, node) in enumerate(rows):
+            node.centroid = self.centroid_rows[row]
+        first = first[1:]
+        counts = [len(node.children) for _, node in rows]
+        # Depth-first, children in label order: ranks sort rows like their digit paths.
+        preorder = [0] * len(rows)
+        stack = list(range(len(self.root.children) - 1, -1, -1))
+        for rank in range(len(rows)):
+            row = stack.pop()
+            preorder[row] = rank
+            if counts[row]:
+                stack.extend(range(first[row] + counts[row] - 1, first[row] - 1, -1))
+        self.first_child = np.array(first, dtype=np.intp)
+        self.child_count = np.array(counts, dtype=np.intp)
+        self.preorder = np.array(preorder, dtype=np.intp)
+        self.leaf_cid = [None if node.children else path + (TERMINAL,) for path, node in rows]
 
     @property
     def leaf_count(self) -> int:
@@ -302,18 +333,51 @@ def _strip_to_build_members(tree: ClusterTree) -> ClusterNode:
     return copy(tree.root, ())
 
 
+def _node_error(parent: Cid | None, json_path: str, problem: str) -> ParseError:
+    where = "the root" if parent is None else f"a child of node {parent}"
+    return ParseError(f"{json_path}: {where} {problem}")
+
+
+def _check_node(obj, parent: Cid | None, json_path: str) -> None:
+    """Raise ParseError unless `obj` is a well-formed tree.json node (parent None: the root).
+
+    `type(x) is int` rather than isinstance keeps JSON booleans out.
+    """
+    if type(obj) is not dict:
+        raise _node_error(parent, json_path, "is not an object")
+    for key in ("label", "children", "members"):
+        if key not in obj:
+            raise _node_error(parent, json_path, f"is missing {key!r}")
+    label = obj["label"]
+    if parent is None and label is not None:
+        raise _node_error(parent, json_path, f"has label {label!r}, expected null")
+    if parent is not None and not (type(label) is int and label >= 1):
+        raise _node_error(parent, json_path, f"has label {label!r}, expected a positive integer")
+    if type(obj["children"]) is not list:
+        raise _node_error(parent, json_path, "has children that are not a list")
+    members = obj["members"]
+    if type(members) is not list or not all(type(m) is str for m in members):
+        raise _node_error(parent, json_path, "has members that are not a list of strings")
+
+
 def load_tree(json_path: str, bin_path: str) -> ClusterTree:
     with open(json_path, encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
         except json.JSONDecodeError:
             raise ParseError(f"{json_path}: invalid JSON")
+    if not isinstance(manifest, dict):
+        raise ParseError(f"{json_path}: manifest must be a JSON object")
     for key in ("k", "c", "seed", "dim", "root"):
         if key not in manifest:
             raise ParseError(f"{json_path}: manifest is missing {key!r}")
+    for key in ("k", "c", "dim"):
+        value = manifest[key]
+        if type(value) is not int or value < 1:
+            raise ParseError(f"{json_path}: {key} must be a positive integer, got {value!r}")
+    if type(manifest["seed"]) is not int:
+        raise ParseError(f"{json_path}: seed must be an integer, got {manifest['seed']!r}")
     dim = manifest["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ParseError(f"{json_path}: dim must be a positive integer, got {dim!r}")
     raw = np.fromfile(bin_path, dtype="<f4")
     if raw.size % dim != 0:
         raise ParseError(f"{bin_path}: blob size is not a multiple of dim")
@@ -327,29 +391,33 @@ def load_tree(json_path: str, bin_path: str) -> ClusterTree:
         nonlocal cursor
         if cursor >= len(centroids):
             raise ParseError(f"{bin_path}: blob has fewer centroids than the manifest")
-        node = ClusterNode(label=obj["label"], centroid=centroids[cursor].copy())
+        node = ClusterNode(label=obj["label"], centroid=centroids[cursor])
         cursor += 1
         for child_obj in obj["children"]:
-            child = rebuild(child_obj, path + (child_obj["label"],))
-            node.children.append(child)
+            _check_node(child_obj, path, json_path)
+            node.children.append(rebuild(child_obj, path + (child_obj["label"],)))
         if not node.children and node.label is not None:
-            node.members = [str(m) for m in obj["members"]]
+            node.members = list(obj["members"])
             cid = path + (TERMINAL,)
             leaves[cid] = node
             for doc_id in node.members:
                 cid_by_doc[doc_id] = cid
         return node
 
+    _check_node(manifest["root"], None, json_path)
     root = rebuild(manifest["root"], ())
     if cursor != len(centroids):
         raise ParseError(f"{bin_path}: blob has more centroids than the manifest")
+    # ClusterTree copies every other centroid into its matrix; with the root's
+    # copied too, nothing keeps the blob alive.
+    root.centroid = root.centroid.copy()
     build_members = {cid: tuple(leaf.members) for cid, leaf in leaves.items()}
     try:
         return ClusterTree(
             root=root,
-            k=int(manifest["k"]),
-            c=int(manifest["c"]),
-            seed=int(manifest["seed"]),
+            k=manifest["k"],
+            c=manifest["c"],
+            seed=manifest["seed"],
             dim=dim,
             cid_by_doc=cid_by_doc,
             leaves=leaves,

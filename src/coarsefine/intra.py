@@ -20,7 +20,7 @@ deterministic under its seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -214,17 +214,25 @@ def intra_loss(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearAdapter:
-    """Square query-side transform; documents are never touched."""
+    """Square query-side transform; documents are never touched.
+
+    The float64 copy of `weight` that every query multiplies by is cast once,
+    at construction.
+    """
 
     weight: np.ndarray
+    weight64: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "weight64", self.weight.astype(np.float64))
 
     def apply(self, embedding: np.ndarray) -> np.ndarray:
         emb = np.asarray(embedding, dtype=np.float64)
         if emb.shape != (self.weight.shape[0],):
             raise DimMismatch(f"adapter dim {self.weight.shape[0]} != vector {emb.shape}")
-        return (self.weight.astype(np.float64) @ emb).astype(np.float32)
+        return (self.weight64 @ emb).astype(np.float32)
 
     @classmethod
     def identity(cls, dim: int) -> "LinearAdapter":

@@ -17,10 +17,15 @@ DocumentMatrix in the row order of embeddings.bin (corpus order, as
 save_index writes it), so loading reads the file into that matrix without
 copying rows. Each tree leaf carries an int array of its members' rows next to
 their ids, so the fine stage scores a recalled leaf with one gather and one
-stacked matmul; each internal tree node stacks its children's centroids, so
-a beam step is one stacked matmul too (see inter.py for why a stacked
-1 x d . d x 1 matmul and not a gemv). `index.embeddings` is still a mapping
-from id to vector; its values are row views of the matrix.
+stacked matmul. The tree keeps all non-root centroids as one float32 matrix in
+breadth-first order, so every node's children are a contiguous block of rows.
+A beam step groups the frontier's nodes by child count, scores each group's
+children with one stacked matmul and normalises them as one 2-D array (see
+inter.py for why a stacked 1 x d . d x 1 matmul and not a gemv, and why groups
+rather than np.add.reduceat). The trie is built from tree.leaves, both at
+build and on load, so it holds exactly the tree's leaves and decoding takes
+that path. `index.embeddings` is still a mapping from id to vector; its
+values are row views of the matrix.
 
 On disk an index is a directory: corpus.jsonl, embeddings.bin +
 manifest.json (sidecar format), tree.json + centroids.bin, config.json, and
@@ -365,7 +370,7 @@ def load_index(directory: str) -> RetrievalIndex:
         corpus=corpus,
         embeddings=embeddings,
         tree=tree,
-        trie=build_trie(tree.build_members.keys()),
+        trie=build_trie(tree.leaves.keys()),
         scorer=CentroidScorer(tree, temperature=config.temperature),
         adapter=adapter,
         config=config,

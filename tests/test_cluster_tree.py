@@ -217,3 +217,54 @@ def test_load_tree_rejects_children_not_labelled_one_to_n(tmp_path):
     open(jp, "w").write(json.dumps(manifest))
     with pytest.raises(ParseError):
         load_tree(jp, bp)
+
+
+def _drop(node, key):
+    del node[key]
+
+
+def _first_leaf(manifest):
+    node = manifest["root"]
+    while node["children"]:
+        node = node["children"][0]
+    return node
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda m: m.update(k=None), id="k-null"),
+        pytest.param(lambda m: m.update(c=None), id="c-null"),
+        pytest.param(lambda m: m.update(seed=None), id="seed-null"),
+        pytest.param(lambda m: _drop(m["root"], "label"), id="root-without-label"),
+        pytest.param(lambda m: m["root"].update(children=None), id="children-null"),
+        pytest.param(lambda m: _drop(m["root"]["children"][0], "label"), id="child-without-label"),
+        pytest.param(lambda m: m["root"]["children"].__setitem__(0, 5), id="child-not-an-object"),
+        pytest.param(lambda m: _first_leaf(m).update(members=None), id="members-null"),
+    ],
+)
+def test_load_tree_rejects_malformed_node_fields_naming_tree_json(tmp_path, corrupt):
+    emb, tree = blob_tree()
+    jp, bp = str(tmp_path / "tree.json"), str(tmp_path / "centroids.bin")
+    save_tree(tree, jp, bp)
+    manifest = json.loads(open(jp).read())
+    corrupt(manifest)
+    open(jp, "w").write(json.dumps(manifest))
+    with pytest.raises(ParseError, match="tree.json"):
+        load_tree(jp, bp)
+
+
+def test_breadth_first_layout_gives_contiguous_children_and_preorder_ranks():
+    emb, tree = blob_tree(counts=(30, 30, 30, 5), expected=20, branching=3)
+    paths = list(tree.nodes)[1:]  # breadth-first, root first
+    assert len({len(cid) for cid in tree.leaves}) > 1  # leaves at mixed depths
+    assert tree.centroid_rows.shape == (len(paths), tree.dim)
+    for row, path in enumerate(paths):
+        node = tree.nodes[path]
+        assert np.shares_memory(node.centroid, tree.centroid_rows)
+        assert node.centroid.tobytes() == tree.centroid_rows[row].tobytes()
+        assert tree.child_count[row] == len(node.children)
+        assert tree.leaf_cid[row] == (None if node.children else path + (TERMINAL,))
+        for i in range(len(node.children)):
+            assert paths[tree.first_child[row] + i] == path + (i + 1,)
+    assert [paths[row] for row in np.argsort(tree.preorder)] == sorted(paths)

@@ -10,6 +10,7 @@ from coarsefine.trie import build_trie
 from helpers import (
     SeededScorer,
     UniformScorer,
+    axis_vec,
     binary_depth2_tree,
     blob_embeddings,
     brute_force_hypotheses,
@@ -17,7 +18,7 @@ from helpers import (
     rank_by_penalized,
     reference_step_probs,
 )
-from coarsefine.cluster_tree import build_cluster_tree
+from coarsefine.cluster_tree import ClusterNode, ClusterTree, build_cluster_tree
 
 QUERY = QueryRepresentation(pooled=np.zeros(8, dtype=np.float32))
 
@@ -208,3 +209,96 @@ def test_centroid_scorer_rejects_digits_that_are_not_children():
         scorer.score_next(q, (1,), frozenset({1, 3}))
     with pytest.raises(InvalidPrefix):
         scorer.score_next(q, (1, 1), frozenset({1}))
+
+
+class Forwarding:
+    """A plain step scorer that forwards to a CentroidScorer, so decoding takes the generic path."""
+
+    def __init__(self, scorer):
+        self.scorer = scorer
+
+    def score_next(self, query, prefix, valid):
+        return self.scorer.score_next(query, prefix, valid)
+
+
+def counted(scorer):
+    """Count the CentroidScorer's score_next calls on this instance."""
+    calls = []
+    original = scorer.score_next
+
+    def score_next(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    scorer.score_next = score_next
+    return calls
+
+
+def tie_heavy_tree(seed):
+    """A seeded tree over blobs with duplicated points and leaves at mixed depths."""
+    emb = blob_embeddings((24, 18, 30, 6), dim=8, seed=seed)
+    ids = list(emb)
+    for i in range(0, len(ids) - 1, 4):
+        emb[ids[i + 1]] = emb[ids[i]]
+    tree = build_cluster_tree(emb, k=3 + seed % 3, expected_clusters=12 + 5 * seed, seed=seed)
+    return emb, tree
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_frontier_decoder_equals_the_generic_path_exactly(seed):
+    emb, tree = tie_heavy_tree(seed)
+    assert len({len(cid) for cid in tree.leaves}) > 1
+    trie = build_trie(tree.leaves.keys())
+    rng = np.random.default_rng(seed)
+    pooled = [np.zeros(8), emb[next(iter(emb))].astype(np.float64), rng.standard_normal(8)]
+    underflowed = 0
+    for temperature in (0.1, 1e-3):
+        scorer = CentroidScorer(tree, temperature=temperature)
+        for vec in pooled:
+            q = QueryRepresentation(pooled=vec)
+            for alpha in (0, 0.8, 1.5):
+                for beam, k in ((1, 1), (4, 3), (len(trie), len(trie))):
+                    calls = counted(scorer)
+                    got = decode_clusters(q, scorer, trie, beam, alpha, k)
+                    assert calls == [()]  # only the root step goes through score_next
+                    del scorer.score_next
+                    assert got == decode_clusters(q, Forwarding(scorer), trie, beam, alpha, k)
+                    underflowed += beam == len(trie) and len(got) < len(trie)
+    assert underflowed > 0  # temperature 1e-3 drove some probabilities to 0
+
+
+def test_centroid_scorer_on_a_strict_subset_trie_takes_the_generic_path():
+    emb, tree = tie_heavy_tree(1)
+    subset = sorted(tree.leaves)[::2]
+    trie = build_trie(subset)
+    scorer = CentroidScorer(tree, temperature=0.1)
+    q = QueryRepresentation(pooled=emb[next(iter(emb))])
+    calls = counted(scorer)
+    got = decode_clusters(q, scorer, trie, len(trie), 0.8, len(trie))
+    assert len(calls) > 1
+    del scorer.score_next
+    assert {h.cid for h in got} <= set(subset)
+    assert got == decode_clusters(q, Forwarding(scorer), trie, len(trie), 0.8, len(trie))
+
+
+def test_ties_across_depths_break_toward_the_lexicographically_smaller_cid():
+    # Root children: 1 is internal with a single leaf child, 2 is a leaf. Under a
+    # zero query both top-level digits get probability 1/2 and the only child of
+    # (1,) gets 1, so (1, 1, 0) and (2, 0) tie at length penalty 0. Breadth-first order would
+    # put (2, 0) first; lexicographic (preorder) order puts (1, 1, 0) first.
+    deep = ClusterNode(label=1, centroid=axis_vec(4, 0), members=["a"])
+    inner = ClusterNode(label=1, centroid=axis_vec(4, 0), children=[deep])
+    shallow = ClusterNode(label=2, centroid=axis_vec(4, 1), members=["b"])
+    root = ClusterNode(label=None, centroid=axis_vec(4, 2), children=[inner, shallow])
+    leaves = {(1, 1, 0): deep, (2, 0): shallow}
+    tree = ClusterTree(
+        root=root, k=2, c=2, seed=0, dim=4, cid_by_doc={"a": (1, 1, 0), "b": (2, 0)},
+        leaves=leaves, build_members={cid: tuple(n.members) for cid, n in leaves.items()},
+    )
+    trie = build_trie(leaves)
+    scorer = CentroidScorer(tree, temperature=0.1)
+    q = QueryRepresentation(pooled=np.zeros(4))
+    for k in (1, 2):
+        got = decode_clusters(q, scorer, trie, 2, 0.0, k)
+        assert [h.cid for h in got] == [(1, 1, 0), (2, 0)][:k]
+        assert got == decode_clusters(q, Forwarding(scorer), trie, 2, 0.0, k)

@@ -280,3 +280,13 @@ def test_train_adapter_diverges_with_absurd_rate():
     pairs, tree, emb, queries, kw = adapter_fixture()
     with pytest.raises(DivergedLoss):
         train_adapter(pairs, tree, emb, queries, epochs=5, learning_rate=1e40, **kw)
+
+
+def test_adapter_apply_equals_the_uncached_cast_bit_for_bit():
+    rng = np.random.default_rng(11)
+    w = rng.standard_normal((256, 256)).astype(np.float32)
+    adapter = LinearAdapter(w)
+    for _ in range(5):
+        vec = rng.standard_normal(256).astype(np.float32)
+        expected = (w.astype(np.float64) @ vec.astype(np.float64)).astype(np.float32)
+        assert adapter.apply(vec).tobytes() == expected.tobytes()
