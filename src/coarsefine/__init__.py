@@ -20,7 +20,6 @@ from .corpus import (
     Document,
     QueryRecord,
     TrainingPair,
-    augment_queries,
     load_corpus,
     load_queries,
     save_corpus,
@@ -82,7 +81,6 @@ __all__ = [
     "add_documents",
     "assign_cid",
     "assign_new_document",
-    "augment_queries",
     "build_cluster_tree",
     "build_index",
     "build_trie",

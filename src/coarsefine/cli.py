@@ -14,7 +14,7 @@ import dataclasses
 import json
 import sys
 
-from .corpus import TrainingPair, load_corpus, load_queries, qrels_mapping
+from .corpus import TrainingPair, load_corpus, load_queries, qrels_mapping, read_jsonl
 from .embed import load_embedding_sidecar
 from .errors import ParseError, RetrievalError
 from .evaluation import EvalReport, evaluate_results, index_diagnostics, position_error_rate
@@ -43,8 +43,6 @@ CONFIG_FLAGS = [
     ("temperature", float, "softmax temperature of the centroid step scorer"),
     ("dim", int, "embedding dimension"),
     ("seed", int, "master seed; all per-stage seeds derive from it"),
-    ("n_spans", int, "synthetic query spans per document"),
-    ("span_len", int, "tokens per synthetic query span"),
     ("n_a", int, "same-cluster negatives per training pair"),
 ]
 
@@ -121,18 +119,14 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 
 def _load_results(path: str) -> dict[str, list[str]]:
     ranked: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                raise ParseError(f"{path}: line {lineno}: invalid JSON", line=lineno)
-            if "query_id" not in obj or "results" not in obj:
-                raise ParseError(f"{path}: line {lineno}: malformed results record",
-                                 line=lineno)
-            ranked[obj["query_id"]] = [entry["doc_id"] for entry in obj["results"]]
+    for lineno, obj in read_jsonl(path, ("query_id",)):
+        results = obj.get("results")
+        if not isinstance(results, list) or not all(
+            isinstance(entry, dict) and isinstance(entry.get("doc_id"), str) for entry in results
+        ):
+            raise ParseError(f"{path}: line {lineno}: 'results' must be a list of objects "
+                             "with a string 'doc_id'", line=lineno)
+        ranked[obj["query_id"]] = [entry["doc_id"] for entry in results]
     return ranked
 
 
@@ -189,24 +183,15 @@ def cmd_add_docs(args: argparse.Namespace) -> int:
 
 
 def _load_pairs(path: str) -> list[TrainingPair]:
+    """Training pairs; a query id may recur with more positives, but not with another text."""
     pairs: list[TrainingPair] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                raise ParseError(f"{path}: line {lineno}: invalid JSON", line=lineno)
-            try:
-                pairs.append(TrainingPair(
-                    query_id=obj["query_id"],
-                    query_text=obj["query_text"],
-                    positive_doc_id=obj["positive_doc_id"],
-                ))
-            except (KeyError, TypeError):
-                raise ParseError(f"{path}: line {lineno}: malformed training pair",
-                                 line=lineno)
+    text_of: dict[str, str] = {}
+    for lineno, obj in read_jsonl(path, ("query_id", "query_text", "positive_doc_id")):
+        pair = TrainingPair(obj["query_id"], obj["query_text"], obj["positive_doc_id"])
+        if text_of.setdefault(pair.query_id, pair.query_text) != pair.query_text:
+            raise ParseError(f"{path}: line {lineno}: query {pair.query_id!r} has a different "
+                             "query_text than on an earlier line", line=lineno)
+        pairs.append(pair)
     return pairs
 
 

@@ -17,8 +17,11 @@ row view. Next to the matrix, per row, the tree keeps the row of the node's
 first child, its child count, its preorder rank (which sorts nodes like their
 digit paths, across depths too) and, for a leaf, its CID; the root's
 children are rows 0..n-1. A prefix -> node map replaces walking the tree from
-the root. Each leaf keeps, next to its `members`, an int array of the
-members' rows in the document matrix the tree was built from (or, for a
+the root. The walk that lays all this out also derives the leaf index in
+preorder, for built and loaded trees alike: `leaves`, `cid_by_doc`, and
+`build_members` (the construction-time membership that tree.json records);
+a document in two leaves is rejected. Each leaf keeps, next to its `members`, an int array of
+the members' rows in the document matrix the tree was built from (or, for a
 loaded index, attached to).
 
 Once built, a tree is immutable as far as this module is concerned and safe
@@ -53,10 +56,6 @@ class ClusterNode:
     rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
     child_centroids: np.ndarray | None = None
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
 
 @dataclass
 class ClusterTree:
@@ -65,9 +64,9 @@ class ClusterTree:
     c: int
     seed: int
     dim: int
-    cid_by_doc: dict[str, Cid]
-    leaves: dict[Cid, ClusterNode]
-    build_members: dict[Cid, tuple[str, ...]]
+    leaves: dict[Cid, ClusterNode] = field(init=False, repr=False)
+    cid_by_doc: dict[str, Cid] = field(init=False, repr=False)
+    build_members: dict[Cid, tuple[str, ...]] = field(init=False, repr=False)
     nodes: dict[Cid, ClusterNode] = field(init=False, repr=False)
     centroid_rows: np.ndarray = field(init=False, repr=False)
     first_child: np.ndarray = field(init=False, repr=False)
@@ -76,7 +75,8 @@ class ClusterTree:
     leaf_cid: list[Cid | None] = field(init=False, repr=False)
 
     def __post_init__(self):
-        """Index every node by its digit path and lay all centroids out breadth-first."""
+        """Index every node by its digit path, lay all centroids out breadth-first
+        and derive the leaf index; ValueError for bad labels or a repeated document."""
         order: list[tuple[Cid, ClusterNode]] = [((), self.root)]
         first: list[int] = []  # per node of `order`, the row of its first child
         i = 0
@@ -105,11 +105,22 @@ class ClusterTree:
         # Depth-first, children in label order: ranks sort rows like their digit paths.
         preorder = [0] * len(rows)
         stack = list(range(len(self.root.children) - 1, -1, -1))
+        self.leaves, self.cid_by_doc = {}, {}
         for rank in range(len(rows)):
             row = stack.pop()
             preorder[row] = rank
             if counts[row]:
                 stack.extend(range(first[row] + counts[row] - 1, first[row] - 1, -1))
+                continue
+            path, node = rows[row]
+            cid = path + (TERMINAL,)
+            self.leaves[cid] = node
+            for doc_id in node.members:
+                if doc_id in self.cid_by_doc:
+                    raise ValueError(
+                        f"document {doc_id!r} is in leaves {self.cid_by_doc[doc_id]} and {cid}")
+                self.cid_by_doc[doc_id] = cid
+        self.build_members = {cid: tuple(leaf.members) for cid, leaf in self.leaves.items()}
         self.first_child = np.array(first, dtype=np.intp)
         self.child_count = np.array(counts, dtype=np.intp)
         self.preorder = np.array(preorder, dtype=np.intp)
@@ -151,8 +162,6 @@ def _split(
     k: int,
     c: int,
     seed: int,
-    cid_by_doc: dict[str, Cid],
-    leaves: dict[Cid, ClusterNode],
 ) -> None:
     labels, centroids = kmeans(X[indices], k, derive_seed(seed, *path))
     for j in range(len(centroids)):
@@ -162,14 +171,10 @@ def _split(
         node.children.append(child)
         child_path = path + (label,)
         if len(member_idx) >= c and len(member_idx) < len(indices):
-            _split(child, X, member_idx, ids, child_path, k, c, seed, cid_by_doc, leaves)
+            _split(child, X, member_idx, ids, child_path, k, c, seed)
         else:
             child.members = [ids[i] for i in member_idx]
             child.rows = member_idx
-            cid = child_path + (TERMINAL,)
-            leaves[cid] = child
-            for doc_id in child.members:
-                cid_by_doc[doc_id] = cid
 
 
 def build_cluster_tree(
@@ -192,20 +197,8 @@ def build_cluster_tree(
         raise ValueError("embeddings must be 1-D vectors of a common dimension")
     c = compute_c(len(ids), expected_clusters)
     root = ClusterNode(label=None, centroid=X.astype(np.float64).mean(axis=0).astype(np.float32))
-    cid_by_doc: dict[str, Cid] = {}
-    leaves: dict[Cid, ClusterNode] = {}
-    _split(root, X, np.arange(len(ids)), ids, (), k, c, seed, cid_by_doc, leaves)
-    build_members = {cid: tuple(leaf.members) for cid, leaf in leaves.items()}
-    return ClusterTree(
-        root=root,
-        k=k,
-        c=c,
-        seed=seed,
-        dim=int(X.shape[1]),
-        cid_by_doc=cid_by_doc,
-        leaves=leaves,
-        build_members=build_members,
-    )
+    _split(root, X, np.arange(len(ids)), ids, (), k, c, seed)
+    return ClusterTree(root=root, k=k, c=c, seed=seed, dim=int(X.shape[1]))
 
 
 def assign_cid(tree: ClusterTree, doc_id: str) -> Cid:
@@ -287,12 +280,14 @@ def mean_prefix_overlap(
     return total / len(qrels)
 
 
-def _node_manifest(node: ClusterNode, blob: bytearray) -> dict:
+def _node_manifest(tree: ClusterTree, node: ClusterNode, path: Cid, blob: bytearray) -> dict:
     blob.extend(np.ascontiguousarray(node.centroid, dtype="<f4").tobytes())
+    leaf = path and not node.children
     return {
         "label": node.label,
-        "members": list(node.members),
-        "children": [_node_manifest(child, blob) for child in node.children],
+        "members": list(tree.build_members[path + (TERMINAL,)]) if leaf else [],
+        "children": [_node_manifest(tree, child, path + (child.label,), blob)
+                     for child in node.children],
     }
 
 
@@ -303,34 +298,18 @@ def save_tree(tree: ClusterTree, json_path: str, bin_path: str) -> None:
     documents ingested after the build do not alter these files.
     """
     blob = bytearray()
-    root = _strip_to_build_members(tree)
     manifest = {
         "k": tree.k,
         "c": tree.c,
         "seed": tree.seed,
         "dim": tree.dim,
-        "root": _node_manifest(root, blob),
+        "root": _node_manifest(tree, tree.root, (), blob),
     }
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
     with open(bin_path, "wb") as fh:
         fh.write(bytes(blob))
-
-
-def _strip_to_build_members(tree: ClusterTree) -> ClusterNode:
-    def copy(node: ClusterNode, path: Cid) -> ClusterNode:
-        if node.is_leaf and node.label is not None:
-            members = list(tree.build_members.get(path + (TERMINAL,), tuple(node.members)))
-            return ClusterNode(node.label, node.centroid, [], members)
-        return ClusterNode(
-            node.label,
-            node.centroid,
-            [copy(ch, path + (ch.label,)) for ch in node.children],
-            [],
-        )
-
-    return copy(tree.root, ())
 
 
 def _node_error(parent: Cid | None, json_path: str, problem: str) -> ParseError:
@@ -383,8 +362,6 @@ def load_tree(json_path: str, bin_path: str) -> ClusterTree:
         raise ParseError(f"{bin_path}: blob size is not a multiple of dim")
     centroids = raw.reshape(-1, dim)
 
-    cid_by_doc: dict[str, Cid] = {}
-    leaves: dict[Cid, ClusterNode] = {}
     cursor = 0
 
     def rebuild(obj: dict, path: Cid) -> ClusterNode:
@@ -398,10 +375,6 @@ def load_tree(json_path: str, bin_path: str) -> ClusterTree:
             node.children.append(rebuild(child_obj, path + (child_obj["label"],)))
         if not node.children and node.label is not None:
             node.members = list(obj["members"])
-            cid = path + (TERMINAL,)
-            leaves[cid] = node
-            for doc_id in node.members:
-                cid_by_doc[doc_id] = cid
         return node
 
     _check_node(manifest["root"], None, json_path)
@@ -411,17 +384,8 @@ def load_tree(json_path: str, bin_path: str) -> ClusterTree:
     # ClusterTree copies every other centroid into its matrix; with the root's
     # copied too, nothing keeps the blob alive.
     root.centroid = root.centroid.copy()
-    build_members = {cid: tuple(leaf.members) for cid, leaf in leaves.items()}
     try:
-        return ClusterTree(
-            root=root,
-            k=manifest["k"],
-            c=manifest["c"],
-            seed=manifest["seed"],
-            dim=dim,
-            cid_by_doc=cid_by_doc,
-            leaves=leaves,
-            build_members=build_members,
-        )
+        return ClusterTree(root=root, k=manifest["k"], c=manifest["c"], seed=manifest["seed"],
+                           dim=dim)
     except ValueError as exc:
         raise ParseError(f"{json_path}: {exc}")

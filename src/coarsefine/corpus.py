@@ -1,11 +1,10 @@
-"""Document records, JSONL loaders, and query-span augmentation."""
+"""Document records and the JSONL reader every input file goes through."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Iterator, Sequence
 
 from .errors import DuplicateId, EmptyText, ParseError
 
@@ -37,6 +36,29 @@ def tokenize(text: str) -> list[str]:
     return text.lower().split()
 
 
+def read_jsonl(path: str, keys: Sequence[str]) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for every non-blank line of a JSONL file.
+
+    Raises ParseError, with the line number, for a line that is not valid
+    JSON, not a JSON object, or lacks a string value under one of `keys`.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError:
+                raise ParseError(f"{path}: line {lineno}: invalid JSON", line=lineno)
+            if not isinstance(obj, dict):
+                raise ParseError(f"{path}: line {lineno}: expected a JSON object", line=lineno)
+            for key in keys:
+                if not isinstance(obj.get(key), str):
+                    raise ParseError(f"{path}: line {lineno}: expected a string {key!r}",
+                                     line=lineno)
+            yield lineno, obj
+
+
 def load_corpus(path: str) -> list[Document]:
     """Read a JSONL corpus of {"id", "text"} objects.
 
@@ -46,31 +68,14 @@ def load_corpus(path: str) -> list[Document]:
     """
     docs: list[Document] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                raise ParseError(f"{path}: line {lineno}: invalid JSON", line=lineno)
-            if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected an object with 'id' and 'text'",
-                    line=lineno,
-                )
-            doc_id, text = obj["id"], obj["text"]
-            if not isinstance(doc_id, str) or not isinstance(text, str):
-                raise ParseError(
-                    f"{path}: line {lineno}: 'id' and 'text' must be strings",
-                    line=lineno,
-                )
-            if not tokenize(text):
-                raise ParseError(f"{path}: line {lineno}: document text is empty", line=lineno)
-            if doc_id in seen:
-                raise DuplicateId(f"duplicate document id {doc_id!r}")
-            seen.add(doc_id)
-            docs.append(Document(doc_id, text))
+    for lineno, obj in read_jsonl(path, ("id", "text")):
+        doc_id, text = obj["id"], obj["text"]
+        if not tokenize(text):
+            raise ParseError(f"{path}: line {lineno}: document text is empty", line=lineno)
+        if doc_id in seen:
+            raise DuplicateId(f"duplicate document id {doc_id!r}")
+        seen.add(doc_id)
+        docs.append(Document(doc_id, text))
     return docs
 
 
@@ -93,58 +98,23 @@ def load_queries(path: str, require_relevant: bool = False) -> list[QueryRecord]
     """
     records: list[QueryRecord] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                raise ParseError(f"{path}: line {lineno}: invalid JSON", line=lineno)
-            if not isinstance(obj, dict) or "query_id" not in obj or "query_text" not in obj:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected an object with 'query_id' and 'query_text'",
-                    line=lineno,
-                )
-            qid, text = obj["query_id"], obj["query_text"]
-            relevant = obj.get("relevant", [])
-            if not isinstance(qid, str) or not isinstance(text, str) or not isinstance(relevant, list):
-                raise ParseError(f"{path}: line {lineno}: malformed query record", line=lineno)
-            if require_relevant and not relevant:
-                raise ParseError(
-                    f"{path}: line {lineno}: query {qid!r} has no relevance judgments",
-                    line=lineno,
-                )
-            if qid in seen:
-                raise DuplicateId(f"duplicate query id {qid!r}")
-            seen.add(qid)
-            records.append(QueryRecord(qid, text, frozenset(relevant)))
+    for lineno, obj in read_jsonl(path, ("query_id", "query_text")):
+        qid, text = obj["query_id"], obj["query_text"]
+        relevant = obj.get("relevant", [])
+        if not isinstance(relevant, list):
+            raise ParseError(f"{path}: line {lineno}: 'relevant' is not a list", line=lineno)
+        if require_relevant and not relevant:
+            raise ParseError(
+                f"{path}: line {lineno}: query {qid!r} has no relevance judgments",
+                line=lineno,
+            )
+        if qid in seen:
+            raise DuplicateId(f"duplicate query id {qid!r}")
+        seen.add(qid)
+        records.append(QueryRecord(qid, text, frozenset(relevant)))
     return records
 
 
 def qrels_mapping(records: list[QueryRecord]) -> dict[str, frozenset[str]]:
     return {r.query_id: r.relevant for r in records}
 
-
-def augment_queries(doc: Document, n_spans: int, span_len: int, seed: int) -> list[str]:
-    """Sample contiguous token spans of a document as synthetic query texts.
-
-    Start positions are drawn uniformly (seeded). Documents shorter than
-    span_len yield the whole document for every span. n_spans == 0 yields [].
-    """
-    if n_spans < 0:
-        raise ValueError("n_spans must be >= 0")
-    if span_len < 1:
-        raise ValueError("span_len must be >= 1")
-    tokens = tokenize(doc.text)
-    if not tokens:
-        raise EmptyText(f"document {doc.doc_id!r} has no tokens")
-    rng = np.random.default_rng(seed)
-    spans: list[str] = []
-    for _ in range(n_spans):
-        if len(tokens) <= span_len:
-            spans.append(" ".join(tokens))
-        else:
-            start = int(rng.integers(0, len(tokens) - span_len + 1))
-            spans.append(" ".join(tokens[start : start + span_len]))
-    return spans

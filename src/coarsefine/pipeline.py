@@ -88,8 +88,6 @@ class RetrievalConfig:
     temperature: float = 0.1
     dim: int = 256
     seed: int = 0
-    n_spans: int = 5
-    span_len: int = 40
     n_a: int = 4
 
     def __post_init__(self):
@@ -312,6 +310,9 @@ def read_config_file(path: str) -> dict:
             raise ParseError(f"{path}: invalid JSON")
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: config must be a flat JSON object")
+    # Settings of a removed query augmentation: older config files still hold them.
+    for retired in ("n_spans", "span_len"):
+        raw.pop(retired, None)
     known = {f.name for f in dataclasses.fields(RetrievalConfig)}
     unknown = set(raw) - known
     if unknown:

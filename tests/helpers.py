@@ -208,11 +208,10 @@ def binary_depth2_tree(dim=8):
         "d21a": (2, 1, 0), "d22a": (2, 2, 0),
     }
     leaves = {(1, 1, 0): n11, (1, 2, 0): n12, (2, 1, 0): n21, (2, 2, 0): n22}
-    return ClusterTree(
-        root=root, k=2, c=2, seed=0, dim=dim, cid_by_doc=cid_by_doc,
-        leaves=leaves,
-        build_members={cid: tuple(node.members) for cid, node in leaves.items()},
-    )
+    tree = ClusterTree(root=root, k=2, c=2, seed=0, dim=dim)
+    assert tree.cid_by_doc == cid_by_doc and list(tree.cid_by_doc) == list(cid_by_doc)
+    assert tree.leaves == leaves and list(tree.leaves) == list(leaves)
+    return tree
 
 
 def reference_step_probs(tree, pooled, prefix, valid, temperature):

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
-from coarsefine.cli import main
-from coarsefine.pipeline import load_config
+import coarsefine
+from coarsefine.cli import CONFIG_FLAGS, main
+from coarsefine.pipeline import RetrievalConfig, load_config
 from helpers import topic_corpus
 
 
@@ -212,3 +214,61 @@ def test_retrieve_config_file_keeps_the_stored_beta(tmp_path, corpus_path, queri
     assert entries
     for e in entries:
         assert e["s_overall"] == e["s_inter"] + 0.5 * e["s_intra"]
+
+
+def results_line(results):
+    return {"query_id": "q0", "query_text": "x", "k": 10, "results": results}
+
+
+@pytest.mark.parametrize("bad_line", [
+    pytest.param(results_line([{"s_overall": 1.0}]), id="entry-without-doc-id"),
+    pytest.param("query_id and results", id="line-is-a-json-string"),
+])
+def test_eval_rejects_a_malformed_results_line_with_exit_2(tmp_path, queries_path, capsys,
+                                                           bad_line):
+    results = tmp_path / "results.jsonl"
+    write_jsonl(results, [results_line([{"doc_id": "d00_0000"}]), bad_line])
+    assert main(["eval", "--results", str(results), "--qrels", queries_path]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+def training_rows(texts):
+    docs = topic_corpus(4, 30, seed=0)
+    return [{"query_id": "p0", "query_text": text, "positive_doc_id": doc.doc_id}
+            for text, doc in zip(texts, docs[::5])]
+
+
+def test_train_adapter_rejects_a_query_id_with_two_texts(tmp_path, corpus_path, capsys):
+    idx = build(tmp_path, corpus_path)
+    pairs = tmp_path / "pairs.jsonl"
+    write_jsonl(pairs, training_rows(["t0w1 t0w2", "t1w1 t1w2"]))
+    assert main(["train-adapter", "--index", idx, "--pairs", str(pairs), "--epochs", "1"]) == 2
+    assert "line 2" in capsys.readouterr().err
+    assert not (tmp_path / "idx" / "adapter.bin").exists()
+
+
+def test_train_adapter_accepts_a_query_id_with_several_positives(tmp_path, corpus_path):
+    idx = build(tmp_path, corpus_path)
+    pairs = tmp_path / "pairs.jsonl"
+    write_jsonl(pairs, training_rows(["t0w1 t0w2", "t0w1 t0w2"]))
+    assert main(["train-adapter", "--index", idx, "--pairs", str(pairs), "--epochs", "1"]) == 0
+
+
+def test_config_file_with_retired_span_keys_is_accepted(tmp_path, corpus_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"dim": 64, "expected_clusters": 8, "branching": 4,
+                                    "n_spans": 5, "span_len": 40}))
+    out = str(tmp_path / "idx")
+    assert main(["build-index", "--corpus", corpus_path, "--out", out,
+                 "--config", str(cfg_path)]) == 0
+    assert load_config(f"{out}/config.json").dim == 64
+
+
+def test_every_config_flag_is_a_config_field():
+    fields = {f.name for f in dataclasses.fields(RetrievalConfig)}
+    assert {name for name, _, _ in CONFIG_FLAGS} <= fields
+
+
+def test_every_exported_name_resolves():
+    for name in coarsefine.__all__:
+        assert hasattr(coarsefine, name), name

@@ -230,6 +230,13 @@ def _first_leaf(manifest):
     return node
 
 
+def _list_a_member_twice(manifest):
+    node = manifest["root"]
+    while node["children"]:
+        node = node["children"][-1]
+    node["members"].append(_first_leaf(manifest)["members"][0])
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -241,6 +248,7 @@ def _first_leaf(manifest):
         pytest.param(lambda m: _drop(m["root"]["children"][0], "label"), id="child-without-label"),
         pytest.param(lambda m: m["root"]["children"].__setitem__(0, 5), id="child-not-an-object"),
         pytest.param(lambda m: _first_leaf(m).update(members=None), id="members-null"),
+        pytest.param(_list_a_member_twice, id="member-in-two-leaves"),
     ],
 )
 def test_load_tree_rejects_malformed_node_fields_naming_tree_json(tmp_path, corrupt):
@@ -268,3 +276,14 @@ def test_breadth_first_layout_gives_contiguous_children_and_preorder_ranks():
         for i in range(len(node.children)):
             assert paths[tree.first_child[row] + i] == path + (i + 1,)
     assert [paths[row] for row in np.argsort(tree.preorder)] == sorted(paths)
+
+
+def test_leaf_index_runs_in_preorder_for_built_and_loaded_trees(tmp_path):
+    emb, tree = blob_tree(counts=(30, 30, 30, 5), expected=20, branching=3)
+    assert len({len(cid) for cid in tree.leaves}) > 1  # breadth-first order would differ
+    jp, bp = str(tmp_path / "tree.json"), str(tmp_path / "centroids.bin")
+    save_tree(tree, jp, bp)
+    for t in (tree, load_tree(jp, bp)):
+        assert list(t.leaves) == sorted(t.leaves)
+        assert list(t.cid_by_doc) == [d for leaf in t.leaves.values() for d in leaf.members]
+        assert t.build_members == {cid: tuple(leaf.members) for cid, leaf in t.leaves.items()}

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from coarsefine import Document, load_corpus, save_corpus, tokenize
-from coarsefine.corpus import TrainingPair, augment_queries, load_queries, qrels_mapping
+from coarsefine.corpus import TrainingPair, load_queries, qrels_mapping, read_jsonl
 from coarsefine.errors import DuplicateId, EmptyText, ParseError
 
 
@@ -32,6 +32,23 @@ def test_load_corpus_rejects_missing_field(tmp_path):
     path.write_text('{"id": "a"}\n')
     with pytest.raises(ParseError):
         load_corpus(str(path))
+
+
+@pytest.mark.parametrize("line", ['"just a string"', "[1, 2]", '{"id": 7, "text": "x"}',
+                                  '{"text": "x"}'])
+def test_read_jsonl_rejects_non_objects_and_missing_or_non_string_keys(tmp_path, line):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"id": "a", "text": "ok"}\n\n' + line + "\n")
+    with pytest.raises(ParseError) as exc:
+        list(read_jsonl(str(path), ("id", "text")))
+    assert exc.value.line == 3
+
+
+def test_read_jsonl_skips_blank_lines_and_yields_line_numbers(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"id": "a"}\n  \n{"id": "b", "extra": 1}\n')
+    assert list(read_jsonl(str(path), ("id",))) == [(1, {"id": "a"}),
+                                                    (3, {"id": "b", "extra": 1})]
 
 
 def test_load_corpus_rejects_duplicate_ids(tmp_path):
@@ -81,27 +98,6 @@ def test_load_queries_rejects_duplicate_query_ids(tmp_path):
     )
     with pytest.raises(DuplicateId):
         load_queries(str(path))
-
-
-def test_augment_queries_produces_contiguous_spans():
-    doc = Document("d", " ".join(f"w{i}" for i in range(100)))
-    spans = augment_queries(doc, n_spans=5, span_len=10, seed=3)
-    toks = doc.text.split()
-    assert len(spans) == 5
-    for span in spans:
-        words = span.split()
-        assert len(words) == 10
-        start = toks.index(words[0])
-        assert toks[start : start + 10] == words
-
-
-def test_augment_queries_edge_cases():
-    doc = Document("d", "a b c")
-    assert augment_queries(doc, n_spans=0, span_len=5, seed=0) == []
-    # span longer than the document falls back to the whole text
-    assert augment_queries(doc, n_spans=2, span_len=10, seed=0) == ["a b c", "a b c"]
-    first = augment_queries(doc, n_spans=3, span_len=2, seed=7)
-    assert augment_queries(doc, n_spans=3, span_len=2, seed=7) == first
 
 
 def test_training_pair_fields():

@@ -291,10 +291,8 @@ def test_ties_across_depths_break_toward_the_lexicographically_smaller_cid():
     shallow = ClusterNode(label=2, centroid=axis_vec(4, 1), members=["b"])
     root = ClusterNode(label=None, centroid=axis_vec(4, 2), children=[inner, shallow])
     leaves = {(1, 1, 0): deep, (2, 0): shallow}
-    tree = ClusterTree(
-        root=root, k=2, c=2, seed=0, dim=4, cid_by_doc={"a": (1, 1, 0), "b": (2, 0)},
-        leaves=leaves, build_members={cid: tuple(n.members) for cid, n in leaves.items()},
-    )
+    tree = ClusterTree(root=root, k=2, c=2, seed=0, dim=4)
+    assert tree.cid_by_doc == {"a": (1, 1, 0), "b": (2, 0)} and tree.leaves == leaves
     trie = build_trie(leaves)
     scorer = CentroidScorer(tree, temperature=0.1)
     q = QueryRepresentation(pooled=np.zeros(4))

@@ -354,3 +354,16 @@ def test_load_index_rejects_a_tree_of_another_dim(tmp_path):
         (tmp_path / "a" / name).write_bytes((tmp_path / "b" / name).read_bytes())
     with pytest.raises(ParseError, match="tree.json"):
         load_index(str(tmp_path / "a"))
+
+
+def test_index_whose_config_holds_retired_span_keys_loads_with_the_same_results(tmp_path):
+    docs, idx = small_index(seed=22)
+    path = tmp_path / "idx"
+    save_index(idx, str(path))
+    config = json.loads((path / "config.json").read_text())
+    config.update(n_spans=5, span_len=40)
+    (path / "config.json").write_text(json.dumps(config))
+    loaded = load_index(str(path))
+    assert loaded.config == idx.config
+    for qtext in sample_queries(docs, 5, seed=23):
+        assert retrieve(loaded, qtext, 10) == retrieve(idx, qtext, 10)
