@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections import Counter
 
 from .corpus import TrainingPair, load_corpus, load_queries, qrels_mapping, read_jsonl
 from .embed import load_embedding_sidecar
@@ -171,14 +172,12 @@ def _unique_cids(doc_ids: list[str], cid_by_doc: dict) -> list:
 def cmd_add_docs(args: argparse.Namespace) -> int:
     index = load_index(args.index)
     docs = load_corpus(args.corpus)
-    before = {cid: len(leaf.members) for cid, leaf in index.tree.leaves.items()}
     add_documents(index, docs)
     save_index(index, args.index)
     print(f"added {len(docs)} documents")
-    for cid, leaf in sorted(index.tree.leaves.items()):
-        delta = len(leaf.members) - before[cid]
-        if delta:
-            print(f"  {'.'.join(map(str, cid))}: +{delta}")
+    added = Counter(index.tree.cid_by_doc[doc.doc_id] for doc in docs)
+    for cid in sorted(added):
+        print(f"  {'.'.join(map(str, cid))}: +{added[cid]}")
     return 0
 
 

@@ -20,9 +20,15 @@ children are rows 0..n-1. A prefix -> node map replaces walking the tree from
 the root. The walk that lays all this out also derives the leaf index in
 preorder, for built and loaded trees alike: `leaves`, `cid_by_doc`, and
 `build_members` (the construction-time membership that tree.json records);
-a document in two leaves is rejected. Each leaf keeps, next to its `members`, an int array of
-the members' rows in the document matrix the tree was built from (or, for a
-loaded index, attached to).
+a document in two leaves, or a tree without leaves, is rejected. Each leaf
+keeps, next to its `members`, an int array of the members' rows in the
+document matrix the tree was built from (or, for a loaded index, attached
+to).
+
+save_tree writes tree.json with one json.dumps call (the C encoder, the same
+bytes as the streaming json.dump) and centroids.bin as the root's centroid
+followed by the centroid matrix gathered into preorder in one step, not one
+bytes copy per node.
 
 Once built, a tree is immutable as far as this module is concerned and safe
 for concurrent readers; the retrieval pipeline is the single writer that may
@@ -44,6 +50,11 @@ Cid = tuple[int, ...]
 
 TERMINAL = 0
 
+# The rows of a node that holds no documents (yet): one shared read-only array
+# instead of an allocation per node. Rows only ever grow by concatenation.
+_NO_ROWS = np.empty(0, dtype=np.intp)
+_NO_ROWS.flags.writeable = False
+
 
 @dataclass
 class ClusterNode:
@@ -53,7 +64,7 @@ class ClusterNode:
     centroid: np.ndarray
     children: list["ClusterNode"] = field(default_factory=list)
     members: list[str] = field(default_factory=list)
-    rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
+    rows: np.ndarray = field(default_factory=lambda: _NO_ROWS)
     child_centroids: np.ndarray | None = None
 
 
@@ -76,25 +87,22 @@ class ClusterTree:
 
     def __post_init__(self):
         """Index every node by its digit path, lay all centroids out breadth-first
-        and derive the leaf index; ValueError for bad labels or a repeated document."""
+        and derive the leaf index; ValueError for bad labels, a repeated document
+        or a tree without leaves."""
+        if not self.root.children:
+            raise ValueError("the root has no children, so the tree has no leaves")
         order: list[tuple[Cid, ClusterNode]] = [((), self.root)]
         first: list[int] = []  # per node of `order`, the row of its first child
-        i = 0
-        while i < len(order):
-            path, node = order[i]
-            i += 1
+        for path, node in order:  # also visits the nodes appended below, breadth-first
             first.append(len(order) - 1)  # rows skip the root, so row = place in order - 1
             if node.children:
                 labels = [child.label for child in node.children]
                 if labels != list(range(1, len(labels) + 1)):
                     raise ValueError(f"children of {path} must be labelled 1..n, got {labels}")
-                order.extend([(path + (j,), child) for j, child in zip(labels, node.children)])
+                order += [(path + (j,), child) for j, child in enumerate(node.children, 1)]
         self.nodes = dict(order)
         rows = order[1:]  # the root's children are rows 0..n-1
-        self.centroid_rows = (
-            np.array([node.centroid for _, node in rows], dtype=np.float32)
-            if rows else np.empty((0, self.dim), dtype=np.float32)
-        )
+        self.centroid_rows = np.array([node.centroid for _, node in rows], dtype=np.float32)
         for (_, node), start in zip(order, first):
             if node.children:
                 node.child_centroids = self.centroid_rows[start : start + len(node.children)]
@@ -280,13 +288,14 @@ def mean_prefix_overlap(
     return total / len(qrels)
 
 
-def _node_manifest(tree: ClusterTree, node: ClusterNode, path: Cid, blob: bytearray) -> dict:
-    blob.extend(np.ascontiguousarray(node.centroid, dtype="<f4").tobytes())
-    leaf = path and not node.children
+def _node_manifest(tree: ClusterTree, node: ClusterNode, path: Cid) -> dict:
+    if not node.children:  # a leaf, never the root; json writes the member tuple as an array
+        return {"label": node.label, "members": tree.build_members[path + (TERMINAL,)],
+                "children": []}
     return {
         "label": node.label,
-        "members": list(tree.build_members[path + (TERMINAL,)]) if leaf else [],
-        "children": [_node_manifest(tree, child, path + (child.label,), blob)
+        "members": [],
+        "children": [_node_manifest(tree, child, path + (child.label,))
                      for child in node.children],
     }
 
@@ -295,21 +304,23 @@ def save_tree(tree: ClusterTree, json_path: str, bin_path: str) -> None:
     """Write the tree manifest (JSON) and centroid blob (f32, preorder).
 
     Leaf member lists are recorded as they were at construction time, so
-    documents ingested after the build do not alter these files.
+    documents ingested after the build do not alter these files. The blob is
+    the root's centroid followed by the centroid matrix's rows in order of
+    their preorder rank.
     """
-    blob = bytearray()
     manifest = {
         "k": tree.k,
         "c": tree.c,
         "seed": tree.seed,
         "dim": tree.dim,
-        "root": _node_manifest(tree, tree.root, (), blob),
+        "root": _node_manifest(tree, tree.root, ()),
     }
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
+        fh.write(json.dumps(manifest, sort_keys=True, separators=(",", ":")))
         fh.write("\n")
     with open(bin_path, "wb") as fh:
-        fh.write(bytes(blob))
+        fh.write(np.ascontiguousarray(tree.root.centroid, dtype="<f4"))
+        fh.write(np.ascontiguousarray(tree.centroid_rows[np.argsort(tree.preorder)], dtype="<f4"))
 
 
 def _node_error(parent: Cid | None, json_path: str, problem: str) -> ParseError:
@@ -335,7 +346,7 @@ def _check_node(obj, parent: Cid | None, json_path: str) -> None:
     if type(obj["children"]) is not list:
         raise _node_error(parent, json_path, "has children that are not a list")
     members = obj["members"]
-    if type(members) is not list or not all(type(m) is str for m in members):
+    if type(members) is not list or (members and not all(type(m) is str for m in members)):
         raise _node_error(parent, json_path, "has members that are not a list of strings")
 
 
@@ -368,14 +379,15 @@ def load_tree(json_path: str, bin_path: str) -> ClusterTree:
         nonlocal cursor
         if cursor >= len(centroids):
             raise ParseError(f"{bin_path}: blob has fewer centroids than the manifest")
-        node = ClusterNode(label=obj["label"], centroid=centroids[cursor])
+        centroid = centroids[cursor]
         cursor += 1
+        children = []
         for child_obj in obj["children"]:
             _check_node(child_obj, path, json_path)
-            node.children.append(rebuild(child_obj, path + (child_obj["label"],)))
-        if not node.children and node.label is not None:
-            node.members = list(obj["members"])
-        return node
+            children.append(rebuild(child_obj, path + (child_obj["label"],)))
+        # Only leaves below the root keep their members (a list the decoder made for them).
+        members = obj["members"] if path and not children else []
+        return ClusterNode(obj["label"], centroid, children, members)
 
     _check_node(manifest["root"], None, json_path)
     root = rebuild(manifest["root"], ())

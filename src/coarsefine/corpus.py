@@ -36,6 +36,20 @@ def tokenize(text: str) -> list[str]:
     return text.lower().split()
 
 
+def _has_tokens(text: str) -> bool:
+    """bool(tokenize(text)) without building the tokens.
+
+    split() and isspace() share one definition of whitespace, and lowercasing
+    turns no other character into whitespace.
+    """
+    return text != "" and not text.isspace()
+
+
+# json.loads minus its per-call argument handling. A line starting with a BOM
+# fails to decode here as it does there.
+_decode_json = json.JSONDecoder().decode
+
+
 def read_jsonl(path: str, keys: Sequence[str]) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) for every non-blank line of a JSONL file.
 
@@ -44,10 +58,10 @@ def read_jsonl(path: str, keys: Sequence[str]) -> Iterator[tuple[int, dict]]:
     """
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+            if line.isspace():  # a line read from a file is never ""
                 continue
             try:
-                obj = json.loads(line)
+                obj = _decode_json(line)
             except json.JSONDecodeError:
                 raise ParseError(f"{path}: line {lineno}: invalid JSON", line=lineno)
             if not isinstance(obj, dict):
@@ -70,7 +84,7 @@ def load_corpus(path: str) -> list[Document]:
     seen: set[str] = set()
     for lineno, obj in read_jsonl(path, ("id", "text")):
         doc_id, text = obj["id"], obj["text"]
-        if not tokenize(text):
+        if not _has_tokens(text):
             raise ParseError(f"{path}: line {lineno}: document text is empty", line=lineno)
         if doc_id in seen:
             raise DuplicateId(f"duplicate document id {doc_id!r}")
@@ -82,12 +96,12 @@ def load_corpus(path: str) -> list[Document]:
 def save_corpus(docs: list[Document], path: str) -> None:
     # refuse to write a file load_corpus would reject
     for doc in docs:
-        if not tokenize(doc.text):
+        if not _has_tokens(doc.text):
             raise EmptyText(f"document {doc.doc_id!r} has no tokens")
+    # One encoder for every line: json.dumps would build a new one per call.
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            fh.write(json.dumps({"id": doc.doc_id, "text": doc.text}, sort_keys=True))
-            fh.write("\n")
+        fh.writelines(encode({"id": doc.doc_id, "text": doc.text}) + "\n" for doc in docs)
 
 
 def load_queries(path: str, require_relevant: bool = False) -> list[QueryRecord]:
@@ -101,8 +115,9 @@ def load_queries(path: str, require_relevant: bool = False) -> list[QueryRecord]
     for lineno, obj in read_jsonl(path, ("query_id", "query_text")):
         qid, text = obj["query_id"], obj["query_text"]
         relevant = obj.get("relevant", [])
-        if not isinstance(relevant, list):
-            raise ParseError(f"{path}: line {lineno}: 'relevant' is not a list", line=lineno)
+        if not isinstance(relevant, list) or not all(isinstance(r, str) for r in relevant):
+            raise ParseError(f"{path}: line {lineno}: 'relevant' is not a list of strings",
+                             line=lineno)
         if require_relevant and not relevant:
             raise ParseError(
                 f"{path}: line {lineno}: query {qid!r} has no relevance judgments",

@@ -124,9 +124,9 @@ def save_embedding_sidecar(
     if matrix.ndim != 2 or matrix.shape[0] != len(ids):
         raise DimMismatch("embedding matrix must have one row per id")
     with open(bin_path, "wb") as fh:
-        fh.write(np.ascontiguousarray(matrix, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(matrix, dtype="<f4"))
     with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump({"dim": int(matrix.shape[1]), "ids": list(ids)}, fh, sort_keys=True)
+        fh.write(json.dumps({"dim": int(matrix.shape[1]), "ids": list(ids)}, sort_keys=True))
         fh.write("\n")
 
 

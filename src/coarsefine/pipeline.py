@@ -33,6 +33,14 @@ optionally adapter.bin + adapter.json. tree.json records construction-time
 leaf membership only; documents added later are re-assigned on load by the
 same deterministic descent. Readers may share a loaded index; mutation
 (add_documents, attaching an adapter) requires exclusive access.
+
+Every compact JSON file (tree.json, manifest.json, adapter.json) is one
+json.dumps call, which runs the C encoder; json.dump always runs the
+pure-Python encoder, which writes the same bytes several times slower.
+corpus.jsonl shares one encoder across its lines. config.json is written with
+indent=2, which only the Python encoder handles; it is a few hundred bytes.
+Binary files are written straight from their arrays. Loading gives every leaf
+its rows as slices of one array, looked up in one pass.
 """
 
 from __future__ import annotations
@@ -295,9 +303,9 @@ def save_index(index: RetrievalIndex, directory: str) -> None:
         fh.write("\n")
     if index.adapter is not None:
         with open(os.path.join(directory, ADAPTER_FILE), "wb") as fh:
-            fh.write(np.ascontiguousarray(index.adapter.weight, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(index.adapter.weight, dtype="<f4"))
         with open(os.path.join(directory, ADAPTER_META_FILE), "w", encoding="utf-8") as fh:
-            json.dump({"dim": int(index.adapter.weight.shape[0])}, fh, sort_keys=True)
+            fh.write(json.dumps({"dim": int(index.adapter.weight.shape[0])}, sort_keys=True))
             fh.write("\n")
 
 
@@ -352,12 +360,16 @@ def load_index(directory: str) -> RetrievalIndex:
         raise ParseError(
             f"{tree_path}: dim {tree.dim} disagrees with {config_path} dim {config.dim}"
         )
-    for leaf in tree.leaves.values():
-        try:
-            leaf.rows = np.array([embeddings.row[doc_id] for doc_id in leaf.members],
-                                 dtype=np.intp)
-        except KeyError as exc:
-            raise ParseError(f"{directory}: {TREE_FILE} lists {exc} outside the corpus")
+    leaves = list(tree.leaves.values())
+    try:
+        rows = np.array([embeddings.row[doc_id] for leaf in leaves for doc_id in leaf.members],
+                        dtype=np.intp)
+    except KeyError as exc:
+        raise ParseError(f"{directory}: {TREE_FILE} lists {exc} outside the corpus")
+    end = 0
+    for leaf in leaves:
+        start, end = end, end + len(leaf.members)
+        leaf.rows = rows[start:end]
     added = [doc_id for doc_id in corpus if doc_id not in tree.cid_by_doc]
     place_documents(tree, added, embeddings.matrix, [embeddings.row[d] for d in added])
     adapter = None

@@ -8,6 +8,9 @@ from .cluster_tree import Cid, TERMINAL
 from .errors import EmptySet, InvalidPrefix
 
 
+_NO_DIGITS: frozenset[int] = frozenset()
+
+
 class PrefixTrie:
     """Stores a set of CIDs and answers which digits may extend a prefix.
 
@@ -18,19 +21,32 @@ class PrefixTrie:
     """
 
     def __init__(self, cids: Iterable[Cid]):
-        cid_set = {tuple(int(d) for d in cid) for cid in cids}
-        if not cid_set:
-            raise EmptySet("cannot build a trie from zero identifiers")
-        for cid in cid_set:
-            if len(cid) < 2 or cid[-1] != TERMINAL or any(d < 1 for d in cid[:-1]):
+        """Store `cids` in one pass; ValueError for a malformed CID, EmptySet for none.
+
+        A prefix already present has all its ancestors, each holding the digit
+        that leads to it, so a new CID only fills in prefixes up to the first
+        one stored.
+        """
+        cid_set: set[Cid] = set()
+        children: dict[Cid, set[int] | frozenset[int]] = {}
+        for raw in cids:
+            cid = tuple(map(int, raw))
+            if cid in cid_set:
+                continue
+            if len(cid) < 2 or cid[-1] != TERMINAL or min(cid[:-1]) < 1:
                 raise ValueError(
                     f"malformed CID {cid}: digits must be positive with one trailing 0"
                 )
-        children: dict[Cid, set[int]] = {(): set()}
-        for cid in sorted(cid_set):
-            for i in range(len(cid)):
-                children.setdefault(cid[:i], set()).add(cid[i])
-                children.setdefault(cid[: i + 1], set())
+            cid_set.add(cid)
+            children[cid] = _NO_DIGITS  # a CID is never a proper prefix: it ends in the only 0
+            for i in range(len(cid) - 1, -1, -1):
+                digits = children.get(cid[:i])
+                if digits is not None:
+                    digits.add(cid[i])
+                    break
+                children[cid[:i]] = {cid[i]}
+        if not cid_set:
+            raise EmptySet("cannot build a trie from zero identifiers")
         self._children = {prefix: frozenset(digits) for prefix, digits in children.items()}
         self._cids = frozenset(cid_set)
 

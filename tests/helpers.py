@@ -1,14 +1,17 @@
 """Shared test utilities: synthetic corpora, pluggable scorers, brute-force oracles."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
 
 from coarsefine import Document
-from coarsefine.cluster_tree import TERMINAL, ClusterNode, ClusterTree
+from coarsefine.cluster_tree import TERMINAL, Cid, ClusterNode, ClusterTree
 from coarsefine.corpus import tokenize
+from coarsefine.errors import EmptySet, ParseError
 from coarsefine.kmeans import derive_seed
+from coarsefine.trie import PrefixTrie
 
 
 class UniformScorer:
@@ -261,3 +264,89 @@ def reference_hash_embed(text: str, dim: int, seed: int = 0) -> np.ndarray:
         vec[_reference_feature_hash("0:" + " ".join(tokens), seed) % dim] = 1.0
         norm = 1.0
     return (vec / norm).astype(np.float32)
+
+
+class ReferencePrefixTrie(PrefixTrie):
+    """PrefixTrie as it was built before its one-pass constructor, kept verbatim as an oracle."""
+
+    def __init__(self, cids):
+        cid_set = {tuple(int(d) for d in cid) for cid in cids}
+        if not cid_set:
+            raise EmptySet("cannot build a trie from zero identifiers")
+        for cid in cid_set:
+            if len(cid) < 2 or cid[-1] != TERMINAL or any(d < 1 for d in cid[:-1]):
+                raise ValueError(
+                    f"malformed CID {cid}: digits must be positive with one trailing 0"
+                )
+        children: dict[Cid, set[int]] = {(): set()}
+        for cid in sorted(cid_set):
+            for i in range(len(cid)):
+                children.setdefault(cid[:i], set()).add(cid[i])
+                children.setdefault(cid[: i + 1], set())
+        self._children = {prefix: frozenset(digits) for prefix, digits in children.items()}
+        self._cids = frozenset(cid_set)
+
+
+# The index writers and the JSONL reader as they were before they used the C
+# JSON encoder and cut their per-line work, kept verbatim as oracles.
+
+
+def _reference_node_manifest(tree, node, path, blob):
+    blob.extend(np.ascontiguousarray(node.centroid, dtype="<f4").tobytes())
+    leaf = path and not node.children
+    return {
+        "label": node.label,
+        "members": list(tree.build_members[path + (TERMINAL,)]) if leaf else [],
+        "children": [_reference_node_manifest(tree, child, path + (child.label,), blob)
+                     for child in node.children],
+    }
+
+
+def reference_save_tree(tree, json_path, bin_path):
+    blob = bytearray()
+    manifest = {
+        "k": tree.k,
+        "c": tree.c,
+        "seed": tree.seed,
+        "dim": tree.dim,
+        "root": _reference_node_manifest(tree, tree.root, (), blob),
+    }
+    with open(json_path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
+        fh.write("\n")
+    with open(bin_path, "wb") as fh:
+        fh.write(bytes(blob))
+
+
+def reference_save_embedding_sidecar(ids, matrix, bin_path, manifest_path):
+    matrix = np.asarray(matrix, dtype=np.float32)
+    with open(bin_path, "wb") as fh:
+        fh.write(np.ascontiguousarray(matrix, dtype="<f4").tobytes())
+    with open(manifest_path, "w", encoding="utf-8") as fh:
+        json.dump({"dim": int(matrix.shape[1]), "ids": list(ids)}, fh, sort_keys=True)
+        fh.write("\n")
+
+
+def reference_save_corpus(docs, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for doc in docs:
+            fh.write(json.dumps({"id": doc.doc_id, "text": doc.text}, sort_keys=True))
+            fh.write("\n")
+
+
+def reference_read_jsonl(path, keys):
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError:
+                raise ParseError(f"{path}: line {lineno}: invalid JSON", line=lineno)
+            if not isinstance(obj, dict):
+                raise ParseError(f"{path}: line {lineno}: expected a JSON object", line=lineno)
+            for key in keys:
+                if not isinstance(obj.get(key), str):
+                    raise ParseError(f"{path}: line {lineno}: expected a string {key!r}",
+                                     line=lineno)
+            yield lineno, obj

@@ -187,6 +187,16 @@ def test_inspect_command(tmp_path, corpus_path, capsys):
     assert "documents" in text and "leaf" in text
 
 
+@pytest.mark.parametrize("relevant", [[["a"]], [1], ["a", None]])
+def test_inspect_rejects_relevant_ids_that_are_not_strings_with_exit_2(
+        tmp_path, corpus_path, capsys, relevant):
+    idx = build(tmp_path, corpus_path)
+    qrels = tmp_path / "qrels.jsonl"
+    write_jsonl(qrels, [{"query_id": "q", "query_text": "x", "relevant": relevant}])
+    assert main(["inspect", "--index", idx, "--qrels", str(qrels)]) == 2
+    assert "line 1: 'relevant' is not a list of strings" in capsys.readouterr().err
+
+
 def test_config_file_overrides_only_the_keys_it_holds(tmp_path, corpus_path, capsys):
     idx = build(tmp_path, corpus_path, ["--beta", "0.5"])
     docs = topic_corpus(4, 30, seed=0)

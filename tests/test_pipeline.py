@@ -356,6 +356,20 @@ def test_load_index_rejects_a_tree_of_another_dim(tmp_path):
         load_index(str(tmp_path / "a"))
 
 
+def test_load_index_rejects_a_tree_without_leaves_naming_tree_json(tmp_path):
+    docs, idx = small_index(seed=23)
+    path = tmp_path / "idx"
+    save_index(idx, str(path))
+    manifest = json.loads((path / "tree.json").read_text())
+    manifest["root"]["children"] = []
+    (path / "tree.json").write_text(json.dumps(manifest))
+    # Keep only the root's centroid, so the blob agrees with the manifest.
+    blob = (path / "centroids.bin").read_bytes()
+    (path / "centroids.bin").write_bytes(blob[: 4 * idx.config.dim])
+    with pytest.raises(ParseError, match="tree.json: .*no leaves"):
+        load_index(str(path))
+
+
 def test_index_whose_config_holds_retired_span_keys_loads_with_the_same_results(tmp_path):
     docs, idx = small_index(seed=22)
     path = tmp_path / "idx"
