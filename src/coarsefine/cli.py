@@ -28,7 +28,9 @@ from .pipeline import (
     load_index,
     read_config_file,
     retrieve,
+    save_documents,
     save_index,
+    save_settings,
 )
 
 CONFIG_FLAGS = [
@@ -173,7 +175,7 @@ def cmd_add_docs(args: argparse.Namespace) -> int:
     index = load_index(args.index)
     docs = load_corpus(args.corpus)
     add_documents(index, docs)
-    save_index(index, args.index)
+    save_documents(index, args.index)
     print(f"added {len(docs)} documents")
     added = Counter(index.tree.cid_by_doc[doc.doc_id] for doc in docs)
     for cid in sorted(added):
@@ -212,7 +214,7 @@ def cmd_train_adapter(args: argparse.Namespace) -> int:
         batch_size=args.batch_size,
     )
     index.adapter = adapter
-    save_index(index, args.index)
+    save_settings(index, args.index)
     for epoch, loss in enumerate(losses, start=1):
         print(f"epoch {epoch}: loss {loss:.6f}")
     print(f"adapter trained on {len(pairs)} pairs -> {args.index}")

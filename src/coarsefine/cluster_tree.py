@@ -32,7 +32,7 @@ bytes copy per node.
 
 Once built, a tree is immutable as far as this module is concerned and safe
 for concurrent readers; the retrieval pipeline is the single writer that may
-append newly ingested documents to leaf member lists (place_documents).
+append newly ingested documents to leaf member lists (attach_documents).
 """
 
 from __future__ import annotations
@@ -230,22 +230,31 @@ def assign_new_document(tree: ClusterTree, embedding: np.ndarray) -> Cid:
     return tuple(path) + (TERMINAL,)
 
 
-def place_documents(tree: ClusterTree, ids: Sequence[str], matrix: np.ndarray,
-                    rows: Sequence[int]) -> None:
-    """Append documents to the leaves that greedy descent picks for them.
+def attach_documents(tree: ClusterTree, ids: Sequence[str], cids: Sequence[Cid],
+                     rows: Sequence[int]) -> None:
+    """Append each document `ids[i]` to leaf `cids[i]`, with its document-matrix row `rows[i]`.
 
-    `rows[i]` is the row of `ids[i]` in the document matrix `matrix`; it is
-    appended to the leaf's row array next to the id.
+    The one step that places documents, whether their leaves come from
+    descent (place_documents) or from a saved placement.
     """
     added: dict[Cid, list[int]] = {}
-    for doc_id, row in zip(ids, rows):
-        cid = assign_new_document(tree, matrix[row])
+    for doc_id, cid, row in zip(ids, cids, rows):
         tree.leaves[cid].members.append(doc_id)
         tree.cid_by_doc[doc_id] = cid
         added.setdefault(cid, []).append(row)
     for cid, new_rows in added.items():
         leaf = tree.leaves[cid]
         leaf.rows = np.concatenate([leaf.rows, np.asarray(new_rows, dtype=np.intp)])
+
+
+def place_documents(tree: ClusterTree, ids: Sequence[str], matrix: np.ndarray,
+                    rows: Sequence[int]) -> None:
+    """Append documents to the leaves that greedy descent picks for them.
+
+    `rows[i]` is the row of `ids[i]` in the document matrix `matrix`.
+    """
+    cids = [assign_new_document(tree, matrix[row]) for row in rows]
+    attach_documents(tree, ids, cids, rows)
 
 
 def prefix_overlap_pair(s1: Cid, s2: Cid) -> float:

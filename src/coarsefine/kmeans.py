@@ -46,9 +46,10 @@ def _distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(uniques), groups
 
 
-def _nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _nearest(points: np.ndarray, sq_norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of each point's nearest center; `sq_norms` is (points * points).sum(axis=1)."""
     d2 = (
-        (points * points).sum(axis=1)[:, None]
+        sq_norms[:, None]
         - 2.0 * points @ centers.T
         + (centers * centers).sum(axis=1)[None, :]
     )
@@ -97,11 +98,12 @@ def kmeans(
 
     rng = np.random.default_rng(seed)
     centers = _kmeanspp(pts, k, rng)
-    labels = _nearest(pts, centers)
+    sq_norms = (pts * pts).sum(axis=1)  # fixed across Lloyd iterations
+    labels = _nearest(pts, sq_norms, centers)
     for _ in range(max_iter):
         centers, remap = _means(pts, labels)
         relabeled = remap[labels]
-        new_labels = _nearest(pts, centers)
+        new_labels = _nearest(pts, sq_norms, centers)
         if np.array_equal(new_labels, relabeled):
             labels = relabeled
             break

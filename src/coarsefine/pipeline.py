@@ -28,11 +28,18 @@ that path. `index.embeddings` is still a mapping from id to vector; its
 values are row views of the matrix.
 
 On disk an index is a directory: corpus.jsonl, embeddings.bin +
-manifest.json (sidecar format), tree.json + centroids.bin, config.json, and
-optionally adapter.bin + adapter.json. tree.json records construction-time
-leaf membership only; documents added later are re-assigned on load by the
-same deterministic descent. Readers may share a loaded index; mutation
-(add_documents, attaching an adapter) requires exclusive access.
+manifest.json (sidecar format), placements.bin, tree.json + centroids.bin,
+config.json, and optionally adapter.bin + adapter.json. tree.json records
+construction-time leaf membership only; placements.bin holds the leaf of
+every document added later, so loading attaches those documents without
+descending the tree again (a directory without the file, written before it
+existed, is re-descended on load). save_index is three writers, one per
+group of files that change together: save_documents (corpus, embeddings,
+placements), save_tree (build-time only) and save_settings (config and
+adapter). add-docs calls only the first, train-adapter only the last; every
+file either writes is byte-identical to what a full save_index of the same
+index writes. Readers may share a loaded index; mutation (add_documents,
+attaching an adapter) requires exclusive access.
 
 Every compact JSON file (tree.json, manifest.json, adapter.json) is one
 json.dumps call, which runs the C encoder; json.dump always runs the
@@ -45,7 +52,9 @@ its rows as slices of one array, looked up in one pass.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -54,7 +63,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .cluster_tree import (
+    Cid,
     ClusterTree,
+    attach_documents,
     build_cluster_tree,
     load_tree,
     place_documents,
@@ -279,13 +290,39 @@ EMBEDDINGS_FILE = "embeddings.bin"
 MANIFEST_FILE = "manifest.json"
 TREE_FILE = "tree.json"
 CENTROIDS_FILE = "centroids.bin"
+PLACEMENTS_FILE = "placements.bin"
 CONFIG_FILE = "config.json"
 ADAPTER_FILE = "adapter.bin"
 ADAPTER_META_FILE = "adapter.json"
 
 
 def save_index(index: RetrievalIndex, directory: str) -> None:
+    """Write every file of the index into `directory`, creating it if needed."""
     os.makedirs(directory, exist_ok=True)
+    save_documents(index, directory)
+    save_tree(
+        index.tree,
+        os.path.join(directory, TREE_FILE),
+        os.path.join(directory, CENTROIDS_FILE),
+    )
+    save_settings(index, directory)
+
+
+def _placements(tree: ClusterTree) -> np.ndarray:
+    """Leaf position in `tree.leaves` of every document added after the build.
+
+    cid_by_doc lists the build members first and then the added documents in
+    the order they were attached, which is their corpus order.
+    """
+    position = {cid: i for i, cid in enumerate(tree.leaves)}
+    built = sum(map(len, tree.build_members.values()))
+    added = itertools.islice(tree.cid_by_doc.values(), built, None)
+    return np.array([position[cid] for cid in added], dtype="<i4")
+
+
+def save_documents(index: RetrievalIndex, directory: str) -> None:
+    """Rewrite the files that adding documents changes: corpus.jsonl,
+    embeddings.bin + manifest.json and placements.bin."""
     save_corpus(list(index.corpus.values()), os.path.join(directory, CORPUS_FILE))
     save_embedding_sidecar(
         index.embeddings.ids,
@@ -293,20 +330,27 @@ def save_index(index: RetrievalIndex, directory: str) -> None:
         os.path.join(directory, EMBEDDINGS_FILE),
         os.path.join(directory, MANIFEST_FILE),
     )
-    save_tree(
-        index.tree,
-        os.path.join(directory, TREE_FILE),
-        os.path.join(directory, CENTROIDS_FILE),
-    )
+    with open(os.path.join(directory, PLACEMENTS_FILE), "wb") as fh:
+        fh.write(_placements(index.tree))
+
+
+def save_settings(index: RetrievalIndex, directory: str) -> None:
+    """Rewrite config.json and adapter.bin + adapter.json; without an adapter,
+    remove any adapter files left by an earlier index in the directory."""
     with open(os.path.join(directory, CONFIG_FILE), "w", encoding="utf-8") as fh:
         json.dump(dataclasses.asdict(index.config), fh, sort_keys=True, indent=2)
         fh.write("\n")
-    if index.adapter is not None:
-        with open(os.path.join(directory, ADAPTER_FILE), "wb") as fh:
-            fh.write(np.ascontiguousarray(index.adapter.weight, dtype="<f4"))
-        with open(os.path.join(directory, ADAPTER_META_FILE), "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"dim": int(index.adapter.weight.shape[0])}, sort_keys=True))
-            fh.write("\n")
+    adapter_paths = [os.path.join(directory, name) for name in (ADAPTER_FILE, ADAPTER_META_FILE)]
+    if index.adapter is None:
+        for path in adapter_paths:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        return
+    with open(adapter_paths[0], "wb") as fh:
+        fh.write(np.ascontiguousarray(index.adapter.weight, dtype="<f4"))
+    with open(adapter_paths[1], "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"dim": int(index.adapter.weight.shape[0])}, sort_keys=True))
+        fh.write("\n")
 
 
 def read_config_file(path: str) -> dict:
@@ -332,12 +376,32 @@ def load_config(path: str) -> RetrievalConfig:
     return RetrievalConfig(**read_config_file(path))
 
 
+def _load_placements(path: str, tree: ClusterTree, count: int) -> list[Cid] | None:
+    """The leaves placements.bin assigns to the `count` added documents, or
+    None when the file is absent."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        return None
+    if len(data) % 4:
+        raise ParseError(f"{path}: {len(data)} bytes is not a whole number of int32 values")
+    positions = np.frombuffer(data, dtype="<i4")
+    if len(positions) != count:
+        raise ParseError(f"{path}: {len(positions)} placements for {count} added documents")
+    if count and not (positions.min() >= 0 and positions.max() < tree.leaf_count):
+        raise ParseError(f"{path}: a placement lies outside the {tree.leaf_count} leaves")
+    leaf_cids = list(tree.leaves)
+    return [leaf_cids[p] for p in positions.tolist()]
+
+
 def load_index(directory: str) -> RetrievalIndex:
     """Load an index directory saved by save_index.
 
     Documents present in the corpus but absent from the construction-time
-    tree membership are documents that were added later; they are re-assigned
-    to their leaves by the same deterministic descent used at add time.
+    tree membership are documents that were added later; placements.bin names
+    their leaves. Without that file they are re-assigned by the same
+    deterministic descent used at add time.
     """
     config_path = os.path.join(directory, CONFIG_FILE)
     config = load_config(config_path)
@@ -371,7 +435,12 @@ def load_index(directory: str) -> RetrievalIndex:
         start, end = end, end + len(leaf.members)
         leaf.rows = rows[start:end]
     added = [doc_id for doc_id in corpus if doc_id not in tree.cid_by_doc]
-    place_documents(tree, added, embeddings.matrix, [embeddings.row[d] for d in added])
+    added_rows = [embeddings.row[d] for d in added]
+    cids = _load_placements(os.path.join(directory, PLACEMENTS_FILE), tree, len(added))
+    if cids is None:
+        place_documents(tree, added, embeddings.matrix, added_rows)
+    else:
+        attach_documents(tree, added, cids, added_rows)
     adapter = None
     adapter_path = os.path.join(directory, ADAPTER_FILE)
     if os.path.exists(adapter_path):

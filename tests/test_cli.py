@@ -180,6 +180,28 @@ def test_train_adapter_command(tmp_path, corpus_path, capsys):
     assert main(["retrieve", "--index", idx, "--queries", str(queries), "--out", out]) == 0
 
 
+def test_rebuild_over_a_trained_index_drops_the_old_adapter(tmp_path, corpus_path,
+                                                            queries_path, capsys):
+    idx = build(tmp_path, corpus_path)
+    pairs = tmp_path / "pairs.jsonl"
+    write_jsonl(pairs, training_rows(["t0w1 t0w2", "t0w1 t0w2"]))
+    assert main(["train-adapter", "--index", idx, "--pairs", str(pairs), "--epochs", "1"]) == 0
+    other = tmp_path / "other.jsonl"
+    write_jsonl(other, [{"id": d.doc_id, "text": d.text} for d in topic_corpus(3, 20, seed=5)])
+    fresh = str(tmp_path / "fresh")
+    for out in (idx, fresh):
+        assert main(["build-index", "--corpus", str(other), "--out", out, *BUILD_FLAGS]) == 0
+    capsys.readouterr()
+    assert main(["inspect", "--index", idx]) == 0
+    assert "adapter             no" in capsys.readouterr().out
+    results = []
+    for index in (idx, fresh):
+        results.append(tmp_path / f"results-{len(results)}.jsonl")
+        assert main(["retrieve", "--index", index, "--queries", queries_path,
+                     "--out", str(results[-1])]) == 0
+    assert results[0].read_bytes() == results[1].read_bytes()
+
+
 def test_inspect_command(tmp_path, corpus_path, capsys):
     idx = build(tmp_path, corpus_path)
     assert main(["inspect", "--index", idx]) == 0

@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 from coarsefine.kmeans import derive_seed, kmeans
+from helpers import blob_embeddings, reference_nearest
 
 
 def test_derive_seed_is_deterministic_and_order_sensitive():
@@ -68,3 +71,23 @@ def test_kmeans_rejects_bad_k():
     pts = np.zeros((3, 2))
     with pytest.raises(ValueError):
         kmeans(pts, k=0, seed=0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_squared_norms_summed_once_give_the_same_clustering_as_per_iteration(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    inputs = [
+        (rng.standard_normal((200, 16)).astype(np.float32), 7),
+        (np.stack(list(blob_embeddings((40, 30, 20, 5), 32, seed=seed).values())), 4),
+        (np.repeat(rng.standard_normal((12, 8)), 5, axis=0), 9),  # duplicated rows
+    ]
+    for points, k in inputs:
+        kseed = derive_seed(seed, k)
+        got = kmeans(points, k, kseed)
+        with monkeypatch.context() as patch:
+            # coarsefine.kmeans is the function once the package is imported
+            patch.setattr(sys.modules["coarsefine.kmeans"], "_nearest",
+                          lambda pts, sq_norms, centers: reference_nearest(pts, centers))
+            want = kmeans(points, k, kseed)
+        assert np.array_equal(got[0], want[0])
+        assert got[1].tobytes() == want[1].tobytes()

@@ -1,6 +1,9 @@
 """Index files are byte-identical to the streaming writers they replaced, and
-the trie and JSONL reader behave exactly like the versions kept in helpers."""
+the trie and JSONL reader behave exactly like the versions kept in helpers.
+Added documents keep their leaves through placements.bin, and add-docs and
+train-adapter rewrite only their own files, with the bytes of a full save."""
 
+import json
 import os
 import sys
 
@@ -9,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsefine import Document, add_documents, build_index, load_index, save_index
+from coarsefine import Document, add_documents, build_index, load_index, retrieve, save_index
+from coarsefine.cli import main
 from coarsefine.cluster_tree import build_cluster_tree, save_tree
 from coarsefine.corpus import _has_tokens, read_jsonl, save_corpus, tokenize
 from coarsefine.embed import save_embedding_sidecar
-from coarsefine.errors import EmptySet, InvalidPrefix
+from coarsefine.errors import DuplicateId, EmptySet, EmptyText, InvalidPrefix, ParseError
 from coarsefine.intra import LinearAdapter
 from coarsefine.pipeline import RetrievalConfig
 from coarsefine.trie import PrefixTrie
@@ -164,3 +168,133 @@ def test_read_jsonl_matches_the_reference_reader(tmp_path_factory, lines, newlin
     got = outcome(lambda: list(read_jsonl(str(path), ("id", "text"))))
     want = outcome(lambda: list(reference_read_jsonl(str(path), ("id", "text"))))
     assert got == want
+
+
+CONFIG = RetrievalConfig(dim=32, expected_clusters=8, branching=3, beam_size=50, k_clusters=20,
+                         seed=6)
+BASE = topic_corpus(5, 12, seed=6)
+QUERIES = [" ".join(doc.text.split()[:5]) for doc in BASE[::7]]
+CLI_FLAGS = ["--dim", "32", "--expected-clusters", "8", "--branching", "3", "--beam-size", "50",
+             "--k-clusters", "20", "--seed", "6"]
+
+
+def tree_state(index):
+    """Leaf members and rows, the CID of every document in attach order, and results."""
+    leaves = {cid: (list(leaf.members), leaf.rows.tolist())
+              for cid, leaf in index.tree.leaves.items()}
+    return leaves, list(index.tree.cid_by_doc.items()), [retrieve(index, q, 10) for q in QUERIES]
+
+
+def run(*argv):
+    assert main(list(argv)) == 0, argv
+
+
+def late_corpus(tmp_path, batch):
+    """A corpus file of six documents for add-docs; returns its path."""
+    path = tmp_path / f"add{batch}.jsonl"
+    save_corpus([Document(f"late{batch}_{i}", doc.text)
+                 for i, doc in enumerate(topic_corpus(3, 2, seed=7 + batch))], str(path))
+    return str(path)
+
+
+@pytest.fixture
+def added_index(tmp_path):
+    """An index directory built by the CLI and grown by two add-docs."""
+    save_corpus(BASE, str(tmp_path / "base.jsonl"))
+    run("build-index", "--corpus", str(tmp_path / "base.jsonl"), "--out", str(tmp_path / "idx"),
+        *CLI_FLAGS)
+    for batch in range(2):
+        run("add-docs", "--index", str(tmp_path / "idx"), "--corpus", late_corpus(tmp_path, batch))
+    return tmp_path / "idx"
+
+
+def assert_equals_a_full_save(directory, tmp_path):
+    full = tmp_path / "full"
+    save_index(load_index(str(directory)), str(full))
+    assert_same_files(directory, full)
+
+
+def int32(value):
+    return np.array([value], dtype="<i4").tobytes()
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(lambda data, leaves: data[:-1], id="truncated"),
+    pytest.param(lambda data, leaves: data + data[-4:], id="one-too-many"),
+    pytest.param(lambda data, leaves: data[:-4], id="one-too-few"),
+    pytest.param(lambda data, leaves: data[:-4] + int32(-1), id="minus-one"),
+    pytest.param(lambda data, leaves: data[:-4] + int32(leaves), id="leaf-count"),
+])
+def test_load_index_rejects_bad_placements_naming_the_file(added_index, damage):
+    path = added_index / "placements.bin"
+    data = path.read_bytes()
+    assert len(data) == 4 * 12
+    path.write_bytes(damage(data, load_index(str(added_index)).tree.leaf_count))
+    with pytest.raises(ParseError, match="placements.bin"):
+        load_index(str(added_index))
+
+
+def test_directory_without_placements_loads_the_same_and_the_next_add_writes_them(
+        added_index, tmp_path):
+    placed = load_index(str(added_index))
+    (added_index / "placements.bin").unlink()
+    assert tree_state(load_index(str(added_index))) == tree_state(placed)
+    run("add-docs", "--index", str(added_index), "--corpus", late_corpus(tmp_path, 2))
+    assert len((added_index / "placements.bin").read_bytes()) == 4 * 18
+    assert_equals_a_full_save(added_index, tmp_path)
+
+
+def test_add_docs_and_train_adapter_write_only_their_files_with_full_save_bytes(
+        added_index, tmp_path):
+    old = 10**18  # an mtime no write during the test can produce
+
+    def unwritten_after(*argv):
+        for name in os.listdir(added_index):
+            os.utime(added_index / name, ns=(old, old))
+        run(*argv)
+        return {name for name in os.listdir(added_index)
+                if os.stat(added_index / name).st_mtime_ns == old}
+
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("".join(
+        json.dumps({"query_id": f"p{i}", "query_text": " ".join(doc.text.split()[:6]),
+                    "positive_doc_id": doc.doc_id}) + "\n" for i, doc in enumerate(BASE[::4])))
+    assert unwritten_after("train-adapter", "--index", str(added_index), "--pairs", str(pairs),
+                           "--epochs", "1") == {
+        "corpus.jsonl", "embeddings.bin", "manifest.json", "placements.bin", "tree.json",
+        "centroids.bin"}
+    assert_equals_a_full_save(added_index, tmp_path / "after-train")
+    assert unwritten_after("add-docs", "--index", str(added_index), "--corpus",
+                           late_corpus(tmp_path, 3)) == {
+        "tree.json", "centroids.bin", "config.json", "adapter.bin", "adapter.json"}
+    assert_equals_a_full_save(added_index, tmp_path / "after-add")
+
+
+VOCAB = sorted({word for doc in BASE for word in doc.text.split()})
+TEXTS = st.lists(st.sampled_from(VOCAB), min_size=1, max_size=12).map(" ".join)
+
+
+@settings(max_examples=25, deadline=None)
+@given(batches=st.lists(st.lists(TEXTS, max_size=6), min_size=1, max_size=3),
+       duplicate=st.booleans(), pick=st.integers(0, 10**6), at=st.integers(0, 3))
+def test_added_documents_survive_save_and_load_and_a_failed_add_changes_no_byte(
+        tmp_path_factory, batches, duplicate, pick, at):
+    index = build_index(BASE, CONFIG)
+    for b, texts in enumerate(batches):
+        add_documents(index, [Document(f"add{b}_{i}", text) for i, text in enumerate(texts)])
+    directory = tmp_path_factory.mktemp("idx")
+    save_index(index, str(directory))
+    saved = {path.name: path.read_bytes() for path in directory.iterdir()}
+    before = tree_state(index)
+    assert tree_state(load_index(str(directory))) == before
+    (directory / "placements.bin").unlink()
+    assert tree_state(load_index(str(directory))) == before
+
+    ids = list(index.corpus)
+    bad = Document(ids[pick % len(ids)], "alpha") if duplicate else Document("blank", " \t ")
+    batch = [Document(f"fresh{i}", "alpha beta") for i in range(3)]
+    batch.insert(at, bad)
+    with pytest.raises(DuplicateId if duplicate else EmptyText):
+        add_documents(index, batch)
+    save_index(index, str(directory))
+    assert {path.name: path.read_bytes() for path in directory.iterdir()} == saved
