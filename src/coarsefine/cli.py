@@ -15,7 +15,7 @@ import json
 import sys
 from collections import Counter
 
-from .corpus import TrainingPair, load_corpus, load_queries, qrels_mapping, read_jsonl
+from .corpus import TrainingPair, _has_tokens, load_corpus, load_queries, qrels_mapping, read_jsonl
 from .embed import load_embedding_sidecar
 from .errors import ParseError, RetrievalError
 from .evaluation import EvalReport, evaluate_results, index_diagnostics, position_error_rate
@@ -48,6 +48,17 @@ CONFIG_FLAGS = [
     ("seed", int, "master seed; all per-stage seeds derive from it"),
     ("n_a", int, "same-cluster negatives per training pair"),
 ]
+
+
+def _int_at_least(low: int):
+    """An argparse type: an int >= low, else a usage error (exit 2)."""
+    def parse(value: str) -> int:
+        number = int(value)
+        if number < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {number}")
+        return number
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, names: list[str] | None = None) -> None:
@@ -106,6 +117,9 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     index.config = _resolve_config(args, base=index.config)
     index.scorer = dataclasses.replace(index.scorer, temperature=index.config.temperature)
     queries = load_queries(args.queries)
+    for query in queries:
+        if not _has_tokens(query.text):
+            raise ParseError(f"{args.queries}: query {query.query_id!r} has no tokens")
     with open(args.out, "w", encoding="utf-8") as fh:
         for query in queries:
             result = retrieve(index, query.text, args.k)
@@ -200,7 +214,8 @@ def cmd_train_adapter(args: argparse.Namespace) -> int:
     index = load_index(args.index)
     index.config = _resolve_config(args, base=index.config)
     pairs = _load_pairs(args.pairs)
-    query_embeddings = {p.query_id: index.embedder.embed(p.query_text) for p in pairs}
+    text_of = {p.query_id: p.query_text for p in pairs}
+    query_embeddings = {qid: index.embedder.embed(text) for qid, text in text_of.items()}
     adapter, losses = train_adapter(
         pairs,
         index.tree,
@@ -256,14 +271,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--queries", required=True, help="JSONL of {query_id, query_text}")
     p.add_argument("--out", required=True, help="JSONL results file to write")
-    p.add_argument("--k", type=int, default=20, help="documents returned per query")
+    p.add_argument("--k", type=_int_at_least(1), default=20, help="documents returned per query")
     _add_config_flags(p, ["beta", "beam_size", "k_clusters", "length_penalty", "temperature"])
     p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("eval", help="score a results file against qrels")
     p.add_argument("--results", required=True, help="JSONL written by retrieve")
     p.add_argument("--qrels", required=True, help="JSONL of {query_id, query_text, relevant}")
-    p.add_argument("--k", type=int, nargs="+", default=[20, 100], help="cutoffs to report")
+    p.add_argument("--k", type=_int_at_least(1), nargs="+", default=[20, 100],
+                   help="cutoffs to report")
     p.add_argument("--index", help="optional index directory for structural diagnostics")
     p.add_argument("--out", help="optional JSON report path")
     p.set_defaults(func=cmd_eval)
@@ -277,9 +293,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--pairs", required=True,
                    help="JSONL of {query_id, query_text, positive_doc_id}")
-    p.add_argument("--epochs", type=int, default=5)
+    p.add_argument("--epochs", type=_int_at_least(0), default=5)
     p.add_argument("--learning-rate", type=float, default=0.05)
-    p.add_argument("--batch-size", type=int, default=16)
+    p.add_argument("--batch-size", type=_int_at_least(1), default=16)
     _add_config_flags(p, ["gamma", "n_a"])
     p.set_defaults(func=cmd_train_adapter)
 

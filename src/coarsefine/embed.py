@@ -7,10 +7,20 @@ every vector bit for bit.
 
 Each feature is hashed with BLAKE2b keyed by the seed. The keyed state is
 built once per seed and copied for every feature, so a feature costs one
-compression instead of two (the key block is compressed only once). Bucket
-sums are counted in Python ints and converted to float64 once; they are
-small integers, which float64 holds exactly, so the vector and its norm are
-the same bytes as when every +-1 is added in float64.
+compression instead of two (the key block is compressed only once).
+
+Unigram digests are memoised per (key, token) in an LRU cache of
+UNIGRAM_MEMO_SIZE entries: a corpus repeats a few thousand tokens across
+hundreds of thousands of occurrences, so most unigrams cost one lookup. An
+entry holds two short strings and an 8-byte digest, about 240 B as measured
+with tracemalloc, so the memo stays under about 4 MB. Bigrams are mostly
+distinct and are hashed once per occurrence.
+
+A document's digests are read as one little-endian uint64 array, and the
+signed bucket sums are counted by one np.bincount with +-1.0 weights. Every
+partial sum is a small integer, which float64 holds exactly whatever the
+order of addition, so the vector and its norm are the same bytes as when
+every +-1 is added in float64 one feature at a time.
 
 External embedders can replace it by supplying vectors through the sidecar
 format: a little-endian float32 binary matrix plus a JSON manifest
@@ -31,12 +41,21 @@ from .corpus import tokenize
 from .errors import BadDim, DimMismatch, EmptyText, ParseError
 
 MIN_DIM = 8
+UNIGRAM_MEMO_SIZE = 2**14
 
 
 @functools.lru_cache(maxsize=32)
 def _keyed_state(key: bytes):
     # Only ever copied, never updated, so concurrent callers can share it.
     return hashlib.blake2b(digest_size=8, key=key)
+
+
+@functools.lru_cache(maxsize=UNIGRAM_MEMO_SIZE)
+def _unigram_digest(key: bytes, token: str) -> bytes:
+    """The 8-byte digest of the unigram feature "1:<token>" under `key`."""
+    state = _keyed_state(key).copy()
+    state.update(f"1:{token}".encode("utf-8"))
+    return state.digest()
 
 
 def hash_embed(text: str, dim: int, seed: int = 0) -> np.ndarray:
@@ -53,16 +72,16 @@ def hash_embed(text: str, dim: int, seed: int = 0) -> np.ndarray:
     tokens = tokenize(text)
     if not tokens:
         raise EmptyText("text has no tokens")
-    features = [f"1:{t}" for t in tokens]
-    features += [f"2:{a} {b}" for a, b in zip(tokens, tokens[1:])]
-    keyed = _keyed_state(str(seed).encode("utf-8")[:64])
-    counts = [0] * dim
-    for feature in features:
+    key = str(seed).encode("utf-8")[:64]
+    keyed = _keyed_state(key)
+    digests = [_unigram_digest(key, t) for t in tokens]
+    for a, b in zip(tokens, tokens[1:]):
         state = keyed.copy()
-        state.update(feature.encode("utf-8"))
-        h = int.from_bytes(state.digest(), "little")
-        counts[(h >> 1) % dim] += 1 if h & 1 else -1
-    vec = np.array(counts, dtype=np.float64)
+        state.update(f"2:{a} {b}".encode("utf-8"))
+        digests.append(state.digest())
+    h = np.frombuffer(b"".join(digests), dtype="<u8")
+    buckets = ((h >> 1) % dim).astype(np.intp)
+    vec = np.bincount(buckets, weights=(h & 1) * 2.0 - 1.0, minlength=dim)
     return (vec / float(np.linalg.norm(vec))).astype(np.float32)
 
 

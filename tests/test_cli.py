@@ -1,12 +1,22 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 import coarsefine
 from coarsefine.cli import CONFIG_FLAGS, main
-from coarsefine.pipeline import RetrievalConfig, load_config
+from coarsefine.corpus import TrainingPair
+from coarsefine.embed import HashingEmbedder
+from coarsefine.intra import train_adapter
+from coarsefine.kmeans import derive_seed
+from coarsefine.pipeline import RetrievalConfig, load_config, load_index
 from helpers import topic_corpus
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def write_jsonl(path, rows):
@@ -304,3 +314,83 @@ def test_every_config_flag_is_a_config_field():
 def test_every_exported_name_resolves():
     for name in coarsefine.__all__:
         assert hasattr(coarsefine, name), name
+
+
+def run_cli(*argv):
+    """The CLI in a fresh interpreter, as the console script runs it."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-m", "coarsefine.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def file_bytes(root):
+    return {path: path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("retrieve", "--k", "0"),
+    ("eval", "--k", "0"),
+    ("train-adapter", "--epochs", "-1"),
+    ("train-adapter", "--batch-size", "0"),
+])
+def test_out_of_range_numbers_are_usage_errors_that_touch_no_file(
+        tmp_path, corpus_path, queries_path, command, flag, value):
+    idx = build(tmp_path, corpus_path)
+    out = tmp_path / "out.jsonl"
+    out.write_text("earlier contents\n")
+    pairs = tmp_path / "pairs.jsonl"
+    write_jsonl(pairs, training_rows(["t0w1 t0w2"]))
+    files = {
+        "retrieve": ["--index", idx, "--queries", queries_path, "--out", str(out)],
+        "eval": ["--results", str(out), "--qrels", queries_path, "--out", str(out)],
+        "train-adapter": ["--index", idx, "--pairs", str(pairs)],
+    }[command]
+    before = file_bytes(tmp_path)
+    proc = run_cli(command, *files, flag, value)
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr and f"{flag}: must be >=" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert file_bytes(tmp_path) == before
+
+
+def test_retrieve_rejects_a_token_free_query_before_opening_out(tmp_path, corpus_path, capsys):
+    idx = build(tmp_path, corpus_path)
+    queries = tmp_path / "queries.jsonl"
+    write_jsonl(queries, [{"query_id": "q0", "query_text": "t0w1 t0w2"},
+                          {"query_id": "q-blank", "query_text": "   "}])
+    out = tmp_path / "results.jsonl"
+    out.write_bytes(b"earlier results\n")
+    assert main(["retrieve", "--index", idx, "--queries", str(queries), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(queries) in err and "'q-blank'" in err
+    assert out.read_bytes() == b"earlier results\n"
+
+
+def test_train_adapter_embeds_each_query_id_once(tmp_path, corpus_path, monkeypatch):
+    idx = build(tmp_path, corpus_path)
+    rows = training_rows(["t0w1 t0w2"] * 5)
+    rows.append({"query_id": "p1", "query_text": "t1w3 t1w4",
+                 "positive_doc_id": rows[1]["positive_doc_id"]})
+    pairs_path = tmp_path / "pairs.jsonl"
+    write_jsonl(pairs_path, rows)
+    pairs = [TrainingPair(r["query_id"], r["query_text"], r["positive_doc_id"]) for r in rows]
+    index = load_index(idx)
+    expected, _ = train_adapter(
+        pairs, index.tree, index.embeddings,
+        {p.query_id: index.embedder.embed(p.query_text) for p in pairs},
+        gamma=index.config.gamma, n_a=index.config.n_a, epochs=2,
+        seed=derive_seed(index.config.seed, "train"))
+
+    embedded = []
+    original = HashingEmbedder.embed
+
+    def counting_embed(self, text):
+        embedded.append(text)
+        return original(self, text)
+
+    monkeypatch.setattr(HashingEmbedder, "embed", counting_embed)
+    assert main(["train-adapter", "--index", idx, "--pairs", str(pairs_path),
+                 "--epochs", "2"]) == 0
+    assert embedded == ["t0w1 t0w2", "t1w3 t1w4"]
+    weight = np.ascontiguousarray(expected.weight, dtype="<f4")
+    assert (tmp_path / "idx" / "adapter.bin").read_bytes() == weight.tobytes()

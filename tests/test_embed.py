@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsefine.embed import (
+    UNIGRAM_MEMO_SIZE,
     HashingEmbedder,
+    _unigram_digest,
     hash_embed,
     load_embedding_sidecar,
     save_embedding_sidecar,
@@ -123,6 +125,7 @@ def test_hash_embed_matches_the_reference_on_fixed_texts(text):
 
 
 def test_threads_sharing_the_cached_keyed_state_match_the_reference():
+    _unigram_digest.cache_clear()
     corpus = [f"t{i} shared words t{i % 7} more" for i in range(60)]
     expected = {(t, s): reference_hash_embed(t, 64, s).tobytes()
                 for t in corpus for s in EXACT_SEEDS}
@@ -146,3 +149,47 @@ def test_threads_sharing_the_cached_keyed_state_match_the_reference():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert mismatches == []
+
+
+def assert_bytes_match_reference(text, dim, seed):
+    assert hash_embed(text, dim, seed).tobytes() == reference_hash_embed(text, dim, seed).tobytes()
+
+
+def test_cold_and_warm_unigram_memo_give_the_reference_bytes():
+    text = "cold warm cold memo warm warm"
+    _unigram_digest.cache_clear()
+    assert_bytes_match_reference(text, 64, 0)
+    misses = _unigram_digest.cache_info().misses
+    assert_bytes_match_reference(text, 64, 0)
+    info = _unigram_digest.cache_info()
+    assert info.misses == misses and info.hits >= len(text.split())
+
+
+def test_seeds_interleaved_over_shared_tokens_keep_their_own_digests():
+    texts = ["shared alpha beta", "beta shared gamma", "gamma alpha shared shared"]
+    _unigram_digest.cache_clear()
+    for _ in range(2):
+        for text in texts:
+            assert_matches_reference(text)
+
+
+def test_evicted_unigrams_are_hashed_again_to_the_same_bytes():
+    early = "early bird early worm"
+    _unigram_digest.cache_clear()
+    assert_bytes_match_reference(early, 64, 0)
+    flood = [f"flood{i}" for i in range(UNIGRAM_MEMO_SIZE + 100)]
+    for start in range(0, len(flood), 1000):
+        hash_embed(" ".join(flood[start:start + 1000]), 64, 0)
+    assert _unigram_digest.cache_info().currsize == UNIGRAM_MEMO_SIZE
+    misses = _unigram_digest.cache_info().misses
+    assert_bytes_match_reference(early, 64, 0)
+    assert _unigram_digest.cache_info().misses == misses + len(set(early.split()))
+
+
+@pytest.mark.parametrize("text", ["1:x x", "2:a a 2:a", "1:x 2:a x a 1:1:x", "2:a b a b"])
+def test_tokens_that_look_like_feature_prefixes_match_the_reference(text):
+    assert_matches_reference(text)
+
+
+def test_unigram_memo_is_bounded():
+    assert _unigram_digest.cache_info().maxsize == UNIGRAM_MEMO_SIZE < float("inf")
