@@ -83,7 +83,7 @@ def _resolve_config(args: argparse.Namespace, base: RetrievalConfig | None = Non
             values[name] = flag
     try:
         return RetrievalConfig(**values)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"invalid configuration: {exc}")
 
 
@@ -120,15 +120,22 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     for query in queries:
         if not _has_tokens(query.text):
             raise ParseError(f"{args.queries}: query {query.query_id!r} has no tokens")
+    # One encoder for every line. Each entry's dict holds exactly the fields
+    # of ResultEntry, so a line has the bytes dataclasses.asdict would give.
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(args.out, "w", encoding="utf-8") as fh:
         for query in queries:
             result = retrieve(index, query.text, args.k)
-            fh.write(json.dumps({
+            fh.write(encode({
                 "query_id": query.query_id,
                 "query_text": query.text,
                 "k": args.k,
-                "results": [dataclasses.asdict(entry) for entry in result.entries],
-            }, sort_keys=True))
+                "results": [
+                    {"doc_id": e.doc_id, "s_inter": e.s_inter, "s_intra": e.s_intra,
+                     "s_overall": e.s_overall}
+                    for e in result.entries
+                ],
+            }))
             fh.write("\n")
     print(f"retrieved top-{args.k} for {len(queries)} queries -> {args.out}")
     return 0

@@ -1,9 +1,18 @@
-"""Document records and the JSONL reader every input file goes through."""
+"""Document records and the JSONL reader every input file goes through.
+
+The reader streams a file line by line and decodes each line with the C
+scanner that json.loads itself ends in, stripping the JSON whitespace around
+the value first; what it accepts and rejects, and its messages, are those of
+json.loads per line. The corpus writer joins each line from the ASCII string
+escaper that json.dumps(..., sort_keys=True) calls for both values.
+"""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from json.scanner import make_scanner
 from typing import Iterator, Sequence
 
 from .errors import DuplicateId, EmptyText, ParseError
@@ -45,9 +54,11 @@ def _has_tokens(text: str) -> bool:
     return text != "" and not text.isspace()
 
 
-# json.loads minus its per-call argument handling. A line starting with a BOM
-# fails to decode here as it does there.
-_decode_json = json.JSONDecoder().decode
+# json.loads minus its per-call argument handling and its two whitespace
+# regex matches. A line starting with a BOM fails to decode here as it does
+# there. The scanner clears its key memo after every call.
+_scan_json = make_scanner(json.JSONDecoder())
+_JSON_WHITESPACE = " \t\n\r"
 
 
 def read_jsonl(path: str, keys: Sequence[str]) -> Iterator[tuple[int, dict]]:
@@ -60,9 +71,14 @@ def read_jsonl(path: str, keys: Sequence[str]) -> Iterator[tuple[int, dict]]:
         for lineno, line in enumerate(fh, start=1):
             if line.isspace():  # a line read from a file is never ""
                 continue
+            # No JSON value ends in whitespace, so the value must end where
+            # the stripped line does.
+            value = line.strip(_JSON_WHITESPACE)
             try:
-                obj = _decode_json(line)
-            except json.JSONDecodeError:
+                obj, end = _scan_json(value, 0)
+            except (StopIteration, json.JSONDecodeError):
+                end = -1
+            if end != len(value):
                 raise ParseError(f"{path}: line {lineno}: invalid JSON", line=lineno)
             if not isinstance(obj, dict):
                 raise ParseError(f"{path}: line {lineno}: expected a JSON object", line=lineno)
@@ -98,10 +114,11 @@ def save_corpus(docs: list[Document], path: str) -> None:
     for doc in docs:
         if not _has_tokens(doc.text):
             raise EmptyText(f"document {doc.doc_id!r} has no tokens")
-    # One encoder for every line: json.dumps would build a new one per call.
-    encode = json.JSONEncoder(sort_keys=True).encode
+    # The bytes of json.dumps({"id": ..., "text": ...}, sort_keys=True) + "\n".
+    esc = encode_basestring_ascii
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(encode({"id": doc.doc_id, "text": doc.text}) + "\n" for doc in docs)
+        fh.writelines('{"id": ' + esc(doc.doc_id) + ', "text": ' + esc(doc.text) + '}\n'
+                      for doc in docs)
 
 
 def load_queries(path: str, require_relevant: bool = False) -> list[QueryRecord]:

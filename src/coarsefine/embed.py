@@ -159,11 +159,13 @@ def load_embedding_sidecar(bin_path: str, manifest_path: str) -> tuple[list[str]
         raise ParseError(f"{manifest_path}: manifest needs 'dim' and 'ids'")
     dim = manifest["dim"]
     ids = manifest["ids"]
-    if not isinstance(dim, int) or dim < 1 or not isinstance(ids, list):
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1 or not isinstance(ids, list):
         raise ParseError(f"{manifest_path}: malformed manifest")
+    if not all(isinstance(doc_id, str) for doc_id in ids):
+        raise ParseError(f"{manifest_path}: every id must be a string")
     raw = np.fromfile(bin_path, dtype="<f4")
     if raw.size != dim * len(ids):
         raise ParseError(
             f"{bin_path}: expected {dim * len(ids)} float32 values, found {raw.size}"
         )
-    return [str(i) for i in ids], raw.reshape(len(ids), dim)
+    return ids, raw.reshape(len(ids), dim)

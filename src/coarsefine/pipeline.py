@@ -8,9 +8,12 @@ min(cluster size, k) with per-document scores s_intra. The two are fused as
     s_overall = s_inter + beta * s_intra
 
 and the global top-k documents are returned, ordering ties by s_intra and
-then ascending doc id. Documents can be appended to an existing index
-without rebuilding: each new document descends the frozen tree to its
-nearest leaf, so existing identifiers, centroids, and scores never change.
+then ascending doc id. Fusion sorts plain (-s_overall, -s_intra, doc_id,
+s_inter) tuples, which gives that order because doc ids are unique, and
+builds a ResultEntry only for the k it returns. Documents can be appended
+to an existing index without rebuilding: each new document descends the
+frozen tree to its nearest leaf, so existing identifiers, centroids, and
+scores never change.
 
 In memory an index holds its document vectors as one float32 [N, dim]
 DocumentMatrix in the row order of embeddings.bin (corpus order, as
@@ -44,7 +47,8 @@ attaching an adapter) requires exclusive access.
 Every compact JSON file (tree.json, manifest.json, adapter.json) is one
 json.dumps call, which runs the C encoder; json.dump always runs the
 pure-Python encoder, which writes the same bytes several times slower.
-corpus.jsonl shares one encoder across its lines. config.json is written with
+corpus.jsonl lines are joined from the C string escaper that json.dumps
+calls for the id and the text (see corpus.py). config.json is written with
 indent=2, which only the Python encoder handles; it is a few hundred bytes.
 Binary files are written straight from their arrays. Loading gives every leaf
 its rows as slices of one array, looked up in one pass.
@@ -56,6 +60,7 @@ import contextlib
 import dataclasses
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -110,6 +115,20 @@ class RetrievalConfig:
     n_a: int = 4
 
     def __post_init__(self):
+        # Annotations are strings here (from __future__ import annotations).
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            kinds = int if field.type == "int" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise TypeError(f"{field.name} must be {field.type}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
+        if not (self.temperature > 0 and self.gamma > 0):
+            raise ValueError(
+                f"temperature and gamma must be > 0, got {self.temperature} and {self.gamma}"
+            )
+        if self.n_a < 0:
+            raise ValueError(f"n_a must be >= 0, got {self.n_a}")
         if not (self.beam_size >= self.k_clusters >= 1):
             raise ValueError(
                 f"need beam_size >= k_clusters >= 1, got {self.beam_size} and {self.k_clusters}"
@@ -221,19 +240,21 @@ def retrieve(index: RetrievalIndex, query_text: str, k: int) -> RetrievalResult:
     hypotheses = decode_clusters(
         rep, index.scorer, index.trie, cfg.beam_size, cfg.length_penalty, cfg.k_clusters
     )
-    entries: list[ResultEntry] = []
+    # Plain tuples in the order of the result: doc ids are unique, so s_inter
+    # never decides, and negating a float is exact both ways.
+    beta = cfg.beta
+    fused: list[tuple[float, float, str, float]] = []
     for hyp in hypotheses:
-        for scored in rank_within_cluster(q, index.tree, hyp.cid, k, index.embeddings):
-            entries.append(
-                ResultEntry(
-                    doc_id=scored.doc_id,
-                    s_inter=hyp.s_inter,
-                    s_intra=scored.s_intra,
-                    s_overall=hyp.s_inter + cfg.beta * scored.s_intra,
-                )
-            )
-    entries.sort(key=lambda e: (-e.s_overall, -e.s_intra, e.doc_id))
-    return RetrievalResult(entries=entries[:k])
+        s_inter = hyp.s_inter
+        fused.extend(
+            (-(s_inter + beta * scored.s_intra), -scored.s_intra, scored.doc_id, s_inter)
+            for scored in rank_within_cluster(q, index.tree, hyp.cid, k, index.embeddings)
+        )
+    fused.sort()
+    return RetrievalResult(entries=[
+        ResultEntry(doc_id, s_inter, -neg_intra, -neg_overall)
+        for neg_overall, neg_intra, doc_id, s_inter in fused[:k]
+    ])
 
 
 def add_documents(index: RetrievalIndex, docs: Sequence[Document]) -> RetrievalIndex:
@@ -373,7 +394,10 @@ def read_config_file(path: str) -> dict:
 
 
 def load_config(path: str) -> RetrievalConfig:
-    return RetrievalConfig(**read_config_file(path))
+    try:
+        return RetrievalConfig(**read_config_file(path))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}")
 
 
 def _load_placements(path: str, tree: ClusterTree, count: int) -> list[Cid] | None:

@@ -1,5 +1,6 @@
 """Shared test utilities: synthetic corpora, pluggable scorers, brute-force oracles."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,8 +10,12 @@ import numpy as np
 from coarsefine import Document
 from coarsefine.cluster_tree import TERMINAL, Cid, ClusterNode, ClusterTree
 from coarsefine.corpus import tokenize
+from coarsefine.embed import QueryRepresentation
 from coarsefine.errors import EmptySet, ParseError
+from coarsefine.inter import decode_clusters
+from coarsefine.intra import rank_within_cluster
 from coarsefine.kmeans import derive_seed
+from coarsefine.pipeline import ResultEntry, RetrievalResult, query_vector
 from coarsefine.trie import PrefixTrie
 
 
@@ -350,6 +355,48 @@ def reference_read_jsonl(path, keys):
                     raise ParseError(f"{path}: line {lineno}: expected a string {key!r}",
                                      line=lineno)
             yield lineno, obj
+
+
+def reference_retrieve(index, query_text, k):
+    """pipeline.retrieve as it was when it built a ResultEntry for every
+    scored candidate and sorted them by key, kept verbatim as the oracle for
+    the tuple fusion."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    cfg = index.config
+    q = query_vector(index, query_text).astype(np.float64)
+    rep = QueryRepresentation(pooled=q)
+    hypotheses = decode_clusters(
+        rep, index.scorer, index.trie, cfg.beam_size, cfg.length_penalty, cfg.k_clusters
+    )
+    entries: list[ResultEntry] = []
+    for hyp in hypotheses:
+        for scored in rank_within_cluster(q, index.tree, hyp.cid, k, index.embeddings):
+            entries.append(
+                ResultEntry(
+                    doc_id=scored.doc_id,
+                    s_inter=hyp.s_inter,
+                    s_intra=scored.s_intra,
+                    s_overall=hyp.s_inter + cfg.beta * scored.s_intra,
+                )
+            )
+    entries.sort(key=lambda e: (-e.s_overall, -e.s_intra, e.doc_id))
+    return RetrievalResult(entries=entries[:k])
+
+
+def reference_write_results(path, queries, results, k):
+    """The results.jsonl writer of cmd_retrieve as it was when each entry went
+    through dataclasses.asdict and each line through json.dumps, kept verbatim
+    as the oracle for the dict-literal writer."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for query, result in zip(queries, results):
+            fh.write(json.dumps({
+                "query_id": query.query_id,
+                "query_text": query.text,
+                "k": k,
+                "results": [dataclasses.asdict(entry) for entry in result.entries],
+            }, sort_keys=True))
+            fh.write("\n")
 
 
 def reference_nearest(points, centers):

@@ -9,12 +9,13 @@ import pytest
 
 import coarsefine
 from coarsefine.cli import CONFIG_FLAGS, main
-from coarsefine.corpus import TrainingPair
+from coarsefine.corpus import QueryRecord, TrainingPair
 from coarsefine.embed import HashingEmbedder
+from coarsefine.errors import ParseError
 from coarsefine.intra import train_adapter
 from coarsefine.kmeans import derive_seed
-from coarsefine.pipeline import RetrievalConfig, load_config, load_index
-from helpers import topic_corpus
+from coarsefine.pipeline import RetrievalConfig, load_config, load_index, retrieve
+from helpers import reference_write_results, topic_corpus
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -394,3 +395,74 @@ def test_train_adapter_embeds_each_query_id_once(tmp_path, corpus_path, monkeypa
     assert embedded == ["t0w1 t0w2", "t1w3 t1w4"]
     weight = np.ascontiguousarray(expected.weight, dtype="<f4")
     assert (tmp_path / "idx" / "adapter.bin").read_bytes() == weight.tobytes()
+
+
+@pytest.mark.parametrize("flags", [[], ["--beta", "0", "--k-clusters", "3"]])
+def test_results_lines_equal_the_asdict_writer(tmp_path, corpus_path, flags):
+    idx = build(tmp_path, corpus_path)
+    docs = topic_corpus(4, 30, seed=0)
+    queries = [QueryRecord(f'q{i} "é" \\ \ud800', f"{doc.text[:30]} é \"q\" \\ 😀",
+                           frozenset()) for i, doc in enumerate(docs[::11])]
+    queries_path = tmp_path / "queries.jsonl"
+    write_jsonl(queries_path, [{"query_id": q.query_id, "query_text": q.text} for q in queries])
+    out = tmp_path / "results.jsonl"
+    assert main(["retrieve", "--index", idx, "--queries", str(queries_path), "--out", str(out),
+                 "--k", "7", *flags]) == 0
+    index = load_index(idx)
+    if flags:
+        index.config = dataclasses.replace(index.config, beta=0.0, k_clusters=3)
+    results = [retrieve(index, q.text, 7) for q in queries]
+    assert all(result.entries for result in results)
+    reference_write_results(str(tmp_path / "reference.jsonl"), queries, results, 7)
+    assert out.read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("temperature", 0),
+    ("beam_size", "100"),
+    ("beta", "x"),
+    ("length_penalty", None),
+    ("k_clusters", True),
+])
+def test_a_bad_config_value_is_a_parse_error_naming_the_file(tmp_path, corpus_path,
+                                                             queries_path, field, value):
+    idx = build(tmp_path, corpus_path)
+    out = tmp_path / "results.jsonl"
+    assert main(["retrieve", "--index", idx, "--queries", queries_path, "--out", str(out)]) == 0
+    config_path = tmp_path / "idx" / "config.json"
+    config_path.write_text(json.dumps({**json.loads(config_path.read_text()), field: value}))
+    with pytest.raises(ParseError, match="config.json"):
+        load_index(idx)
+    before = file_bytes(tmp_path)
+    for argv in (["inspect", "--index", idx],
+                 ["retrieve", "--index", idx, "--queries", queries_path, "--out", str(out)]):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and "config.json" in proc.stderr
+    assert file_bytes(tmp_path) == before
+    # The same value from a --config file.
+    config_file = tmp_path / "bad.json"
+    config_file.write_text(json.dumps({field: value}))
+    assert main(["build-index", "--corpus", corpus_path, "--out", str(tmp_path / "other"),
+                 *BUILD_FLAGS, "--config", str(config_file)]) == 2
+    assert not (tmp_path / "other").exists()
+
+
+def test_retrieve_with_temperature_zero_exits_2_and_keeps_out(tmp_path, corpus_path,
+                                                             queries_path, capsys):
+    idx = build(tmp_path, corpus_path)
+    out = tmp_path / "results.jsonl"
+    out.write_bytes(b"earlier results\n")
+    assert main(["retrieve", "--index", idx, "--queries", queries_path, "--out", str(out),
+                 "--temperature", "0"]) == 2
+    assert "temperature" in capsys.readouterr().err
+    assert out.read_bytes() == b"earlier results\n"
+
+
+def test_an_int_beta_in_config_json_still_loads(tmp_path, corpus_path, queries_path):
+    idx = build(tmp_path, corpus_path)
+    config_path = tmp_path / "idx" / "config.json"
+    config_path.write_text(json.dumps({**json.loads(config_path.read_text()), "beta": 1}))
+    assert load_index(idx).config.beta == 1
+    assert main(["retrieve", "--index", idx, "--queries", queries_path,
+                 "--out", str(tmp_path / "results.jsonl")]) == 0

@@ -1,3 +1,5 @@
+import json
+import re
 import sys
 import threading
 
@@ -107,6 +109,28 @@ def test_sidecar_rejects_size_mismatch(tmp_path):
     with open(bin_path, "ab") as fh:
         fh.write(b"\x00\x00\x00\x00")
     with pytest.raises(ParseError):
+        load_embedding_sidecar(bin_path, man_path)
+
+
+def write_manifest(tmp_path, manifest, rows):
+    bin_path, man_path = str(tmp_path / "emb.bin"), str(tmp_path / "emb.json")
+    np.zeros((rows, 4), dtype="<f4").tofile(bin_path)
+    with open(man_path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    return bin_path, man_path
+
+
+@pytest.mark.parametrize("ids", [[0, 1], ["a", None]])
+def test_sidecar_rejects_ids_that_are_not_strings(tmp_path, ids):
+    bin_path, man_path = write_manifest(tmp_path, {"dim": 4, "ids": ids}, rows=2)
+    with pytest.raises(ParseError, match=re.escape(man_path)):
+        load_embedding_sidecar(bin_path, man_path)
+
+
+def test_sidecar_rejects_a_boolean_dim(tmp_path):
+    bin_path, man_path = write_manifest(tmp_path, {"dim": True, "ids": ["a", "b", "c", "d"]},
+                                        rows=1)
+    with pytest.raises(ParseError, match=re.escape(man_path)):
         load_embedding_sidecar(bin_path, man_path)
 
 

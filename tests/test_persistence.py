@@ -113,6 +113,8 @@ def test_tree_and_manifest_equal_the_streaming_json_dump(tmp_path):
 def test_save_corpus_equals_one_json_dumps_per_document(tmp_path_factory, texts):
     texts += ["café   \\ \"q\" \x00 😀", "lone \udc80 surrogate"]
     docs = [Document(f"d{i}é", text) for i, text in enumerate(texts)]
+    docs += [Document(doc_id, texts[0])
+             for doc_id in ('q"uote', "back\\slash", "nul\x00", "\ud800")]
     directory = tmp_path_factory.mktemp("corpus")
     save_corpus(docs, str(directory / "new.jsonl"))
     reference_save_corpus(docs, str(directory / "old.jsonl"))
@@ -153,6 +155,19 @@ JSONL_LINES = [
     '{"id": 7, "text": "x"}', '{"text": "x"}', '{"id": "e"}', '{"id": "f", "text": null}',
     "not json", '{"id": "g", "text": "x"} trailing', '{"id": "h", "text": "x"}{}',
     '\x0c{"id": "i", "text": "x"}', '{"id": "j", "text": " "}',
+    # Valid when its three lines are joined, yet line 1 alone is not JSON.
+    '{"id": "a", "n": [{"z": 1}\n{"w": 2}], "text": "x"}\n'
+    '{"id": "b", "text": "y"}, {"id": "c", "text": "z"}',
+    # Unicode whitespace that JSON does not skip, around an object and alone.
+    '\x0b{"id": "k", "text": "x"}', '{"id": "k", "text": "x"}\x0b',
+    '\xa0{"id": "k", "text": "x"}', '{"id": "k", "text": "x"}\xa0',
+    '\u2028{"id": "k", "text": "x"}', '{"id": "k", "text": "x"}\u2028',
+    "\x0b", "\xa0", "\u2028",
+    # Inside a string: a control character (rejected) and two that are not.
+    '{"id": "l", "text": "a\x1cb"}', '{"id": "l", "text": "a\x85b"}',
+    '{"id": "l", "text": "a\u2028b"}',
+    "NaN", '{"id": "m", "text": "x", "n": NaN}',
+    '{"id": "n", "text": "x"} {"id": "o", "text": "y"}',
 ]
 
 
@@ -165,6 +180,16 @@ def test_read_jsonl_matches_the_reference_reader(tmp_path_factory, lines, newlin
     text = ("\ufeff" if bom else "") + newline.join(lines) + (newline if final_newline else "")
     path = tmp_path_factory.mktemp("jsonl") / "rows.jsonl"
     path.write_bytes(text.encode("utf-8"))
+    got = outcome(lambda: list(read_jsonl(str(path), ("id", "text"))))
+    want = outcome(lambda: list(reference_read_jsonl(str(path), ("id", "text"))))
+    assert got == want
+
+
+@pytest.mark.parametrize("line", JSONL_LINES)
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_read_jsonl_matches_the_reference_reader_on_each_line(tmp_path, line, newline):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(f'{{"id": "z", "text": "x"}}{newline}{line}{newline}'.encode("utf-8"))
     got = outcome(lambda: list(read_jsonl(str(path), ("id", "text"))))
     want = outcome(lambda: list(reference_read_jsonl(str(path), ("id", "text"))))
     assert got == want

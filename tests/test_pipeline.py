@@ -25,7 +25,13 @@ from coarsefine.embed import DocumentMatrix
 from coarsefine.errors import DuplicateId, EmptyCorpus, EmptyIndex, EmptyText, ParseError
 from coarsefine.intra import LinearAdapter, intra_score, rank_within_cluster
 from coarsefine.pipeline import load_config, query_vector
-from helpers import AxisEmbedder, UniformScorer, binary_depth2_tree, topic_corpus
+from helpers import (
+    AxisEmbedder,
+    UniformScorer,
+    binary_depth2_tree,
+    reference_retrieve,
+    topic_corpus,
+)
 
 
 def small_config(**overrides):
@@ -78,6 +84,30 @@ def test_config_validates_beam_and_cluster_counts():
         RetrievalConfig(beam_size=5, k_clusters=6)
     with pytest.raises(ValueError):
         RetrievalConfig(beam_size=5, k_clusters=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("beam_size", "100"), ("beam_size", 100.0), ("k_clusters", True), ("dim", None),
+    ("seed", 1.5), ("n_a", False), ("beta", "x"), ("length_penalty", None),
+    ("temperature", True), ("gamma", [2.0]),
+])
+def test_config_rejects_values_of_the_wrong_type(field, value):
+    with pytest.raises(TypeError, match=field):
+        RetrievalConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("temperature", 0), ("temperature", -0.1), ("gamma", 0.0), ("n_a", -1),
+    ("beta", math.nan), ("length_penalty", math.inf), ("temperature", math.inf),
+])
+def test_config_rejects_values_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        RetrievalConfig(**{field: value})
+
+
+def test_config_takes_ints_for_floats():
+    config = RetrievalConfig(beta=1, gamma=3, length_penalty=0, temperature=1, n_a=0)
+    assert config.beta == 1 and config.n_a == 0
 
 
 def test_build_index_rejects_empty_and_duplicate_corpora():
@@ -166,6 +196,25 @@ def test_retrieve_matches_exhaustive_ranking(beta):
             got = [(e.doc_id, e.s_inter, e.s_intra, e.s_overall)
                    for e in retrieve(idx, qtext, k).entries]
             assert got == exhaustive_oracle(idx, qtext, k)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_tuple_fusion_returns_the_entries_of_the_old_fusion(seed, beta):
+    # Every third document repeats an earlier text, so ties in s_intra (and,
+    # at beta 0, in s_overall) are broken by doc id.
+    base = topic_corpus(4, 12, seed=seed)
+    docs = base + [Document(f"copy{i}", doc.text) for i, doc in enumerate(base[::3])]
+    idx = build_index(docs, small_config(seed=seed, beta=beta, expected_clusters=6,
+                                         beam_size=20, k_clusters=4))
+    queries = sample_queries(docs, 4, seed=seed) + [docs[-1].text]
+    for qtext in queries:
+        for k in range(1, len(docs) + 3):
+            got, want = retrieve(idx, qtext, k).entries, reference_retrieve(idx, qtext, k).entries
+            assert got == want
+            assert repr(got) == repr(want)  # also tells -0.0 from 0.0
+    # the candidates of the last k ran out before k did
+    assert len(retrieve(idx, queries[0], len(docs) + 2).entries) < len(docs) + 2
 
 
 def test_beta_zero_orders_within_cluster_by_intra_then_id():
