@@ -72,11 +72,13 @@ def _add_config_flags(parser: argparse.ArgumentParser, names: list[str] | None =
 def _resolve_config(args: argparse.Namespace, base: RetrievalConfig | None = None) -> RetrievalConfig:
     """Defaults (or the index's stored config), then config file, then flags.
 
-    A config file overrides only the keys it contains.
+    A config file overrides only the keys it contains; the merged values are
+    checked together, and an error names the file when one was given.
     """
     values = dataclasses.asdict(base if base is not None else RetrievalConfig())
-    if getattr(args, "config", None):
-        values.update(read_config_file(args.config))
+    config_file = getattr(args, "config", None)
+    if config_file:
+        values.update(read_config_file(config_file))
     for name, _, _ in CONFIG_FLAGS:
         flag = getattr(args, name, None)
         if flag is not None:
@@ -84,7 +86,7 @@ def _resolve_config(args: argparse.Namespace, base: RetrievalConfig | None = Non
     try:
         return RetrievalConfig(**values)
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"invalid configuration: {exc}")
+        raise ParseError(f"{config_file or 'invalid configuration'}: {exc}")
 
 
 def _load_sidecar_if_given(args: argparse.Namespace):
@@ -321,9 +323,6 @@ def main(argv: list[str] | None = None) -> int:
     except RetrievalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -43,6 +43,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .corpus import read_array, read_json_object
 from .errors import EmptyCorpus, MissingCid, ParseError, UnknownDoc
 from .kmeans import derive_seed, kmeans
 
@@ -360,27 +361,15 @@ def _check_node(obj, parent: Cid | None, json_path: str) -> None:
 
 
 def load_tree(json_path: str, bin_path: str) -> ClusterTree:
-    with open(json_path, encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError:
-            raise ParseError(f"{json_path}: invalid JSON")
-    if not isinstance(manifest, dict):
-        raise ParseError(f"{json_path}: manifest must be a JSON object")
-    for key in ("k", "c", "seed", "dim", "root"):
-        if key not in manifest:
-            raise ParseError(f"{json_path}: manifest is missing {key!r}")
+    manifest = read_json_object(json_path)
     for key in ("k", "c", "dim"):
-        value = manifest[key]
+        value = manifest.get(key)
         if type(value) is not int or value < 1:
             raise ParseError(f"{json_path}: {key} must be a positive integer, got {value!r}")
-    if type(manifest["seed"]) is not int:
-        raise ParseError(f"{json_path}: seed must be an integer, got {manifest['seed']!r}")
+    if type(manifest.get("seed")) is not int:
+        raise ParseError(f"{json_path}: seed must be an integer, got {manifest.get('seed')!r}")
     dim = manifest["dim"]
-    raw = np.fromfile(bin_path, dtype="<f4")
-    if raw.size % dim != 0:
-        raise ParseError(f"{bin_path}: blob size is not a multiple of dim")
-    centroids = raw.reshape(-1, dim)
+    centroids = read_array(bin_path, "<f4", (-1, dim))
 
     cursor = 0
 
@@ -398,7 +387,7 @@ def load_tree(json_path: str, bin_path: str) -> ClusterTree:
         members = obj["members"] if path and not children else []
         return ClusterNode(obj["label"], centroid, children, members)
 
-    _check_node(manifest["root"], None, json_path)
+    _check_node(manifest.get("root"), None, json_path)
     root = rebuild(manifest["root"], ())
     if cursor != len(centroids):
         raise ParseError(f"{bin_path}: blob has more centroids than the manifest")

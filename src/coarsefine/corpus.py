@@ -1,6 +1,9 @@
-"""Document records and the JSONL reader every input file goes through.
+"""Document records and the one reader of each file format.
 
-The reader streams a file line by line and decodes each line with the C
+Each reader turns a damaged file, bytes that are not UTF-8 included, into a
+ParseError naming it: read_jsonl for JSONL files, read_json_object for
+tree.json, manifest.json and config files, read_array for the .bin arrays.
+read_jsonl streams a file line by line and decodes each line with the C
 scanner that json.loads itself ends in, stripping the JSON whitespace around
 the value first; what it accepts and rejects, and its messages, are those of
 json.loads per line. The corpus writer joins each line from the ASCII string
@@ -9,11 +12,15 @@ escaper that json.dumps(..., sort_keys=True) calls for both values.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from json.scanner import make_scanner
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import DuplicateId, EmptyText, ParseError
 
@@ -65,28 +72,56 @@ def read_jsonl(path: str, keys: Sequence[str]) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) for every non-blank line of a JSONL file.
 
     Raises ParseError, with the line number, for a line that is not valid
-    JSON, not a JSON object, or lacks a string value under one of `keys`.
+    JSON, not a JSON object, or lacks a string value under one of `keys`,
+    and ParseError for bytes that are not UTF-8.
     """
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.isspace():  # a line read from a file is never ""
-                continue
-            # No JSON value ends in whitespace, so the value must end where
-            # the stripped line does.
-            value = line.strip(_JSON_WHITESPACE)
-            try:
-                obj, end = _scan_json(value, 0)
-            except (StopIteration, json.JSONDecodeError):
-                end = -1
-            if end != len(value):
-                raise ParseError(f"{path}: line {lineno}: invalid JSON", line=lineno)
-            if not isinstance(obj, dict):
-                raise ParseError(f"{path}: line {lineno}: expected a JSON object", line=lineno)
-            for key in keys:
-                if not isinstance(obj.get(key), str):
-                    raise ParseError(f"{path}: line {lineno}: expected a string {key!r}",
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if line.isspace():  # a line read from a file is never ""
+                    continue
+                # No JSON value ends in whitespace, so the value must end where
+                # the stripped line does.
+                value = line.strip(_JSON_WHITESPACE)
+                try:
+                    obj, end = _scan_json(value, 0)
+                except (StopIteration, json.JSONDecodeError):
+                    end = -1
+                if end != len(value):
+                    raise ParseError(f"{path}: line {lineno}: invalid JSON", line=lineno)
+                if not isinstance(obj, dict):
+                    raise ParseError(f"{path}: line {lineno}: expected a JSON object",
                                      line=lineno)
-            yield lineno, obj
+                for key in keys:
+                    if not isinstance(obj.get(key), str):
+                        raise ParseError(f"{path}: line {lineno}: expected a string {key!r}",
+                                         line=lineno)
+                yield lineno, obj
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: invalid UTF-8")
+
+
+def read_json_object(path: str) -> dict:
+    """The JSON object a whole file holds; ParseError for anything else."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except ValueError:  # UnicodeDecodeError and JSONDecodeError alike
+        raise ParseError(f"{path}: invalid JSON")
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    return obj
+
+
+def read_array(path: str, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The `dtype` values of a binary file as an array of `shape` (one entry
+    may be -1); ParseError unless the file's bytes fill it exactly."""
+    size = os.path.getsize(path)
+    raw = np.fromfile(path, dtype=dtype)
+    with contextlib.suppress(ValueError):
+        if raw.nbytes == size:
+            return raw.reshape(shape)
+    raise ParseError(f"{path}: {size} bytes do not fill a {dtype} array of shape {shape}")
 
 
 def load_corpus(path: str) -> list[Document]:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import tokenize
+from .corpus import read_array, read_json_object, tokenize
 from .errors import BadDim, DimMismatch, EmptyText, ParseError
 
 MIN_DIM = 8
@@ -54,7 +54,7 @@ def _keyed_state(key: bytes):
 def _unigram_digest(key: bytes, token: str) -> bytes:
     """The 8-byte digest of the unigram feature "1:<token>" under `key`."""
     state = _keyed_state(key).copy()
-    state.update(f"1:{token}".encode("utf-8"))
+    state.update(f"1:{token}".encode("utf-8", "surrogatepass"))
     return state.digest()
 
 
@@ -77,7 +77,7 @@ def hash_embed(text: str, dim: int, seed: int = 0) -> np.ndarray:
     digests = [_unigram_digest(key, t) for t in tokens]
     for a, b in zip(tokens, tokens[1:]):
         state = keyed.copy()
-        state.update(f"2:{a} {b}".encode("utf-8"))
+        state.update(f"2:{a} {b}".encode("utf-8", "surrogatepass"))
         digests.append(state.digest())
     h = np.frombuffer(b"".join(digests), dtype="<u8")
     buckets = ((h >> 1) % dim).astype(np.intp)
@@ -150,22 +150,10 @@ def save_embedding_sidecar(
 
 
 def load_embedding_sidecar(bin_path: str, manifest_path: str) -> tuple[list[str], np.ndarray]:
-    with open(manifest_path, encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError:
-            raise ParseError(f"{manifest_path}: invalid JSON")
-    if not isinstance(manifest, dict) or "dim" not in manifest or "ids" not in manifest:
-        raise ParseError(f"{manifest_path}: manifest needs 'dim' and 'ids'")
-    dim = manifest["dim"]
-    ids = manifest["ids"]
+    manifest = read_json_object(manifest_path)
+    dim, ids = manifest.get("dim"), manifest.get("ids")
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1 or not isinstance(ids, list):
-        raise ParseError(f"{manifest_path}: malformed manifest")
+        raise ParseError(f"{manifest_path}: manifest needs an int 'dim' >= 1 and an 'ids' list")
     if not all(isinstance(doc_id, str) for doc_id in ids):
         raise ParseError(f"{manifest_path}: every id must be a string")
-    raw = np.fromfile(bin_path, dtype="<f4")
-    if raw.size != dim * len(ids):
-        raise ParseError(
-            f"{bin_path}: expected {dim * len(ids)} float32 values, found {raw.size}"
-        )
-    return ids, raw.reshape(len(ids), dim)
+    return ids, read_array(bin_path, "<f4", (len(ids), dim))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -109,7 +109,7 @@ def sample_negatives(
     batch: Sequence[TrainingPair],
     n_a: int,
     seed: int,
-    relevant: Sequence[str] | None = None,
+    relevant: Iterable[str] | None = None,
 ) -> NegativeSet:
     """Draw negatives for one training pair.
 
@@ -265,6 +265,9 @@ def train_adapter(
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     dim = int(np.asarray(doc_embeddings[pairs[0].positive_doc_id]).shape[0])
+    positives: dict[str, set[str]] = {}
+    for pair in pairs:
+        positives.setdefault(pair.query_id, set()).add(pair.positive_doc_id)
     weight = np.eye(dim, dtype=np.float64)
     rng = np.random.default_rng(derive_seed(seed, "adapter"))
     epoch_losses: list[float] = []
@@ -278,7 +281,8 @@ def train_adapter(
             for i, pair in zip(batch_idx, batch):
                 q0 = np.asarray(query_embeddings[pair.query_id], dtype=np.float64)
                 negatives = sample_negatives(
-                    pair, tree, batch, n_a, seed=derive_seed(seed, "neg", epoch, int(i))
+                    pair, tree, batch, n_a, seed=derive_seed(seed, "neg", epoch, int(i)),
+                    relevant=positives[pair.query_id],
                 )
                 result = intra_loss(
                     weight @ q0,

@@ -77,9 +77,7 @@ def _kmeanspp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return centers
 
 
-def kmeans(
-    points: np.ndarray, k: int, seed: int, max_iter: int = MAX_ITER
-) -> tuple[np.ndarray, np.ndarray]:
+def kmeans(points: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Cluster rows of `points` into at most k groups.
 
     Returns (labels, centroids): labels[i] is the cluster index of row i, and
@@ -100,7 +98,7 @@ def kmeans(
     centers = _kmeanspp(pts, k, rng)
     sq_norms = (pts * pts).sum(axis=1)  # fixed across Lloyd iterations
     labels = _nearest(pts, sq_norms, centers)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         centers, remap = _means(pts, labels)
         relabeled = remap[labels]
         new_labels = _nearest(pts, sq_norms, centers)

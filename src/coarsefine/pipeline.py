@@ -76,7 +76,7 @@ from .cluster_tree import (
     place_documents,
     save_tree,
 )
-from .corpus import Document, TrainingPair, load_corpus, save_corpus
+from .corpus import Document, TrainingPair, load_corpus, read_array, read_json_object, save_corpus
 from .embed import (
     DocumentMatrix,
     HashingEmbedder,
@@ -201,17 +201,21 @@ def build_index(
     tree = build_cluster_tree(
         embeddings, config.branching, config.expected_clusters, derive_seed(config.seed, "tree")
     )
-    trie = build_trie(tree.leaves.keys())
-    scorer = CentroidScorer(tree, temperature=config.temperature)
+    return _assemble(corpus, embeddings, tree, None, config)
+
+
+def _assemble(corpus: dict[str, Document], embeddings: DocumentMatrix, tree: ClusterTree,
+              adapter: LinearAdapter | None, config: RetrievalConfig) -> RetrievalIndex:
+    """The index over these parts, with the trie, scorer and embedder they determine."""
     return RetrievalIndex(
         corpus=corpus,
         embeddings=embeddings,
         tree=tree,
-        trie=trie,
-        scorer=scorer,
-        adapter=None,
+        trie=build_trie(tree.leaves.keys()),
+        scorer=CentroidScorer(tree, temperature=config.temperature),
+        adapter=adapter,
         config=config,
-        embedder=embedder,
+        embedder=HashingEmbedder(dim=config.dim, seed=derive_seed(config.seed, "embed")),
     )
 
 
@@ -376,13 +380,7 @@ def save_settings(index: RetrievalIndex, directory: str) -> None:
 
 def read_config_file(path: str) -> dict:
     """The settings of a flat JSON config file; rejects keys RetrievalConfig lacks."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError:
-            raise ParseError(f"{path}: invalid JSON")
-    if not isinstance(raw, dict):
-        raise ParseError(f"{path}: config must be a flat JSON object")
+    raw = read_json_object(path)
     # Settings of a removed query augmentation: older config files still hold them.
     for retired in ("n_spans", "span_len"):
         raw.pop(retired, None)
@@ -403,16 +401,9 @@ def load_config(path: str) -> RetrievalConfig:
 def _load_placements(path: str, tree: ClusterTree, count: int) -> list[Cid] | None:
     """The leaves placements.bin assigns to the `count` added documents, or
     None when the file is absent."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except FileNotFoundError:
+    if not os.path.exists(path):
         return None
-    if len(data) % 4:
-        raise ParseError(f"{path}: {len(data)} bytes is not a whole number of int32 values")
-    positions = np.frombuffer(data, dtype="<i4")
-    if len(positions) != count:
-        raise ParseError(f"{path}: {len(positions)} placements for {count} added documents")
+    positions = read_array(path, "<i4", (count,))
     if count and not (positions.min() >= 0 and positions.max() < tree.leaf_count):
         raise ParseError(f"{path}: a placement lies outside the {tree.leaf_count} leaves")
     leaf_cids = list(tree.leaves)
@@ -440,7 +431,7 @@ def load_index(directory: str) -> RetrievalIndex:
         )
     corpus = {doc.doc_id: doc for doc in docs}
     if len(ids) != len(corpus) or set(ids) != corpus.keys():
-        raise ParseError(f"{directory}: embedding manifest ids do not match corpus")
+        raise ParseError(f"{manifest_path}: ids do not match {CORPUS_FILE}")
     embeddings = DocumentMatrix(ids, matrix)
     tree_path = os.path.join(directory, TREE_FILE)
     tree = load_tree(tree_path, os.path.join(directory, CENTROIDS_FILE))
@@ -468,17 +459,5 @@ def load_index(directory: str) -> RetrievalIndex:
     adapter = None
     adapter_path = os.path.join(directory, ADAPTER_FILE)
     if os.path.exists(adapter_path):
-        raw = np.fromfile(adapter_path, dtype="<f4")
-        if raw.size != config.dim * config.dim:
-            raise ParseError(f"{adapter_path}: expected a {config.dim}x{config.dim} matrix")
-        adapter = LinearAdapter(weight=raw.reshape(config.dim, config.dim))
-    return RetrievalIndex(
-        corpus=corpus,
-        embeddings=embeddings,
-        tree=tree,
-        trie=build_trie(tree.leaves.keys()),
-        scorer=CentroidScorer(tree, temperature=config.temperature),
-        adapter=adapter,
-        config=config,
-        embedder=HashingEmbedder(dim=config.dim, seed=derive_seed(config.seed, "embed")),
-    )
+        adapter = LinearAdapter(weight=read_array(adapter_path, "<f4", (config.dim, config.dim)))
+    return _assemble(corpus, embeddings, tree, adapter, config)

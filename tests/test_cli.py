@@ -10,7 +10,7 @@ import pytest
 import coarsefine
 from coarsefine.cli import CONFIG_FLAGS, main
 from coarsefine.corpus import QueryRecord, TrainingPair
-from coarsefine.embed import HashingEmbedder
+from coarsefine.embed import HashingEmbedder, save_embedding_sidecar
 from coarsefine.errors import ParseError
 from coarsefine.intra import train_adapter
 from coarsefine.kmeans import derive_seed
@@ -102,6 +102,42 @@ def test_rebuild_emits_identical_index_files(tmp_path, corpus_path):
         assert main(["build-index", "--corpus", corpus_path, "--out", out, *BUILD_FLAGS]) == 0
     for name in ("tree.json", "centroids.bin", "embeddings.bin", "config.json"):
         assert open(f"{a}/{name}", "rb").read() == open(f"{b}/{name}", "rb").read()
+
+
+def test_a_sidecar_of_the_hashed_vectors_builds_the_same_index_files(tmp_path, corpus_path):
+    plain = build(tmp_path, corpus_path)
+    index = load_index(plain)
+    bin_path, manifest_path = str(tmp_path / "emb.bin"), str(tmp_path / "emb.json")
+    save_embedding_sidecar(index.embeddings.ids, index.embeddings.matrix, bin_path,
+                           manifest_path)
+    out = tmp_path / "from-sidecar"
+    assert main(["build-index", "--corpus", corpus_path, "--out", str(out), *BUILD_FLAGS,
+                 "--doc-embeddings-bin", bin_path, "--doc-embeddings-manifest", manifest_path]) == 0
+    assert file_bytes(out) == {out / path.relative_to(plain): data
+                               for path, data in file_bytes(tmp_path / "idx").items()}
+    for flag, path in (("--doc-embeddings-bin", bin_path),
+                       ("--doc-embeddings-manifest", manifest_path)):
+        assert main(["build-index", "--corpus", corpus_path, "--out", str(tmp_path / "one"),
+                     *BUILD_FLAGS, flag, path]) == 2
+    assert not (tmp_path / "one").exists()
+
+
+def test_texts_with_a_lone_surrogate_build_add_retrieve_and_inspect(tmp_path):
+    docs = topic_corpus(4, 30, seed=0)
+    rows = [{"id": d.doc_id, "text": d.text} for d in docs]
+    rows[0]["text"] += " hello \udc80 world"
+    corpus_path = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus_path, rows[:-1])
+    write_jsonl(tmp_path / "late.jsonl", [{"id": "late", "text": "late \ud800 text"}, rows[-1]])
+    write_jsonl(tmp_path / "queries.jsonl", [{"query_id": "q", "query_text": "hello \udc80"}])
+    idx = build(tmp_path, str(corpus_path))
+    out = tmp_path / "results.jsonl"
+    assert main(["add-docs", "--index", idx, "--corpus", str(tmp_path / "late.jsonl")]) == 0
+    assert main(["retrieve", "--index", idx, "--queries", str(tmp_path / "queries.jsonl"),
+                 "--out", str(out), "--k", "5"]) == 0
+    assert main(["inspect", "--index", idx]) == 0
+    assert json.loads(out.read_text())["query_text"] == "hello \udc80"
+    assert load_index(idx).corpus["late"].text == "late \ud800 text"
 
 
 def test_config_precedence_file_overrides_defaults_flags_override_file(tmp_path, corpus_path):
@@ -425,7 +461,7 @@ def test_results_lines_equal_the_asdict_writer(tmp_path, corpus_path, flags):
     ("k_clusters", True),
 ])
 def test_a_bad_config_value_is_a_parse_error_naming_the_file(tmp_path, corpus_path,
-                                                             queries_path, field, value):
+                                                             queries_path, capsys, field, value):
     idx = build(tmp_path, corpus_path)
     out = tmp_path / "results.jsonl"
     assert main(["retrieve", "--index", idx, "--queries", queries_path, "--out", str(out)]) == 0
@@ -443,9 +479,19 @@ def test_a_bad_config_value_is_a_parse_error_naming_the_file(tmp_path, corpus_pa
     # The same value from a --config file.
     config_file = tmp_path / "bad.json"
     config_file.write_text(json.dumps({field: value}))
+    capsys.readouterr()
     assert main(["build-index", "--corpus", corpus_path, "--out", str(tmp_path / "other"),
                  *BUILD_FLAGS, "--config", str(config_file)]) == 2
+    assert str(config_file) in capsys.readouterr().err
     assert not (tmp_path / "other").exists()
+
+
+def test_a_config_file_is_checked_together_with_the_flags(tmp_path, corpus_path):
+    config_file = tmp_path / "narrow.json"
+    config_file.write_text(json.dumps({"beam_size": 10}))  # below the default k_clusters
+    assert main(["build-index", "--corpus", corpus_path, "--out", str(tmp_path / "idx"),
+                 *BUILD_FLAGS, "--config", str(config_file), "--k-clusters", "5"]) == 0
+    assert load_config(str(tmp_path / "idx" / "config.json")).beam_size == 10
 
 
 def test_retrieve_with_temperature_zero_exits_2_and_keeps_out(tmp_path, corpus_path,

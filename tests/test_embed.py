@@ -85,6 +85,14 @@ def test_shared_tokens_raise_similarity():
     assert float(q @ near) > float(q @ far)
 
 
+def test_a_lone_surrogate_embeds_as_its_own_feature():
+    vec = hash_embed("hello \udc80 world", 64)
+    assert vec.dtype == np.float32
+    assert abs(float(np.linalg.norm(vec)) - 1.0) < 1e-6
+    assert not np.array_equal(vec, hash_embed("hello world", 64))
+    assert not np.array_equal(vec, hash_embed("hello \ud800 world", 64))
+
+
 def test_embedder_wraps_hash_embed():
     emb = HashingEmbedder(dim=32, seed=5)
     assert np.array_equal(emb.embed("x y"), hash_embed("x y", dim=32, seed=5))

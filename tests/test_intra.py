@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coarsefine.corpus import TrainingPair
+from coarsefine import intra
 from coarsefine.errors import DimMismatch, DivergedLoss, UnknownCid
 from coarsefine.intra import (
     LinearAdapter,
@@ -280,6 +281,29 @@ def test_train_adapter_diverges_with_absurd_rate():
     pairs, tree, emb, queries, kw = adapter_fixture()
     with pytest.raises(DivergedLoss):
         train_adapter(pairs, tree, emb, queries, epochs=5, learning_rate=1e40, **kw)
+
+
+def test_train_adapter_never_draws_a_querys_own_positives_as_negatives(monkeypatch):
+    emb = blob_embeddings((12,), dim=8, seed=1)
+    tree = build_cluster_tree(emb, k=1, expected_clusters=1, seed=1)
+    a, b, c = next(iter(tree.leaves.values())).members[:3]
+    pairs = [TrainingPair("q", "t", a), TrainingPair("q", "t", b), TrainingPair("r", "u", c)]
+    drawn = []
+
+    def spy(pair, *args, **kwargs):
+        negatives = sample_negatives(pair, *args, **kwargs)
+        drawn.append((pair.query_id, set(kwargs.get("relevant", ())), negatives))
+        return negatives
+
+    monkeypatch.setattr(intra, "sample_negatives", spy)
+    train_adapter(pairs, tree, emb, {"q": emb[a], "r": emb[c]}, n_a=32, epochs=2, batch_size=3)
+    own = {"q": {a, b}, "r": {c}}
+    assert len(drawn) == 6
+    for query_id, relevant, negatives in drawn:
+        assert relevant == own[query_id]
+        assert not own[query_id] & {*negatives.intra, *negatives.inter}
+        if query_id == "r":  # another query's positives stay negatives
+            assert own["q"] <= {*negatives.intra, *negatives.inter}
 
 
 def test_adapter_apply_equals_the_uncached_cast_bit_for_bit():

@@ -5,6 +5,7 @@ train-adapter rewrite only their own files, with the bytes of a full save."""
 
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -19,7 +20,7 @@ from coarsefine.corpus import _has_tokens, read_jsonl, save_corpus, tokenize
 from coarsefine.embed import save_embedding_sidecar
 from coarsefine.errors import DuplicateId, EmptySet, EmptyText, InvalidPrefix, ParseError
 from coarsefine.intra import LinearAdapter
-from coarsefine.pipeline import RetrievalConfig
+from coarsefine.pipeline import RetrievalConfig, read_config_file, save_settings
 from coarsefine.trie import PrefixTrie
 from helpers import (
     ReferencePrefixTrie,
@@ -257,6 +258,82 @@ def test_load_index_rejects_bad_placements_naming_the_file(added_index, damage):
     path.write_bytes(damage(data, load_index(str(added_index)).tree.leaf_count))
     with pytest.raises(ParseError, match="placements.bin"):
         load_index(str(added_index))
+
+
+def edit_json(change):
+    """A damage that passes a JSON file's object through `change`."""
+    def damage(data):
+        obj = json.loads(data)
+        change(obj)
+        return json.dumps(obj).encode("utf-8")
+    return damage
+
+
+def set_root_label(obj):
+    obj["root"]["label"] = 1
+
+
+def set_first_child_label(obj):
+    obj["root"]["children"][0]["label"] = 0
+
+
+def rename_first_id(obj):
+    obj["ids"][0] = "ghost"
+
+
+def append_ff(data):
+    return data + b"\xff"  # a byte that never occurs in UTF-8
+
+
+CENTROID = 4 * CONFIG.dim  # bytes
+
+
+@pytest.mark.parametrize("name, damage", [
+    pytest.param("corpus.jsonl", append_ff, id="corpus-0xff"),
+    pytest.param("tree.json", append_ff, id="tree-0xff"),
+    pytest.param("tree.json", lambda data: data[:-2], id="tree-invalid-json"),
+    pytest.param("tree.json", lambda data: b"[]", id="tree-not-an-object"),
+    pytest.param("tree.json", edit_json(lambda obj: obj.pop("dim")), id="tree-without-dim"),
+    pytest.param("tree.json", edit_json(set_root_label), id="tree-root-label"),
+    pytest.param("tree.json", edit_json(set_first_child_label), id="tree-child-label"),
+    pytest.param("centroids.bin", lambda data: data[:-CENTROID], id="centroids-one-too-few"),
+    pytest.param("centroids.bin", lambda data: data + data[-CENTROID:],
+                 id="centroids-one-too-many"),
+    pytest.param("centroids.bin", lambda data: data[:-1], id="centroids-truncated"),
+    pytest.param("manifest.json", append_ff, id="manifest-0xff"),
+    pytest.param("manifest.json", lambda data: data[:-2], id="manifest-invalid-json"),
+    pytest.param("manifest.json", lambda data: b"{}", id="manifest-without-keys"),
+    pytest.param("manifest.json", edit_json(rename_first_id), id="manifest-foreign-id"),
+    pytest.param("embeddings.bin", lambda data: data[:-1], id="embeddings-truncated"),
+    pytest.param("config.json", append_ff, id="config-0xff"),
+    pytest.param("config.json", lambda data: data[:-2], id="config-invalid-json"),
+    pytest.param("config.json", lambda data: b"[]", id="config-not-an-object"),
+    pytest.param("adapter.bin", lambda data: data[:-1], id="adapter-truncated"),
+    pytest.param("placements.bin", lambda data: data[:-1], id="placements-truncated"),
+    pytest.param("settings.json", append_ff, id="config-flag-0xff"),
+])
+def test_a_damaged_file_is_a_parse_error_naming_it_and_exits_2(added_index, tmp_path, capsys,
+                                                                name, damage):
+    index = load_index(str(added_index))
+    index.adapter = LinearAdapter.identity(CONFIG.dim)
+    save_settings(index, str(added_index))
+    if name == "settings.json":  # a --config file, read before any index
+        path = tmp_path / name
+        path.write_text('{"beta": 0.5}\n')
+        load, target = read_config_file, path
+        argv = ["build-index", "--corpus", str(tmp_path / "base.jsonl"),
+                "--out", str(tmp_path / "other"), "--config", str(path)]
+    else:
+        path = added_index / name
+        load, target = load_index, added_index
+        argv = ["inspect", "--index", str(added_index)]
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ParseError, match=re.escape(name)):
+        load(str(target))
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
 
 
 def test_directory_without_placements_loads_the_same_and_the_next_add_writes_them(
