@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from collections import Counter
 
@@ -59,6 +60,17 @@ def _int_at_least(low: int):
         return number
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
+
+
+def _rate(value: str) -> float:
+    """An argparse type: a finite float >= 0, else a usage error (exit 2)."""
+    number = float(value)
+    if not (math.isfinite(number) and number >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be >= 0 and finite, got {number}")
+    return number
+
+
+_rate.__name__ = "float"  # argparse names the type in "invalid float value"
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, names: list[str] | None = None) -> None:
@@ -303,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True,
                    help="JSONL of {query_id, query_text, positive_doc_id}")
     p.add_argument("--epochs", type=_int_at_least(0), default=5)
-    p.add_argument("--learning-rate", type=float, default=0.05)
+    p.add_argument("--learning-rate", type=_rate, default=0.05)
     p.add_argument("--batch-size", type=_int_at_least(1), default=16)
     _add_config_flags(p, ["gamma", "n_a"])
     p.set_defaults(func=cmd_train_adapter)

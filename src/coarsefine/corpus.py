@@ -85,7 +85,7 @@ def read_jsonl(path: str, keys: Sequence[str]) -> Iterator[tuple[int, dict]]:
                 value = line.strip(_JSON_WHITESPACE)
                 try:
                     obj, end = _scan_json(value, 0)
-                except (StopIteration, json.JSONDecodeError):
+                except (StopIteration, json.JSONDecodeError, RecursionError):
                     end = -1
                 if end != len(value):
                     raise ParseError(f"{path}: line {lineno}: invalid JSON", line=lineno)
@@ -106,7 +106,7 @@ def read_json_object(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-    except ValueError:  # UnicodeDecodeError and JSONDecodeError alike
+    except (ValueError, RecursionError):  # bad UTF-8, bad JSON, too deeply nested
         raise ParseError(f"{path}: invalid JSON")
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: expected a JSON object")

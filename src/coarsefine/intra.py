@@ -15,6 +15,18 @@ query and for every document vector involved.
 A LinearAdapter is a square matrix applied to the query side only; document
 embeddings stay frozen. Training is plain mini-batch gradient descent and is
 deterministic under its seed.
+
+The gradient of one pair with respect to W is the outer product of the query
+gradient and the raw query vector q0. A hashed query has at most 2n - 1
+nonzero buckets, so training adds each product only where q0 is nonzero. The
+result is bit for bit the dense sum: the batch gradient starts at +0.0, a
+round-to-nearest sum that starts at +0.0 never becomes -0.0, and adding
++-0.0 to any other value leaves it unchanged. A skipped product could be
+non-finite only for a non-finite query gradient. That gradient sums document
+vectors with weights of total magnitude at most 2, so for documents in
+float32 range it is finite whenever the loss is, and a non-finite loss
+raises DivergedLoss before the update. W q0 itself stays one dense product,
+because dropping its zero terms would reorder its sums.
 """
 
 from __future__ import annotations
@@ -134,9 +146,7 @@ def sample_negatives(
     else:
         intra = list(eligible)
     inter: list[str] = []
-    for other in batch:
-        if other == pair:
-            continue
+    for other in batch:  # pair itself and its copies: their positive is in exclusion
         doc_id = other.positive_doc_id
         if doc_id in exclusion or doc_id in inter:
             continue
@@ -164,18 +174,9 @@ def _as_matrix(vectors, dim: int) -> np.ndarray:
     return mat
 
 
-def intra_loss(
-    query: np.ndarray,
-    positive: np.ndarray,
-    intra_negatives,
-    inter_negatives,
-    gamma: float,
-) -> IntraLossResult:
-    """Cluster-adaptive contrastive loss and its analytic gradients.
-
-    Computed with a max-shifted log-sum-exp, so similarities far from zero do
-    not overflow. grad_intra and grad_inter have one row per negative.
-    """
+def _contrastive(query, positive, intra_negatives, inter_negatives, gamma: float):
+    """The loss, its query gradient, the query as float64 and the softmax
+    weights (w_pos, w_a, w_r) that intra_loss turns into document gradients."""
     if gamma <= 0.0:
         raise ValueError("gamma must be > 0")
     q = np.asarray(query, dtype=np.float64)
@@ -205,8 +206,25 @@ def intra_loss(
         grad_query = grad_query + w_a @ na
     if len(nr):
         grad_query = grad_query + w_r @ nr
+    return float(loss), grad_query, q, w_pos, w_a, w_r
+
+
+def intra_loss(
+    query: np.ndarray,
+    positive: np.ndarray,
+    intra_negatives,
+    inter_negatives,
+    gamma: float,
+) -> IntraLossResult:
+    """Cluster-adaptive contrastive loss and its analytic gradients.
+
+    Computed with a max-shifted log-sum-exp, so similarities far from zero do
+    not overflow. grad_intra and grad_inter have one row per negative.
+    """
+    loss, grad_query, q, w_pos, w_a, w_r = _contrastive(
+        query, positive, intra_negatives, inter_negatives, gamma)
     return IntraLossResult(
-        loss=float(loss),
+        loss=loss,
         grad_query=grad_query,
         grad_positive=(w_pos - 1.0) * q,
         grad_intra=w_a[:, None] * q[None, :],
@@ -255,19 +273,26 @@ def train_adapter(
 
     Each query vector q is replaced by W q inside intra_loss; W starts as the
     identity and follows the mean batch gradient. Returns the adapter and the
-    mean loss per epoch. Raises DivergedLoss if any loss is non-finite.
-    learning_rate == 0 or epochs == 0 leaves W at the identity.
+    mean loss per epoch. Raises DivergedLoss if any loss is non-finite, and
+    UnknownDoc, before any training, for the first positive in pair order
+    that has no embedding or no leaf. learning_rate == 0 or epochs == 0
+    leaves W at the identity.
     """
     if not pairs:
         raise ValueError("pairs must be non-empty")
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
+    if not (math.isfinite(learning_rate) and learning_rate >= 0.0):
+        raise ValueError(f"learning_rate must be finite and >= 0, got {learning_rate}")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    dim = int(np.asarray(doc_embeddings[pairs[0].positive_doc_id]).shape[0])
     positives: dict[str, set[str]] = {}
     for pair in pairs:
-        positives.setdefault(pair.query_id, set()).add(pair.positive_doc_id)
+        doc_id = pair.positive_doc_id
+        if doc_id not in doc_embeddings or doc_id not in tree.cid_by_doc:
+            raise UnknownDoc(f"positive document {doc_id!r} is not indexed")
+        positives.setdefault(pair.query_id, set()).add(doc_id)
+    dim = int(np.asarray(doc_embeddings[pairs[0].positive_doc_id]).shape[0])
     weight = np.eye(dim, dtype=np.float64)
     rng = np.random.default_rng(derive_seed(seed, "adapter"))
     epoch_losses: list[float] = []
@@ -277,25 +302,26 @@ def train_adapter(
         for start in range(0, len(pairs), batch_size):
             batch_idx = order[start : start + batch_size]
             batch = [pairs[int(i)] for i in batch_idx]
-            grad_w = np.zeros_like(weight)
+            grad_wt = np.zeros_like(weight)  # the batch gradient, transposed
             for i, pair in zip(batch_idx, batch):
                 q0 = np.asarray(query_embeddings[pair.query_id], dtype=np.float64)
                 negatives = sample_negatives(
                     pair, tree, batch, n_a, seed=derive_seed(seed, "neg", epoch, int(i)),
                     relevant=positives[pair.query_id],
                 )
-                result = intra_loss(
+                loss, grad_query, *_ = _contrastive(
                     weight @ q0,
                     doc_embeddings[pair.positive_doc_id],
                     [doc_embeddings[d] for d in negatives.intra],
                     [doc_embeddings[d] for d in negatives.inter],
                     gamma,
                 )
-                if not math.isfinite(result.loss):
-                    raise DivergedLoss(f"loss became {result.loss} in epoch {epoch}")
-                epoch_loss += result.loss
-                grad_w += np.outer(result.grad_query, q0)
-            weight -= learning_rate * (grad_w / len(batch))
+                if not math.isfinite(loss):
+                    raise DivergedLoss(f"loss became {loss} in epoch {epoch}")
+                epoch_loss += loss
+                nz = np.flatnonzero(q0)
+                grad_wt[nz] += np.outer(q0[nz], grad_query)
+            weight -= learning_rate * (grad_wt.T / len(batch))
             if not np.isfinite(weight).all():
                 raise DivergedLoss(f"adapter weights became non-finite in epoch {epoch}")
         epoch_losses.append(epoch_loss / len(pairs))

@@ -287,18 +287,24 @@ def add_documents(index: RetrievalIndex, docs: Sequence[Document]) -> RetrievalI
 def total_loss(
     index: RetrievalIndex, pair: TrainingPair, batch: Sequence[TrainingPair] = ()
 ) -> float:
-    """Diagnostic sum of the decoding loss and the dense contrastive loss."""
+    """Diagnostic sum of the decoding loss and the dense contrastive loss.
+
+    The positives of every pair in `batch` with pair's query id are excluded
+    from its negatives, as in train_adapter.
+    """
     gold = index.tree.cid_by_doc.get(pair.positive_doc_id)
     if gold is None:
         raise UnknownDoc(f"positive document {pair.positive_doc_id!r} is not indexed")
     q = query_vector(index, pair.query_text)
     coarse = inter_loss(QueryRepresentation(pooled=q), gold, index.scorer, index.trie)
+    batch = list(batch) if batch else [pair]
     negatives = sample_negatives(
         pair,
         index.tree,
-        list(batch) if batch else [pair],
+        batch,
         index.config.n_a,
         seed=derive_seed(index.config.seed, "negatives", pair.query_id),
+        relevant={p.positive_doc_id for p in batch if p.query_id == pair.query_id},
     )
     fine = intra_loss(
         q,

@@ -11,9 +11,15 @@ from coarsefine import Document
 from coarsefine.cluster_tree import TERMINAL, Cid, ClusterNode, ClusterTree
 from coarsefine.corpus import tokenize
 from coarsefine.embed import QueryRepresentation
-from coarsefine.errors import EmptySet, ParseError
+from coarsefine.errors import DimMismatch, DivergedLoss, EmptySet, ParseError, UnknownDoc
 from coarsefine.inter import decode_clusters
-from coarsefine.intra import rank_within_cluster
+from coarsefine.intra import (
+    IntraLossResult,
+    LinearAdapter,
+    NegativeSet,
+    _as_matrix,
+    rank_within_cluster,
+)
 from coarsefine.kmeans import derive_seed
 from coarsefine.pipeline import ResultEntry, RetrievalResult, query_vector
 from coarsefine.trie import PrefixTrie
@@ -408,3 +414,125 @@ def reference_nearest(points, centers):
         + (centers * centers).sum(axis=1)[None, :]
     )
     return d2.argmin(axis=1)
+
+
+def reference_sample_negatives(pair, tree, batch, n_a, seed, relevant=None):
+    """sample_negatives as it was when it skipped every pair equal to `pair`,
+    kept verbatim as the oracle for the identity test."""
+    if n_a < 0:
+        raise ValueError("n_a must be >= 0")
+    cid = tree.cid_by_doc.get(pair.positive_doc_id)
+    if cid is None:
+        raise UnknownDoc(f"positive document {pair.positive_doc_id!r} has no CID")
+    exclusion = {pair.positive_doc_id}
+    if relevant is not None:
+        exclusion.update(relevant)
+    eligible = [d for d in tree.leaves[cid].members if d not in exclusion]
+    if len(eligible) > n_a:
+        rng = np.random.default_rng(seed)
+        picks = rng.choice(len(eligible), size=n_a, replace=False)
+        intra = [eligible[int(i)] for i in picks]
+    else:
+        intra = list(eligible)
+    inter = []
+    for other in batch:
+        if other == pair:
+            continue
+        doc_id = other.positive_doc_id
+        if doc_id in exclusion or doc_id in inter:
+            continue
+        inter.append(doc_id)
+    return NegativeSet(intra=intra, inter=inter)
+
+
+def reference_intra_loss(query, positive, intra_negatives, inter_negatives, gamma):
+    """intra_loss as one function, kept verbatim as the oracle for the split
+    into a loss core and its document-gradient wrapper."""
+    if gamma <= 0.0:
+        raise ValueError("gamma must be > 0")
+    q = np.asarray(query, dtype=np.float64)
+    pos = np.asarray(positive, dtype=np.float64)
+    if q.shape != pos.shape or q.ndim != 1:
+        raise DimMismatch(f"query shape {q.shape} != positive shape {pos.shape}")
+    dim = q.shape[0]
+    na = _as_matrix(intra_negatives, dim)
+    nr = _as_matrix(inter_negatives, dim)
+
+    s_pos = float(q @ pos)
+    s_a = na @ q
+    s_r = nr @ q
+    shift = max(s_pos, float(s_a.max()) if len(s_a) else -np.inf,
+                float(s_r.max()) if len(s_r) else -np.inf)
+    e_pos = math.exp(s_pos - shift)
+    e_a = np.exp(s_a - shift)
+    e_r = np.exp(s_r - shift)
+    z = e_pos + gamma * float(e_a.sum()) + float(e_r.sum())
+    loss = (shift + math.log(z)) - s_pos
+
+    w_pos = e_pos / z
+    w_a = gamma * e_a / z
+    w_r = e_r / z
+    grad_query = (w_pos - 1.0) * pos
+    if len(na):
+        grad_query = grad_query + w_a @ na
+    if len(nr):
+        grad_query = grad_query + w_r @ nr
+    return IntraLossResult(
+        loss=float(loss),
+        grad_query=grad_query,
+        grad_positive=(w_pos - 1.0) * q,
+        grad_intra=w_a[:, None] * q[None, :],
+        grad_inter=w_r[:, None] * q[None, :],
+    )
+
+
+def reference_train_adapter(pairs, tree, doc_embeddings, query_embeddings, gamma=2.0, n_a=4,
+                            epochs=5, learning_rate=0.05, seed=0, batch_size=16):
+    """train_adapter as it was when every pair added a dense outer product to
+    the batch gradient, kept verbatim as the oracle for the sparse update."""
+    if not pairs:
+        raise ValueError("pairs must be non-empty")
+    if epochs < 0:
+        raise ValueError("epochs must be >= 0")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    dim = int(np.asarray(doc_embeddings[pairs[0].positive_doc_id]).shape[0])
+    positives = {}
+    for pair in pairs:
+        positives.setdefault(pair.query_id, set()).add(pair.positive_doc_id)
+    weight = np.eye(dim, dtype=np.float64)
+    rng = np.random.default_rng(derive_seed(seed, "adapter"))
+    epoch_losses = []
+    for epoch in range(epochs):
+        order = rng.permutation(len(pairs))
+        epoch_loss = 0.0
+        for start in range(0, len(pairs), batch_size):
+            batch_idx = order[start : start + batch_size]
+            batch = [pairs[int(i)] for i in batch_idx]
+            grad_w = np.zeros_like(weight)
+            for i, pair in zip(batch_idx, batch):
+                q0 = np.asarray(query_embeddings[pair.query_id], dtype=np.float64)
+                negatives = reference_sample_negatives(
+                    pair, tree, batch, n_a, seed=derive_seed(seed, "neg", epoch, int(i)),
+                    relevant=positives[pair.query_id],
+                )
+                result = reference_intra_loss(
+                    weight @ q0,
+                    doc_embeddings[pair.positive_doc_id],
+                    [doc_embeddings[d] for d in negatives.intra],
+                    [doc_embeddings[d] for d in negatives.inter],
+                    gamma,
+                )
+                if not math.isfinite(result.loss):
+                    raise DivergedLoss(f"loss became {result.loss} in epoch {epoch}")
+                epoch_loss += result.loss
+                grad_w += np.outer(result.grad_query, q0)
+            weight -= learning_rate * (grad_w / len(batch))
+            if not np.isfinite(weight).all():
+                raise DivergedLoss(f"adapter weights became non-finite in epoch {epoch}")
+        epoch_losses.append(epoch_loss / len(pairs))
+    with np.errstate(over="ignore"):
+        final = weight.astype(np.float32)
+    if not np.isfinite(final).all():
+        raise DivergedLoss("adapter weights overflow float32")
+    return LinearAdapter(weight=final), epoch_losses

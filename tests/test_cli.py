@@ -369,6 +369,9 @@ def file_bytes(root):
     ("eval", "--k", "0"),
     ("train-adapter", "--epochs", "-1"),
     ("train-adapter", "--batch-size", "0"),
+    ("train-adapter", "--learning-rate", "nan"),
+    ("train-adapter", "--learning-rate", "inf"),
+    ("train-adapter", "--learning-rate", "-0.5"),
 ])
 def test_out_of_range_numbers_are_usage_errors_that_touch_no_file(
         tmp_path, corpus_path, queries_path, command, flag, value):
@@ -388,6 +391,34 @@ def test_out_of_range_numbers_are_usage_errors_that_touch_no_file(
     assert "usage:" in proc.stderr and f"{flag}: must be >=" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert file_bytes(tmp_path) == before
+
+
+def test_train_adapter_rejects_an_unknown_positive_before_training(tmp_path, corpus_path):
+    idx = build(tmp_path, corpus_path)
+    pairs = tmp_path / "pairs.jsonl"
+    rows = training_rows(["t0w1 t0w2"] * 3)
+    rows[1]["positive_doc_id"] = "added-later"
+    write_jsonl(pairs, rows)
+    before = file_bytes(tmp_path)
+    proc = run_cli("train-adapter", "--index", idx, "--pairs", str(pairs), "--epochs", "1")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: positive document 'added-later' is not indexed\n"
+    assert file_bytes(tmp_path) == before
+
+
+@pytest.mark.parametrize("where", ["config", "corpus"])
+def test_deeply_nested_json_is_a_parse_error_naming_the_file(tmp_path, corpus_path, where):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000 + "\n")
+    corpus, extra, named = corpus_path, [], f"error: {deep}: invalid JSON"
+    if where == "config":
+        extra = ["--config", str(deep)]
+    else:
+        corpus, named = str(deep), f"error: {deep}: line 1: invalid JSON"
+    proc = run_cli("build-index", "--corpus", corpus, "--out", str(tmp_path / "idx"), *extra)
+    assert proc.returncode == 2
+    assert proc.stderr == named + "\n"
+    assert not (tmp_path / "idx").exists()
 
 
 def test_retrieve_rejects_a_token_free_query_before_opening_out(tmp_path, corpus_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from coarsefine.corpus import TrainingPair
 from coarsefine import intra
-from coarsefine.errors import DimMismatch, DivergedLoss, UnknownCid
+from coarsefine.embed import DocumentMatrix, hash_embed
+from coarsefine.errors import DimMismatch, DivergedLoss, UnknownCid, UnknownDoc
 from coarsefine.intra import (
     LinearAdapter,
     intra_loss,
@@ -14,7 +16,15 @@ from coarsefine.intra import (
     sample_negatives,
     train_adapter,
 )
-from helpers import axis_vec, binary_depth2_tree, blob_embeddings
+from helpers import (
+    axis_vec,
+    binary_depth2_tree,
+    blob_embeddings,
+    reference_intra_loss,
+    reference_sample_negatives,
+    reference_train_adapter,
+    topic_corpus,
+)
 from coarsefine.cluster_tree import build_cluster_tree
 
 
@@ -314,3 +324,108 @@ def test_adapter_apply_equals_the_uncached_cast_bit_for_bit():
         vec = rng.standard_normal(256).astype(np.float32)
         expected = (w.astype(np.float64) @ vec.astype(np.float64)).astype(np.float32)
         assert adapter.apply(vec).tobytes() == expected.tobytes()
+
+
+QUERY_KINDS = ["hashed", "dense", "signed-zeros-and-subnormals-f32",
+               "signed-zeros-and-subnormals-f64", "one-all-zero"]
+
+
+def exactness_fixture(query_kind, matrix):
+    """Hashed documents at dim 32 in a 3-way tree, 16 pairs over 8 query ids
+    (two positives each), plus a repeat of one pair object and an equal copy
+    of another."""
+    dim = 32
+    docs = topic_corpus(3, 12, seed=2)
+    emb = {d.doc_id: hash_embed(d.text, dim) for d in docs}
+    tree = build_cluster_tree(emb, k=3, expected_clusters=3, seed=2)
+    if matrix:
+        emb = DocumentMatrix(list(emb), np.stack(list(emb.values())))
+    rng = np.random.default_rng(4)
+    picks = rng.choice(len(docs), size=16, replace=False)
+    pairs = [TrainingPair(f"q{n % 8}", "t", docs[int(i)].doc_id) for n, i in enumerate(picks)]
+    pairs += [pairs[0], TrainingPair(*dataclasses.astuple(pairs[1]))]
+    text_of = {p.query_id: docs[int(i)].text for p, i in zip(pairs, picks)}
+    queries = {}
+    for n, (qid, text) in enumerate(sorted(text_of.items())):
+        hashed = hash_embed(" ".join(text.split()[:4]), dim)
+        if query_kind == "dense":
+            queries[qid] = rng.standard_normal(dim)
+        elif query_kind.startswith("signed-zeros"):
+            vec = hashed.astype(np.float32 if query_kind.endswith("f32") else np.float64)
+            zeros = np.flatnonzero(vec == 0.0)
+            vec[zeros[::2]] = -0.0
+            vec[zeros[1]] = 1e-40 if vec.dtype == np.float32 else 5e-324
+            queries[qid] = vec
+        elif query_kind == "one-all-zero" and n == 0:
+            queries[qid] = np.zeros(dim, dtype=np.float32)
+        else:
+            queries[qid] = hashed
+    return pairs, tree, emb, queries
+
+
+@pytest.mark.parametrize("matrix", [False, True], ids=["dict", "matrix"])
+@pytest.mark.parametrize("batch_size", [1, 3, 16])
+@pytest.mark.parametrize("query_kind", QUERY_KINDS)
+def test_train_adapter_equals_the_dense_update_bit_for_bit(query_kind, batch_size, matrix):
+    pairs, tree, emb, queries = exactness_fixture(query_kind, matrix)
+    for learning_rate, epochs in [(0.5, 3), (0.0, 2), (0.5, 0)]:
+        kw = dict(n_a=3, epochs=epochs, learning_rate=learning_rate, seed=3,
+                  batch_size=batch_size)
+        adapter, losses = train_adapter(pairs, tree, emb, queries, **kw)
+        expected, expected_losses = reference_train_adapter(pairs, tree, emb, queries, **kw)
+        assert adapter.weight.tobytes() == expected.weight.tobytes()
+        assert losses == expected_losses
+        assert len(losses) == epochs
+        assert np.array_equal(adapter.weight, np.eye(32)) == (learning_rate * epochs == 0)
+
+
+def test_train_adapter_diverges_where_the_dense_update_does():
+    pairs, tree, emb, queries, kw = adapter_fixture()
+    for batch_size in (kw["batch_size"], 3):
+        args = dict(kw, epochs=5, learning_rate=1e40, batch_size=batch_size)
+        with pytest.raises(DivergedLoss) as got:
+            train_adapter(pairs, tree, emb, queries, **args)
+        with pytest.raises(DivergedLoss) as expected:
+            reference_train_adapter(pairs, tree, emb, queries, **args)
+        assert str(got.value) == str(expected.value)
+
+
+def test_intra_loss_and_sample_negatives_equal_their_references_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for n_intra, n_inter in [(0, 0), (1, 0), (0, 2), (4, 15)]:
+        q, pos = rng.standard_normal(16), rng.standard_normal(16).astype(np.float32)
+        na = list(rng.standard_normal((n_intra, 16)))
+        nr = list(rng.standard_normal((n_inter, 16)).astype(np.float32))
+        got = intra_loss(q, pos, na, nr, gamma=2.0)
+        expected = reference_intra_loss(q, pos, na, nr, gamma=2.0)
+        assert got.loss == expected.loss
+        for name in ("grad_query", "grad_positive", "grad_intra", "grad_inter"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+            assert getattr(got, name).shape == getattr(expected, name).shape, name
+    pairs, tree, _, _ = exactness_fixture("hashed", matrix=False)
+    batch = pairs[:5] + pairs[-2:] + [pairs[0]]  # the same object twice, an equal copy
+    for pair in batch:
+        for relevant in (None, {pairs[3].positive_doc_id}):
+            assert sample_negatives(pair, tree, batch, 2, 5, relevant) == \
+                reference_sample_negatives(pair, tree, batch, 2, 5, relevant)
+
+
+def test_train_adapter_rejects_an_unknown_positive_before_training(monkeypatch):
+    pairs, tree, emb, queries, kw = adapter_fixture()
+    monkeypatch.setattr(intra, "sample_negatives", None)  # training never starts
+    pairs[3:3] = [TrainingPair(pairs[0].query_id, "t", d) for d in ("missing-a", "missing-b")]
+    with pytest.raises(UnknownDoc, match="'missing-a'"):  # the first in pair order
+        train_adapter(pairs, tree, emb, queries, **kw)
+    leafless = dict(emb, extra=emb[pairs[0].positive_doc_id])
+    with pytest.raises(UnknownDoc, match="'extra'"):
+        train_adapter([TrainingPair("q0", "t", "extra")] + pairs, tree, leafless, queries, **kw)
+    matrix = DocumentMatrix(list(emb), np.stack(list(emb.values())))
+    with pytest.raises(UnknownDoc, match="'missing-a'"):
+        train_adapter(pairs, tree, matrix, queries, **kw)
+
+
+@pytest.mark.parametrize("learning_rate", [math.nan, math.inf, -math.inf, -0.5])
+def test_train_adapter_rejects_a_non_finite_or_negative_rate(learning_rate):
+    pairs, tree, emb, queries, kw = adapter_fixture()
+    with pytest.raises(ValueError, match="learning_rate"):
+        train_adapter(pairs, tree, emb, queries, learning_rate=learning_rate, **kw)
