@@ -20,36 +20,41 @@ children are rows 0..n-1. A prefix -> node map replaces walking the tree from
 the root. The walk that lays all this out also derives the leaf index in
 preorder, for built and loaded trees alike: `leaves`, `cid_by_doc`, and
 `build_members` (the construction-time membership that tree.json records);
-a document in two leaves, or a tree without leaves, is rejected. Each leaf
-keeps, next to its `members`, an int array of the members' rows in the
-document matrix the tree was built from (or, for a loaded index, attached
-to).
+a document in two leaves, or a tree without leaves, is rejected. Each tree,
+built or loaded, then builds the prefix trie of its leaves once (`trie`);
+documents placed later only join existing leaves, so the trie never changes.
+Each leaf keeps, next to its `members`, an int array of the members' rows in
+the document matrix the tree was built from (or, for a loaded index,
+attached to).
 
 save_tree writes tree.json with one json.dumps call (the C encoder, the same
 bytes as the streaming json.dump) and centroids.bin as the root's centroid
 followed by the centroid matrix gathered into preorder in one step, not one
-bytes copy per node.
+bytes copy per node. Neither records documents placed after the build:
+save_placements writes their leaves to placements.bin, and load_placements
+gives a loaded tree's leaves their rows and places those documents again,
+from that file or, without it, by descent.
 
 Once built, a tree is immutable as far as this module is concerned and safe
-for concurrent readers; the retrieval pipeline is the single writer that may
-append newly ingested documents to leaf member lists (attach_documents).
+for concurrent readers, except that place_documents (the single writer)
+appends documents placed after the build to leaf member lists.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import read_array, read_json_object
+from .embed import DocumentMatrix
 from .errors import EmptyCorpus, MissingCid, ParseError, UnknownDoc
 from .kmeans import derive_seed, kmeans
-
-Cid = tuple[int, ...]
-
-TERMINAL = 0
+from .trie import TERMINAL, Cid, PrefixTrie, build_trie
 
 # The rows of a node that holds no documents (yet): one shared read-only array
 # instead of an allocation per node. Rows only ever grow by concatenation.
@@ -85,11 +90,12 @@ class ClusterTree:
     child_count: np.ndarray = field(init=False, repr=False)
     preorder: np.ndarray = field(init=False, repr=False)
     leaf_cid: list[Cid | None] = field(init=False, repr=False)
+    trie: PrefixTrie = field(init=False, repr=False)
 
     def __post_init__(self):
-        """Index every node by its digit path, lay all centroids out breadth-first
-        and derive the leaf index; ValueError for bad labels, a repeated document
-        or a tree without leaves."""
+        """Index every node by its digit path, lay all centroids out breadth-first,
+        derive the leaf index and build the trie of the leaves; ValueError for bad
+        labels, a repeated document or a tree without leaves."""
         if not self.root.children:
             raise ValueError("the root has no children, so the tree has no leaves")
         order: list[tuple[Cid, ClusterNode]] = [((), self.root)]
@@ -134,6 +140,7 @@ class ClusterTree:
         self.child_count = np.array(counts, dtype=np.intp)
         self.preorder = np.array(preorder, dtype=np.intp)
         self.leaf_cid = [None if node.children else path + (TERMINAL,) for path, node in rows]
+        self.trie = build_trie(self.leaves.keys())
 
     @property
     def leaf_count(self) -> int:
@@ -231,13 +238,17 @@ def assign_new_document(tree: ClusterTree, embedding: np.ndarray) -> Cid:
     return tuple(path) + (TERMINAL,)
 
 
-def attach_documents(tree: ClusterTree, ids: Sequence[str], cids: Sequence[Cid],
-                     rows: Sequence[int]) -> None:
-    """Append each document `ids[i]` to leaf `cids[i]`, with its document-matrix row `rows[i]`.
+def place_documents(tree: ClusterTree, documents: DocumentMatrix, ids: Sequence[str],
+                    cids: Sequence[Cid] | None = None) -> None:
+    """Append each document `ids[i]`, with its row in `documents`, to leaf
+    `cids[i]`, or without `cids` to the leaf that greedy descent picks for it.
 
-    The one step that places documents, whether their leaves come from
-    descent (place_documents) or from a saved placement.
+    The one step that places documents after the build: new ones, and loaded
+    ones with or without their saved placements (load_placements).
     """
+    rows = [documents.row[doc_id] for doc_id in ids]
+    if cids is None:
+        cids = [assign_new_document(tree, documents.matrix[row]) for row in rows]
     added: dict[Cid, list[int]] = {}
     for doc_id, cid, row in zip(ids, cids, rows):
         tree.leaves[cid].members.append(doc_id)
@@ -246,16 +257,6 @@ def attach_documents(tree: ClusterTree, ids: Sequence[str], cids: Sequence[Cid],
     for cid, new_rows in added.items():
         leaf = tree.leaves[cid]
         leaf.rows = np.concatenate([leaf.rows, np.asarray(new_rows, dtype=np.intp)])
-
-
-def place_documents(tree: ClusterTree, ids: Sequence[str], matrix: np.ndarray,
-                    rows: Sequence[int]) -> None:
-    """Append documents to the leaves that greedy descent picks for them.
-
-    `rows[i]` is the row of `ids[i]` in the document matrix `matrix`.
-    """
-    cids = [assign_new_document(tree, matrix[row]) for row in rows]
-    attach_documents(tree, ids, cids, rows)
 
 
 def prefix_overlap_pair(s1: Cid, s2: Cid) -> float:
@@ -360,6 +361,28 @@ def _check_node(obj, parent: Cid | None, json_path: str) -> None:
         raise _node_error(parent, json_path, "has members that are not a list of strings")
 
 
+def _rebuild(obj: dict, path: Cid, rows: Iterator[np.ndarray], json_path: str,
+             bin_path: str) -> ClusterNode:
+    """The node of checked tree.json object `obj` at `path` and its subtree, taking
+    their centroids from `rows` in preorder.
+
+    A module-level function, not a closure over the blob: a closure that calls
+    itself is a reference cycle, which keeps the blob alive after load_tree
+    returns, until the garbage collector finds the cycle.
+    """
+    centroid = next(rows, None)
+    if centroid is None:
+        raise ParseError(f"{bin_path}: blob has fewer centroids than the manifest")
+    children = []
+    for child_obj in obj["children"]:
+        _check_node(child_obj, path, json_path)
+        children.append(_rebuild(child_obj, path + (child_obj["label"],), rows, json_path,
+                                 bin_path))
+    # Only leaves below the root keep their members (a list the decoder made for them).
+    members = obj["members"] if path and not children else []
+    return ClusterNode(obj["label"], centroid, children, members)
+
+
 def load_tree(json_path: str, bin_path: str) -> ClusterTree:
     manifest = read_json_object(json_path)
     for key in ("k", "c", "dim"):
@@ -370,32 +393,59 @@ def load_tree(json_path: str, bin_path: str) -> ClusterTree:
         raise ParseError(f"{json_path}: seed must be an integer, got {manifest.get('seed')!r}")
     dim = manifest["dim"]
     centroids = read_array(bin_path, "<f4", (-1, dim))
-
-    cursor = 0
-
-    def rebuild(obj: dict, path: Cid) -> ClusterNode:
-        nonlocal cursor
-        if cursor >= len(centroids):
-            raise ParseError(f"{bin_path}: blob has fewer centroids than the manifest")
-        centroid = centroids[cursor]
-        cursor += 1
-        children = []
-        for child_obj in obj["children"]:
-            _check_node(child_obj, path, json_path)
-            children.append(rebuild(child_obj, path + (child_obj["label"],)))
-        # Only leaves below the root keep their members (a list the decoder made for them).
-        members = obj["members"] if path and not children else []
-        return ClusterNode(obj["label"], centroid, children, members)
-
+    rows = iter(centroids)  # in preorder, the order _rebuild takes them in
     _check_node(manifest.get("root"), None, json_path)
-    root = rebuild(manifest["root"], ())
-    if cursor != len(centroids):
+    root = _rebuild(manifest["root"], (), rows, json_path, bin_path)
+    if next(rows, None) is not None:
         raise ParseError(f"{bin_path}: blob has more centroids than the manifest")
     # ClusterTree copies every other centroid into its matrix; with the root's
-    # copied too, nothing keeps the blob alive.
+    # copied too, nothing keeps the blob alive once this returns.
     root.centroid = root.centroid.copy()
     try:
         return ClusterTree(root=root, k=manifest["k"], c=manifest["c"], seed=manifest["seed"],
                            dim=dim)
     except ValueError as exc:
         raise ParseError(f"{json_path}: {exc}")
+
+
+def save_placements(tree: ClusterTree, path: str) -> None:
+    """Write the leaf of every document placed after the build, in the order
+    it was placed (its corpus order), as the little-endian int32 position of
+    that leaf in `tree.leaves` (preorder); nothing when none was placed.
+
+    cid_by_doc lists the build members first and then the placed documents.
+    """
+    position = {cid: i for i, cid in enumerate(tree.leaves)}
+    built = sum(map(len, tree.build_members.values()))
+    placed = itertools.islice(tree.cid_by_doc.values(), built, None)
+    with open(path, "wb") as fh:
+        fh.write(np.array([position[cid] for cid in placed], dtype="<i4"))
+
+
+def load_placements(tree: ClusterTree, documents: DocumentMatrix, doc_ids: Iterable[str],
+                    path: str) -> None:
+    """Give a loaded tree's documents their rows in `documents` and their leaves.
+
+    Build members keep the leaves tree.json gives them. The other documents of
+    `doc_ids`, in that order, go to the leaves that save_placements wrote to
+    `path`, or, when there is no such file (an index saved before it
+    existed), to the leaves that descent picks. Every build member must be in
+    `documents`. A file of the wrong size or naming a leaf outside the tree
+    is a ParseError naming it.
+    """
+    leaves = list(tree.leaves.values())
+    rows = np.array([documents.row[doc_id] for leaf in leaves for doc_id in leaf.members],
+                    dtype=np.intp)
+    end = 0
+    for leaf in leaves:
+        start, end = end, end + len(leaf.members)
+        leaf.rows = rows[start:end]
+    added = [doc_id for doc_id in doc_ids if doc_id not in tree.cid_by_doc]
+    cids = None
+    if os.path.exists(path):
+        positions = read_array(path, "<i4", (len(added),))
+        if added and not (positions.min() >= 0 and positions.max() < tree.leaf_count):
+            raise ParseError(f"{path}: a placement lies outside the {tree.leaf_count} leaves")
+        leaf_cids = list(tree.leaves)
+        cids = [leaf_cids[p] for p in positions.tolist()]
+    place_documents(tree, documents, added, cids)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -125,15 +126,13 @@ class DocumentMatrix(Mapping[str, np.ndarray]):
     def __len__(self) -> int:
         return len(self.ids)
 
-    def append(self, ids: Sequence[str], vectors: Sequence[np.ndarray]) -> range:
-        """Add one row per id at the end; returns the new rows' numbers."""
-        start = len(self.ids)
+    def append(self, ids: Sequence[str], vectors: Sequence[np.ndarray]) -> None:
+        """Add one row per id at the end."""
         new = np.asarray(vectors, dtype=np.float32).reshape(len(ids), self.matrix.shape[1])
         self.matrix = np.concatenate([self.matrix, new])
         for doc_id in ids:
             self.row[doc_id] = len(self.ids)
             self.ids.append(doc_id)
-        return range(start, len(self.ids))
 
 
 def save_embedding_sidecar(
@@ -156,4 +155,7 @@ def load_embedding_sidecar(bin_path: str, manifest_path: str) -> tuple[list[str]
         raise ParseError(f"{manifest_path}: manifest needs an int 'dim' >= 1 and an 'ids' list")
     if not all(isinstance(doc_id, str) for doc_id in ids):
         raise ParseError(f"{manifest_path}: every id must be a string")
+    if len(set(ids)) != len(ids):
+        repeated = next(doc_id for doc_id, n in Counter(ids).items() if n > 1)
+        raise ParseError(f"{manifest_path}: id {repeated!r} appears more than once")
     return ids, read_array(bin_path, "<f4", (len(ids), dim))

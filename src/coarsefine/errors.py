@@ -62,6 +62,10 @@ class DimMismatch(RetrievalError):
     """Two vectors (or a vector and an index) disagree on dimension."""
 
 
+class BadEmbedding(RetrievalError, ValueError):
+    """A supplied document embedding is not finite and unit length."""
+
+
 class MissingCid(RetrievalError):
     """A document referenced by an overlap computation has no identifier."""
 

@@ -18,10 +18,12 @@ benchmark corpus, 72 of 6,000 on fine-heavy), which can reorder results.
 Per call on that machine, at dim 256, the stacked matmul took 11 us for 30
 rows and 76 us for 430, against 91 us and 1,143 us for a per-row loop.
 
-When the scorer is a CentroidScorer and the trie stores exactly the tree's
-leaves, decode_clusters scores a whole beam step with array operations over
-the tree's breadth-first centroid matrix instead of one score_next call per
-frontier node; only the root step still goes through score_next. The
+When the scorer is a CentroidScorer and the trie is its tree's own
+(`tree.trie`, which stores exactly the tree's leaves), decode_clusters scores
+a whole beam step with array operations over the tree's breadth-first
+centroid matrix instead of one score_next call per frontier node; only the
+root step still goes through score_next. Any other trie, even one built
+separately from the same leaves, takes the generic path. The
 internal frontier nodes are grouped by child count; each group's child rows
 are gathered and scored by one row_dots call (so the float64 copy it makes
 stays the size of one group) and normalised as an (m, u) array with the
@@ -39,9 +41,8 @@ the generic path. Outputs are therefore identical to the generic path's.
 from __future__ import annotations
 
 import math
-import weakref
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Protocol
 
 import numpy as np
@@ -68,25 +69,12 @@ class CentroidScorer:
     all of one step computed by a single stacked matmul over the node's child
     centroid matrix (rows are selected only when `valid` is a strict subset of
     the children). At a leaf-complete prefix the terminal digit gets
-    probability 1. Over an immutable tree, its only state is the memo of
-    covers(), which concurrent callers can at worst fill twice with the same
-    answer, so instances are safe to share across threads.
+    probability 1. It holds no state beyond an immutable tree, so instances
+    are safe to share across threads.
     """
 
     tree: ClusterTree
     temperature: float = 0.1
-    _covered: weakref.WeakKeyDictionary = field(
-        default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False
-    )
-
-    def covers(self, trie: PrefixTrie) -> bool:
-        """Whether `trie` stores exactly the tree's leaves, remembered per (immutable) trie."""
-        known = self._covered.get(trie)
-        if known is None:
-            leaves = self.tree.leaves
-            known = len(trie) == len(leaves) and all(trie.contains(cid) for cid in leaves)
-            self._covered[trie] = known
-        return known
 
     def score_next(
         self, query: QueryRepresentation, prefix: Cid, valid: frozenset[int]
@@ -141,16 +129,16 @@ def decode_clusters(
     in the trie. Pruning and final ranking both order hypotheses by
     log_prob / len**length_penalty, breaking ties toward the lexicographically
     smaller digit sequence. Returned hypotheses carry the unpenalized
-    probability product as s_inter. A CentroidScorer over a trie of exactly
-    its tree's leaves is decoded frontier-wide (see the module docstring),
-    with the same output.
+    probability product as s_inter. A CentroidScorer over its own tree's
+    trie is decoded frontier-wide (see the module docstring), with the same
+    output.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if beam_size < k:
         raise BeamTooSmall(f"beam_size {beam_size} < k {k}")
-    if isinstance(scorer, CentroidScorer) and scorer.covers(trie):
-        return _decode_tree(query, scorer, trie, beam_size, length_penalty, k)
+    if isinstance(scorer, CentroidScorer) and trie is scorer.tree.trie:
+        return _decode_tree(query, scorer, beam_size, length_penalty, k)
 
     frontier: list[tuple[Cid, float]] = [((), 0.0)]
     completed: list[tuple[Cid, float]] = []
@@ -186,18 +174,17 @@ def decode_clusters(
 def _decode_tree(
     query: QueryRepresentation,
     scorer: CentroidScorer,
-    trie: PrefixTrie,
     beam_size: int,
     length_penalty: float,
     k: int,
 ) -> list[ClusterHypothesis]:
-    """decode_clusters for a trie of exactly the scorer's tree leaves, one array step per depth.
+    """decode_clusters over the scorer's tree's own trie, one array step per depth.
 
     Hypotheses are rows of tree.centroid_rows; every candidate of one step has
     the same length, so the length penalty is one float per step.
     """
     tree = scorer.tree
-    valid = trie.valid_next(())
+    valid = tree.trie.valid_next(())
     root_probs = scorer.score_next(query, (), valid)
     digits = [d for d in sorted(valid) if root_probs[d] > 0.0]
     rows = np.array(digits, dtype=np.intp) - 1

@@ -25,18 +25,19 @@ breadth-first order, so every node's children are a contiguous block of rows.
 A beam step groups the frontier's nodes by child count, scores each group's
 children with one stacked matmul and normalises them as one 2-D array (see
 inter.py for why a stacked 1 x d . d x 1 matmul and not a gemv, and why groups
-rather than np.add.reduceat). The trie is built from tree.leaves, both at
-build and on load, so it holds exactly the tree's leaves and decoding takes
-that path. `index.embeddings` is still a mapping from id to vector; its
-values are row views of the matrix.
+rather than np.add.reduceat). `index.trie` is the tree's own trie, built
+once with the tree at build and on load, so decoding takes that path.
+`index.embeddings` is still a mapping from id to vector; its values are row
+views of the matrix.
 
 On disk an index is a directory: corpus.jsonl, embeddings.bin +
 manifest.json (sidecar format), placements.bin, tree.json + centroids.bin,
 config.json, and optionally adapter.bin + adapter.json. tree.json records
 construction-time leaf membership only; placements.bin holds the leaf of
-every document added later, so loading attaches those documents without
-descending the tree again (a directory without the file, written before it
-existed, is re-descended on load). save_index is three writers, one per
+every document added later. Both formats, and how a loaded tree gets its
+documents back, belong to cluster_tree (save_tree/load_tree and
+save_placements/load_placements); load_index adds only the checks across
+files. save_index is three writers, one per
 group of files that change together: save_documents (corpus, embeddings,
 placements), save_tree (build-time only) and save_settings (config and
 adapter). add-docs calls only the first, train-adapter only the last; every
@@ -50,15 +51,13 @@ pure-Python encoder, which writes the same bytes several times slower.
 corpus.jsonl lines are joined from the C string escaper that json.dumps
 calls for the id and the text (see corpus.py). config.json is written with
 indent=2, which only the Python encoder handles; it is a few hundred bytes.
-Binary files are written straight from their arrays. Loading gives every leaf
-its rows as slices of one array, looked up in one pass.
+Binary files are written straight from their arrays.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -68,12 +67,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .cluster_tree import (
-    Cid,
     ClusterTree,
-    attach_documents,
     build_cluster_tree,
+    load_placements,
     load_tree,
     place_documents,
+    save_placements,
     save_tree,
 )
 from .corpus import Document, TrainingPair, load_corpus, read_array, read_json_object, save_corpus
@@ -85,6 +84,7 @@ from .embed import (
     save_embedding_sidecar,
 )
 from .errors import (
+    BadEmbedding,
     DimMismatch,
     DuplicateId,
     EmptyCorpus,
@@ -95,7 +95,7 @@ from .errors import (
 from .inter import CentroidScorer, StepScorer, decode_clusters, inter_loss
 from .intra import LinearAdapter, intra_loss, rank_within_cluster, sample_negatives
 from .kmeans import derive_seed
-from .trie import PrefixTrie, build_trie
+from .trie import PrefixTrie
 
 
 @dataclass(frozen=True)
@@ -155,11 +155,15 @@ class RetrievalIndex:
     corpus: dict[str, Document]
     embeddings: DocumentMatrix
     tree: ClusterTree
-    trie: PrefixTrie
     scorer: StepScorer
     adapter: LinearAdapter | None
     config: RetrievalConfig
     embedder: HashingEmbedder
+
+    @property
+    def trie(self) -> PrefixTrie:
+        """The trie of the tree's leaves, which decoding is constrained to."""
+        return self.tree.trie
 
 
 def build_index(
@@ -194,7 +198,8 @@ def build_index(
                     f"embedding for {doc.doc_id!r} has dim {vec.shape}, expected {config.dim}"
                 )
             if not np.isfinite(vec).all() or abs(float(np.linalg.norm(vec)) - 1.0) > 1e-3:
-                raise ValueError(f"embedding for {doc.doc_id!r} must be finite and unit length")
+                raise BadEmbedding(
+                    f"embedding for {doc.doc_id!r} must be finite and unit length")
             vectors.append(vec)
     embeddings = DocumentMatrix(list(corpus), np.stack(vectors))
     del vectors  # the matrix is now the only copy of the document vectors
@@ -206,12 +211,11 @@ def build_index(
 
 def _assemble(corpus: dict[str, Document], embeddings: DocumentMatrix, tree: ClusterTree,
               adapter: LinearAdapter | None, config: RetrievalConfig) -> RetrievalIndex:
-    """The index over these parts, with the trie, scorer and embedder they determine."""
+    """The index over these parts, with the scorer and embedder they determine."""
     return RetrievalIndex(
         corpus=corpus,
         embeddings=embeddings,
         tree=tree,
-        trie=build_trie(tree.leaves.keys()),
         scorer=CentroidScorer(tree, temperature=config.temperature),
         adapter=adapter,
         config=config,
@@ -279,8 +283,8 @@ def add_documents(index: RetrievalIndex, docs: Sequence[Document]) -> RetrievalI
     ids = [doc.doc_id for doc in docs]
     for doc in docs:
         index.corpus[doc.doc_id] = doc
-    rows = index.embeddings.append(ids, vectors)
-    place_documents(index.tree, ids, index.embeddings.matrix, rows)
+    index.embeddings.append(ids, vectors)
+    place_documents(index.tree, index.embeddings, ids)
     return index
 
 
@@ -339,18 +343,6 @@ def save_index(index: RetrievalIndex, directory: str) -> None:
     save_settings(index, directory)
 
 
-def _placements(tree: ClusterTree) -> np.ndarray:
-    """Leaf position in `tree.leaves` of every document added after the build.
-
-    cid_by_doc lists the build members first and then the added documents in
-    the order they were attached, which is their corpus order.
-    """
-    position = {cid: i for i, cid in enumerate(tree.leaves)}
-    built = sum(map(len, tree.build_members.values()))
-    added = itertools.islice(tree.cid_by_doc.values(), built, None)
-    return np.array([position[cid] for cid in added], dtype="<i4")
-
-
 def save_documents(index: RetrievalIndex, directory: str) -> None:
     """Rewrite the files that adding documents changes: corpus.jsonl,
     embeddings.bin + manifest.json and placements.bin."""
@@ -361,8 +353,7 @@ def save_documents(index: RetrievalIndex, directory: str) -> None:
         os.path.join(directory, EMBEDDINGS_FILE),
         os.path.join(directory, MANIFEST_FILE),
     )
-    with open(os.path.join(directory, PLACEMENTS_FILE), "wb") as fh:
-        fh.write(_placements(index.tree))
+    save_placements(index.tree, os.path.join(directory, PLACEMENTS_FILE))
 
 
 def save_settings(index: RetrievalIndex, directory: str) -> None:
@@ -404,25 +395,13 @@ def load_config(path: str) -> RetrievalConfig:
         raise ParseError(f"{path}: {exc}")
 
 
-def _load_placements(path: str, tree: ClusterTree, count: int) -> list[Cid] | None:
-    """The leaves placements.bin assigns to the `count` added documents, or
-    None when the file is absent."""
-    if not os.path.exists(path):
-        return None
-    positions = read_array(path, "<i4", (count,))
-    if count and not (positions.min() >= 0 and positions.max() < tree.leaf_count):
-        raise ParseError(f"{path}: a placement lies outside the {tree.leaf_count} leaves")
-    leaf_cids = list(tree.leaves)
-    return [leaf_cids[p] for p in positions.tolist()]
-
-
 def load_index(directory: str) -> RetrievalIndex:
     """Load an index directory saved by save_index.
 
     Documents present in the corpus but absent from the construction-time
-    tree membership are documents that were added later; placements.bin names
-    their leaves. Without that file they are re-assigned by the same
-    deterministic descent used at add time.
+    tree membership are documents that were added later; load_placements
+    puts them in the leaves placements.bin names or, without that file, in
+    the leaves the same deterministic descent used at add time picks.
     """
     config_path = os.path.join(directory, CONFIG_FILE)
     config = load_config(config_path)
@@ -436,7 +415,7 @@ def load_index(directory: str) -> RetrievalIndex:
             f"{manifest_path}: dim {matrix.shape[1]} disagrees with {config_path} dim {config.dim}"
         )
     corpus = {doc.doc_id: doc for doc in docs}
-    if len(ids) != len(corpus) or set(ids) != corpus.keys():
+    if set(ids) != corpus.keys():  # the sidecar reader rejects a repeated id
         raise ParseError(f"{manifest_path}: ids do not match {CORPUS_FILE}")
     embeddings = DocumentMatrix(ids, matrix)
     tree_path = os.path.join(directory, TREE_FILE)
@@ -445,23 +424,10 @@ def load_index(directory: str) -> RetrievalIndex:
         raise ParseError(
             f"{tree_path}: dim {tree.dim} disagrees with {config_path} dim {config.dim}"
         )
-    leaves = list(tree.leaves.values())
-    try:
-        rows = np.array([embeddings.row[doc_id] for leaf in leaves for doc_id in leaf.members],
-                        dtype=np.intp)
-    except KeyError as exc:
-        raise ParseError(f"{directory}: {TREE_FILE} lists {exc} outside the corpus")
-    end = 0
-    for leaf in leaves:
-        start, end = end, end + len(leaf.members)
-        leaf.rows = rows[start:end]
-    added = [doc_id for doc_id in corpus if doc_id not in tree.cid_by_doc]
-    added_rows = [embeddings.row[d] for d in added]
-    cids = _load_placements(os.path.join(directory, PLACEMENTS_FILE), tree, len(added))
-    if cids is None:
-        place_documents(tree, added, embeddings.matrix, added_rows)
-    else:
-        attach_documents(tree, added, cids, added_rows)
+    if not tree.cid_by_doc.keys() <= corpus.keys():
+        outside = next(doc_id for doc_id in tree.cid_by_doc if doc_id not in corpus)
+        raise ParseError(f"{directory}: {TREE_FILE} lists {outside!r} outside the corpus")
+    load_placements(tree, embeddings, corpus, os.path.join(directory, PLACEMENTS_FILE))
     adapter = None
     adapter_path = os.path.join(directory, ADAPTER_FILE)
     if os.path.exists(adapter_path):

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .cluster_tree import Cid, TERMINAL
 from .errors import EmptySet, InvalidPrefix
 
+Cid = tuple[int, ...]
+
+TERMINAL = 0
 
 _NO_DIGITS: frozenset[int] = frozenset()
 

@@ -122,6 +122,35 @@ def test_a_sidecar_of_the_hashed_vectors_builds_the_same_index_files(tmp_path, c
     assert not (tmp_path / "one").exists()
 
 
+def sidecar_build(tmp_path, ids, matrix):
+    """Run build-index over six documents d0..d5 with this sidecar; returns the exit code."""
+    corpus = tmp_path / "six.jsonl"
+    write_jsonl(corpus, [{"id": f"d{i}", "text": f"t{i} words"} for i in range(6)])
+    bin_path, manifest_path = str(tmp_path / "emb.bin"), str(tmp_path / "emb.json")
+    save_embedding_sidecar(ids, matrix, bin_path, manifest_path)
+    return main(["build-index", "--corpus", str(corpus), "--out", str(tmp_path / "out"),
+                 *BUILD_FLAGS, "--doc-embeddings-bin", bin_path,
+                 "--doc-embeddings-manifest", manifest_path])
+
+
+def test_a_sidecar_manifest_that_repeats_an_id_exits_2_naming_it(tmp_path, capsys):
+    matrix = np.eye(7, 64, dtype=np.float32)
+    assert sidecar_build(tmp_path, [f"d{i}" for i in range(6)] + ["d0"], matrix) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'emb.json'}: id 'd0' appears more than once\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [1.0, np.nan])
+def test_a_sidecar_row_that_is_not_finite_and_unit_exits_1_in_one_line(tmp_path, capsys,
+                                                                       value):
+    matrix = np.full((6, 64), value, dtype=np.float32)
+    assert sidecar_build(tmp_path, [f"d{i}" for i in range(6)], matrix) == 1
+    err = capsys.readouterr().err
+    assert err == "error: embedding for 'd0' must be finite and unit length\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_texts_with_a_lone_surrogate_build_add_retrieve_and_inspect(tmp_path):
     docs = topic_corpus(4, 30, seed=0)
     rows = [{"id": d.doc_id, "text": d.text} for d in docs]

@@ -1,8 +1,11 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+from coarsefine import cluster_tree
 from coarsefine.cluster_tree import (
     TERMINAL,
     assign_cid,
@@ -287,3 +290,26 @@ def test_leaf_index_runs_in_preorder_for_built_and_loaded_trees(tmp_path):
         assert list(t.leaves) == sorted(t.leaves)
         assert list(t.cid_by_doc) == [d for leaf in t.leaves.values() for d in leaf.members]
         assert t.build_members == {cid: tuple(leaf.members) for cid, leaf in t.leaves.items()}
+
+
+def test_load_tree_frees_the_centroid_blob_without_a_gc_pass(tmp_path, monkeypatch):
+    emb, tree = blob_tree()
+    jp, bp = str(tmp_path / "tree.json"), str(tmp_path / "centroids.bin")
+    save_tree(tree, jp, bp)
+    blobs = []
+    read_array = cluster_tree.read_array
+
+    def recording_read_array(*args):
+        array = read_array(*args)
+        blobs.append(weakref.ref(array))
+        return array
+
+    monkeypatch.setattr(cluster_tree, "read_array", recording_read_array)
+    gc.disable()
+    try:
+        loaded = load_tree(jp, bp)
+        freed = [blob() is None for blob in blobs]
+    finally:
+        gc.enable()
+    assert freed == [True]
+    assert loaded.leaf_count == tree.leaf_count

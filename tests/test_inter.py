@@ -248,7 +248,8 @@ def tie_heavy_tree(seed):
 def test_frontier_decoder_equals_the_generic_path_exactly(seed):
     emb, tree = tie_heavy_tree(seed)
     assert len({len(cid) for cid in tree.leaves}) > 1
-    trie = build_trie(tree.leaves.keys())
+    trie = tree.trie
+    covering = build_trie(tree.leaves.keys())  # the same CIDs, but not the tree's own trie
     rng = np.random.default_rng(seed)
     pooled = [np.zeros(8), emb[next(iter(emb))].astype(np.float64), rng.standard_normal(8)]
     underflowed = 0
@@ -261,6 +262,8 @@ def test_frontier_decoder_equals_the_generic_path_exactly(seed):
                     calls = counted(scorer)
                     got = decode_clusters(q, scorer, trie, beam, alpha, k)
                     assert calls == [()]  # only the root step goes through score_next
+                    assert got == decode_clusters(q, scorer, covering, beam, alpha, k)
+                    assert len(calls) > 2  # the covering trie took the generic path
                     del scorer.score_next
                     assert got == decode_clusters(q, Forwarding(scorer), trie, beam, alpha, k)
                     underflowed += beam == len(trie) and len(got) < len(trie)
@@ -293,7 +296,7 @@ def test_ties_across_depths_break_toward_the_lexicographically_smaller_cid():
     leaves = {(1, 1, 0): deep, (2, 0): shallow}
     tree = ClusterTree(root=root, k=2, c=2, seed=0, dim=4)
     assert tree.cid_by_doc == {"a": (1, 1, 0), "b": (2, 0)} and tree.leaves == leaves
-    trie = build_trie(leaves)
+    trie = tree.trie
     scorer = CentroidScorer(tree, temperature=0.1)
     q = QueryRepresentation(pooled=np.zeros(4))
     for k in (1, 2):

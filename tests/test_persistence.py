@@ -277,8 +277,19 @@ def set_first_child_label(obj):
     obj["root"]["children"][0]["label"] = 0
 
 
+def rename_a_member(obj):
+    node = obj["root"]
+    while node["children"]:
+        node = node["children"][0]
+    node["members"][0] = "ghost"
+
+
 def rename_first_id(obj):
     obj["ids"][0] = "ghost"
+
+
+def repeat_first_id(obj):
+    obj["ids"][1] = obj["ids"][0]
 
 
 def append_ff(data):
@@ -296,6 +307,7 @@ CENTROID = 4 * CONFIG.dim  # bytes
     pytest.param("tree.json", edit_json(lambda obj: obj.pop("dim")), id="tree-without-dim"),
     pytest.param("tree.json", edit_json(set_root_label), id="tree-root-label"),
     pytest.param("tree.json", edit_json(set_first_child_label), id="tree-child-label"),
+    pytest.param("tree.json", edit_json(rename_a_member), id="tree-foreign-member"),
     pytest.param("centroids.bin", lambda data: data[:-CENTROID], id="centroids-one-too-few"),
     pytest.param("centroids.bin", lambda data: data + data[-CENTROID:],
                  id="centroids-one-too-many"),
@@ -304,6 +316,7 @@ CENTROID = 4 * CONFIG.dim  # bytes
     pytest.param("manifest.json", lambda data: data[:-2], id="manifest-invalid-json"),
     pytest.param("manifest.json", lambda data: b"{}", id="manifest-without-keys"),
     pytest.param("manifest.json", edit_json(rename_first_id), id="manifest-foreign-id"),
+    pytest.param("manifest.json", edit_json(repeat_first_id), id="manifest-repeated-id"),
     pytest.param("embeddings.bin", lambda data: data[:-1], id="embeddings-truncated"),
     pytest.param("config.json", append_ff, id="config-0xff"),
     pytest.param("config.json", lambda data: data[:-2], id="config-invalid-json"),
@@ -344,6 +357,27 @@ def test_directory_without_placements_loads_the_same_and_the_next_add_writes_the
     run("add-docs", "--index", str(added_index), "--corpus", late_corpus(tmp_path, 2))
     assert len((added_index / "placements.bin").read_bytes()) == 4 * 18
     assert_equals_a_full_save(added_index, tmp_path)
+
+
+@pytest.mark.parametrize("batches", [0, 1, 3])
+@pytest.mark.parametrize("placed", [True, False], ids=["with-placements", "without"])
+def test_loaded_leaves_hold_their_members_rows_and_resave_the_same_placements(
+        tmp_path, batches, placed):
+    index = build_index(BASE, CONFIG)
+    for batch in range(batches):
+        add_documents(index, [Document(f"late{batch}_{i}", doc.text)
+                              for i, doc in enumerate(topic_corpus(3, 2, seed=7 + batch))])
+    save_index(index, str(tmp_path / "idx"))
+    placements = (tmp_path / "idx" / "placements.bin").read_bytes()
+    assert len(placements) == 4 * 6 * batches
+    if not placed:
+        (tmp_path / "idx" / "placements.bin").unlink()
+    loaded = load_index(str(tmp_path / "idx"))
+    for leaf in loaded.tree.leaves.values():
+        assert leaf.rows.tolist() == [loaded.embeddings.row[d] for d in leaf.members]
+    assert list(loaded.tree.cid_by_doc.items()) == list(index.tree.cid_by_doc.items())
+    save_index(loaded, str(tmp_path / "again"))
+    assert (tmp_path / "again" / "placements.bin").read_bytes() == placements
 
 
 def test_add_docs_and_train_adapter_write_only_their_files_with_full_save_bytes(

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -13,7 +14,6 @@ from coarsefine import (
     RetrievalIndex,
     add_documents,
     build_index,
-    build_trie,
     decode_clusters,
     load_index,
     retrieve,
@@ -23,7 +23,7 @@ from coarsefine import (
 from coarsefine.corpus import TrainingPair
 from coarsefine.embed import DocumentMatrix
 from coarsefine.errors import DuplicateId, EmptyCorpus, EmptyIndex, EmptyText, ParseError
-from coarsefine import pipeline
+from coarsefine import cluster_tree, pipeline
 from coarsefine.intra import LinearAdapter, intra_score, rank_within_cluster, sample_negatives
 from coarsefine.pipeline import load_config, query_vector
 from helpers import (
@@ -72,7 +72,6 @@ def hand_index(beta=1.0):
         corpus={d: Document(d, str(i)) for i, d in enumerate(doc_ids)},
         embeddings=emb,
         tree=tree,
-        trie=build_trie(tree.leaves.keys()),
         scorer=UniformScorer(),
         adapter=None,
         config=config,
@@ -138,11 +137,31 @@ def test_retrieve_validates_arguments():
     docs, idx = small_index()
     with pytest.raises(ValueError):
         retrieve(idx, "anything", 0)
-    bare = RetrievalIndex(corpus={}, embeddings={}, tree=idx.tree, trie=idx.trie,
+    bare = RetrievalIndex(corpus={}, embeddings={}, tree=idx.tree,
                           scorer=idx.scorer, adapter=None, config=idx.config,
                           embedder=idx.embedder)
     with pytest.raises(EmptyIndex):
         retrieve(bare, "anything", 5)
+
+
+def test_each_tree_builds_its_trie_once_and_the_index_uses_it(tmp_path, monkeypatch):
+    built = []
+    build_trie = cluster_tree.build_trie
+
+    def counting_build_trie(cids):
+        built.append(1)
+        return build_trie(cids)
+
+    monkeypatch.setattr(cluster_tree, "build_trie", counting_build_trie)
+    docs, idx = small_index()
+    assert len(built) == 1 and idx.trie is idx.tree.trie
+    idx.scorer = dataclasses.replace(idx.scorer, temperature=0.2)
+    for qtext in sample_queries(docs, 20, seed=3):
+        retrieve(idx, qtext, 5)
+    assert len(built) == 1
+    save_index(idx, str(tmp_path))
+    loaded = load_index(str(tmp_path))
+    assert len(built) == 2 and loaded.trie is loaded.tree.trie
 
 
 def test_fusion_identity_holds_bitwise():
