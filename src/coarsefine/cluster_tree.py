@@ -9,16 +9,17 @@ floored at 2. A child that k-means failed to shrink (all points in one
 cluster, e.g. k == 1 or duplicate points) becomes a leaf regardless, so the
 recursion always terminates.
 
-In memory, the centroids of every node but the root are the rows of one
-float32 matrix in breadth-first order, children in label order (labels are
-1..n). So each node's children are a contiguous block of rows: a node's
-`child_centroids` is a slice view of that matrix and each node's `centroid` a
-row view. Next to the matrix, per row, the tree keeps the row of the node's
-first child, its child count, its preorder rank (which sorts nodes like their
-digit paths, across depths too) and, for a leaf, its CID; the root's
-children are rows 0..n-1. A prefix -> node map replaces walking the tree from
-the root. The walk that lays all this out also derives the leaf index in
-preorder, for built and loaded trees alike: `leaves`, `cid_by_doc`, and
+In memory, the centroids of every node are the rows of one float32 matrix,
+laid out by one depth-first walk with children in label order (labels are
+1..n): the root is row 0, and when the walk reaches a node it gives that
+node's children the next free rows. So each node's children are a contiguous
+block of rows: a node's `child_centroids` is a slice view of that matrix and
+each node's `centroid` a row view. Next to the matrix, per row, the tree
+keeps the row of the node's first child, its child count, its preorder rank
+(the order of the walk, which sorts nodes like their digit paths, across
+depths too) and, for a leaf, its CID. A prefix -> node map replaces walking
+the tree from the root. The same walk derives the leaf index in preorder,
+for built and loaded trees alike: `leaves`, `cid_by_doc`, and
 `build_members` (the construction-time membership that tree.json records);
 a document in two leaves, or a tree without leaves, is rejected. Each tree,
 built or loaded, then builds the prefix trie of its leaves once (`trie`);
@@ -28,12 +29,12 @@ the document matrix the tree was built from (or, for a loaded index,
 attached to).
 
 save_tree writes tree.json with one json.dumps call (the C encoder, the same
-bytes as the streaming json.dump) and centroids.bin as the root's centroid
-followed by the centroid matrix gathered into preorder in one step, not one
-bytes copy per node. Neither records documents placed after the build:
-save_placements writes their leaves to placements.bin, and load_placements
-gives a loaded tree's leaves their rows and places those documents again,
-from that file or, without it, by descent.
+bytes as the streaming json.dump) and centroids.bin as the centroid matrix
+gathered into preorder in one step, the root first, not one bytes copy per
+node. Neither records documents placed after the build: save_placements
+writes their leaves to placements.bin in the document matrix's row order,
+and load_placements gives a loaded tree's leaves their rows and places those
+documents again, in that order, from that file or, without it, by descent.
 
 Once built, a tree is immutable as far as this module is concerned and safe
 for concurrent readers, except that place_documents (the single writer)
@@ -50,7 +51,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import read_array, read_json_object
+from .corpus import read_array, read_json_object, require_finite
 from .embed import DocumentMatrix
 from .errors import EmptyCorpus, MissingCid, ParseError, UnknownDoc
 from .kmeans import derive_seed, kmeans
@@ -93,41 +94,29 @@ class ClusterTree:
     trie: PrefixTrie = field(init=False, repr=False)
 
     def __post_init__(self):
-        """Index every node by its digit path, lay all centroids out breadth-first,
+        """Lay the nodes out in one depth-first walk, index them by digit path,
         derive the leaf index and build the trie of the leaves; ValueError for bad
         labels, a repeated document or a tree without leaves."""
         if not self.root.children:
             raise ValueError("the root has no children, so the tree has no leaves")
-        order: list[tuple[Cid, ClusterNode]] = [((), self.root)]
-        first: list[int] = []  # per node of `order`, the row of its first child
-        for path, node in order:  # also visits the nodes appended below, breadth-first
-            first.append(len(order) - 1)  # rows skip the root, so row = place in order - 1
+        rows, paths = [self.root], [()]  # by row: the root is row 0
+        visited, first = [], []  # rows in preorder, and the row of each one's first child
+        self.nodes, self.leaves, self.cid_by_doc = {}, {}, {}
+        stack = [0]
+        while stack:
+            row = stack.pop()
+            node, path = rows[row], paths[row]
+            visited.append(row)
+            first.append(len(rows))  # its children take the next free rows
+            self.nodes[path] = node
             if node.children:
                 labels = [child.label for child in node.children]
                 if labels != list(range(1, len(labels) + 1)):
                     raise ValueError(f"children of {path} must be labelled 1..n, got {labels}")
-                order += [(path + (j,), child) for j, child in enumerate(node.children, 1)]
-        self.nodes = dict(order)
-        rows = order[1:]  # the root's children are rows 0..n-1
-        self.centroid_rows = np.array([node.centroid for _, node in rows], dtype=np.float32)
-        for (_, node), start in zip(order, first):
-            if node.children:
-                node.child_centroids = self.centroid_rows[start : start + len(node.children)]
-        for row, (_, node) in enumerate(rows):
-            node.centroid = self.centroid_rows[row]
-        first = first[1:]
-        counts = [len(node.children) for _, node in rows]
-        # Depth-first, children in label order: ranks sort rows like their digit paths.
-        preorder = [0] * len(rows)
-        stack = list(range(len(self.root.children) - 1, -1, -1))
-        self.leaves, self.cid_by_doc = {}, {}
-        for rank in range(len(rows)):
-            row = stack.pop()
-            preorder[row] = rank
-            if counts[row]:
-                stack.extend(range(first[row] + counts[row] - 1, first[row] - 1, -1))
+                stack.extend(range(len(rows) + len(labels) - 1, len(rows) - 1, -1))
+                rows += node.children
+                paths += [path + (label,) for label in labels]
                 continue
-            path, node = rows[row]
             cid = path + (TERMINAL,)
             self.leaves[cid] = node
             for doc_id in node.members:
@@ -135,11 +124,20 @@ class ClusterTree:
                     raise ValueError(
                         f"document {doc_id!r} is in leaves {self.cid_by_doc[doc_id]} and {cid}")
                 self.cid_by_doc[doc_id] = cid
+        self.centroid_rows = np.array([node.centroid for node in rows], dtype=np.float32)
+        self.first_child = np.empty(len(rows), dtype=np.intp)
+        self.first_child[visited] = first
+        self.child_count = np.array([len(node.children) for node in rows], dtype=np.intp)
+        self.preorder = np.empty(len(rows), dtype=np.intp)
+        self.preorder[visited] = np.arange(len(rows))
+        for row, node in enumerate(rows):
+            node.centroid = self.centroid_rows[row]
+            if node.children:
+                start = self.first_child[row]
+                node.child_centroids = self.centroid_rows[start : start + len(node.children)]
+        self.leaf_cid = [None if node.children else path + (TERMINAL,)
+                         for node, path in zip(rows, paths)]
         self.build_members = {cid: tuple(leaf.members) for cid, leaf in self.leaves.items()}
-        self.first_child = np.array(first, dtype=np.intp)
-        self.child_count = np.array(counts, dtype=np.intp)
-        self.preorder = np.array(preorder, dtype=np.intp)
-        self.leaf_cid = [None if node.children else path + (TERMINAL,) for path, node in rows]
         self.trie = build_trie(self.leaves.keys())
 
     @property
@@ -316,8 +314,7 @@ def save_tree(tree: ClusterTree, json_path: str, bin_path: str) -> None:
 
     Leaf member lists are recorded as they were at construction time, so
     documents ingested after the build do not alter these files. The blob is
-    the root's centroid followed by the centroid matrix's rows in order of
-    their preorder rank.
+    the centroid matrix's rows in order of their preorder rank, the root first.
     """
     manifest = {
         "k": tree.k,
@@ -330,7 +327,6 @@ def save_tree(tree: ClusterTree, json_path: str, bin_path: str) -> None:
         fh.write(json.dumps(manifest, sort_keys=True, separators=(",", ":")))
         fh.write("\n")
     with open(bin_path, "wb") as fh:
-        fh.write(np.ascontiguousarray(tree.root.centroid, dtype="<f4"))
         fh.write(np.ascontiguousarray(tree.centroid_rows[np.argsort(tree.preorder)], dtype="<f4"))
 
 
@@ -392,15 +388,12 @@ def load_tree(json_path: str, bin_path: str) -> ClusterTree:
     if type(manifest.get("seed")) is not int:
         raise ParseError(f"{json_path}: seed must be an integer, got {manifest.get('seed')!r}")
     dim = manifest["dim"]
-    centroids = read_array(bin_path, "<f4", (-1, dim))
+    centroids = require_finite(bin_path, read_array(bin_path, "<f4", (-1, dim)))
     rows = iter(centroids)  # in preorder, the order _rebuild takes them in
     _check_node(manifest.get("root"), None, json_path)
     root = _rebuild(manifest["root"], (), rows, json_path, bin_path)
     if next(rows, None) is not None:
         raise ParseError(f"{bin_path}: blob has more centroids than the manifest")
-    # ClusterTree copies every other centroid into its matrix; with the root's
-    # copied too, nothing keeps the blob alive once this returns.
-    root.centroid = root.centroid.copy()
     try:
         return ClusterTree(root=root, k=manifest["k"], c=manifest["c"], seed=manifest["seed"],
                            dim=dim)
@@ -410,8 +403,9 @@ def load_tree(json_path: str, bin_path: str) -> ClusterTree:
 
 def save_placements(tree: ClusterTree, path: str) -> None:
     """Write the leaf of every document placed after the build, in the order
-    it was placed (its corpus order), as the little-endian int32 position of
-    that leaf in `tree.leaves` (preorder); nothing when none was placed.
+    it was placed (its row order in the document matrix), as the little-endian
+    int32 position of that leaf in `tree.leaves` (preorder); nothing when none
+    was placed.
 
     cid_by_doc lists the build members first and then the placed documents.
     """
@@ -422,16 +416,15 @@ def save_placements(tree: ClusterTree, path: str) -> None:
         fh.write(np.array([position[cid] for cid in placed], dtype="<i4"))
 
 
-def load_placements(tree: ClusterTree, documents: DocumentMatrix, doc_ids: Iterable[str],
-                    path: str) -> None:
+def load_placements(tree: ClusterTree, documents: DocumentMatrix, path: str) -> None:
     """Give a loaded tree's documents their rows in `documents` and their leaves.
 
-    Build members keep the leaves tree.json gives them. The other documents of
-    `doc_ids`, in that order, go to the leaves that save_placements wrote to
-    `path`, or, when there is no such file (an index saved before it
-    existed), to the leaves that descent picks. Every build member must be in
-    `documents`. A file of the wrong size or naming a leaf outside the tree
-    is a ParseError naming it.
+    Build members keep the leaves tree.json gives them. The other documents,
+    in row order, go to the leaves that save_placements wrote to `path`, or,
+    when there is no such file (an index saved before it existed), to the
+    leaves that descent picks. Every build member must be in `documents`. A
+    file of the wrong size or naming a leaf outside the tree is a ParseError
+    naming it.
     """
     leaves = list(tree.leaves.values())
     rows = np.array([documents.row[doc_id] for leaf in leaves for doc_id in leaf.members],
@@ -440,7 +433,7 @@ def load_placements(tree: ClusterTree, documents: DocumentMatrix, doc_ids: Itera
     for leaf in leaves:
         start, end = end, end + len(leaf.members)
         leaf.rows = rows[start:end]
-    added = [doc_id for doc_id in doc_ids if doc_id not in tree.cid_by_doc]
+    added = [doc_id for doc_id in documents.ids if doc_id not in tree.cid_by_doc]
     cids = None
     if os.path.exists(path):
         positions = read_array(path, "<i4", (len(added),))

@@ -124,6 +124,14 @@ def read_array(path: str, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
     raise ParseError(f"{path}: {size} bytes do not fill a {dtype} array of shape {shape}")
 
 
+def require_finite(path: str, array: np.ndarray) -> np.ndarray:
+    """`array`, read from `path`; ParseError naming the file if it holds a NaN or an
+    infinity."""
+    if not np.isfinite(array).all():
+        raise ParseError(f"{path}: holds a value that is not finite")
+    return array
+
+
 def load_corpus(path: str) -> list[Document]:
     """Read a JSONL corpus of {"id", "text"} objects.
 

@@ -20,18 +20,19 @@ rows and 76 us for 430, against 91 us and 1,143 us for a per-row loop.
 
 When the scorer is a CentroidScorer and the trie is its tree's own
 (`tree.trie`, which stores exactly the tree's leaves), decode_clusters scores
-a whole beam step with array operations over the tree's breadth-first
-centroid matrix instead of one score_next call per frontier node; only the
-root step still goes through score_next. Any other trie, even one built
-separately from the same leaves, takes the generic path. The
-internal frontier nodes are grouped by child count; each group's child rows
-are gathered and scored by one row_dots call (so the float64 copy it makes
-stays the size of one group) and normalised as an (m, u) array with the
-per-node ops of score_next: max, exp, sum and divide along axis 1. A row sum
-of a 2-D array adds in the same order as the sum of that row on its own,
-whereas np.add.reduceat over one flat array of uneven segments does not
-(with numpy 2.4, 801 of 2,000 random segments of 1-30 values differed in the
-last bit), so nodes of different child counts are not mixed.
+a whole beam step with array operations over the tree's centroid matrix,
+where every node's children are one block of rows, instead of one
+score_next call per frontier node; only the root step still goes through
+score_next. Any other trie, even one built separately from the same leaves,
+takes the generic path. The internal frontier nodes are grouped by child
+count; each group's child rows are gathered and scored by one row_dots call
+(so the float64 copy it makes stays the size of one group) and normalised as
+an (m, u) array with the per-node ops of score_next: max, exp, sum and divide
+along axis 1. A row sum of a 2-D array adds in the same order as the sum of
+that row on its own, whereas np.add.reduceat over one flat array of uneven
+segments does not (with numpy 2.4, 801 of 2,000 random segments of 1-30
+values differed in the last bit), so nodes of different child counts are not
+mixed.
 Log-probabilities stay per-element math.log, because np.log differs from it
 in the last bit on some inputs. The beam is cut by np.lexsort on (-penalised
 score, preorder rank), which orders ties like the lexicographic CID order of
@@ -187,7 +188,7 @@ def _decode_tree(
     valid = tree.trie.valid_next(())
     root_probs = scorer.score_next(query, (), valid)
     digits = [d for d in sorted(valid) if root_probs[d] > 0.0]
-    rows = np.array(digits, dtype=np.intp) - 1
+    rows = tree.first_child[0] + np.array(digits, dtype=np.intp) - 1
     lps = np.array([0.0 + math.log(root_probs[d]) for d in digits])
     done_rows, done_lps, done_scores = [], [], []
     length = 1

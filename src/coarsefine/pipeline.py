@@ -20,12 +20,12 @@ DocumentMatrix in the row order of embeddings.bin (corpus order, as
 save_index writes it), so loading reads the file into that matrix without
 copying rows. Each tree leaf carries an int array of its members' rows next to
 their ids, so the fine stage scores a recalled leaf with one gather and one
-stacked matmul. The tree keeps all non-root centroids as one float32 matrix in
-breadth-first order, so every node's children are a contiguous block of rows.
-A beam step groups the frontier's nodes by child count, scores each group's
-children with one stacked matmul and normalises them as one 2-D array (see
-inter.py for why a stacked 1 x d . d x 1 matmul and not a gemv, and why groups
-rather than np.add.reduceat). `index.trie` is the tree's own trie, built
+stacked matmul. The tree keeps all centroids as one float32 matrix, the root
+as row 0 and every node's children a contiguous block of rows. A beam step
+groups the frontier's nodes by child count, scores each group's children
+with one stacked matmul and normalises them as one 2-D array (see inter.py
+for why a stacked 1 x d . d x 1 matmul and not a gemv, and why groups rather
+than np.add.reduceat). `index.trie` is the tree's own trie, built
 once with the tree at build and on load, so decoding takes that path.
 `index.embeddings` is still a mapping from id to vector; its values are row
 views of the matrix.
@@ -34,11 +34,11 @@ On disk an index is a directory: corpus.jsonl, embeddings.bin +
 manifest.json (sidecar format), placements.bin, tree.json + centroids.bin,
 config.json, and optionally adapter.bin + adapter.json. tree.json records
 construction-time leaf membership only; placements.bin holds the leaf of
-every document added later. Both formats, and how a loaded tree gets its
-documents back, belong to cluster_tree (save_tree/load_tree and
-save_placements/load_placements); load_index adds only the checks across
-files. save_index is three writers, one per
-group of files that change together: save_documents (corpus, embeddings,
+every document added later, in the document matrix's row order. Both
+formats, and how a loaded tree gets its documents back, belong to
+cluster_tree (save_tree/load_tree and save_placements/load_placements);
+load_index adds only the checks across files. save_index is three writers,
+one per group of files that change together: save_documents (corpus, embeddings,
 placements), save_tree (build-time only) and save_settings (config and
 adapter). add-docs calls only the first, train-adapter only the last; every
 file either writes is byte-identical to what a full save_index of the same
@@ -75,8 +75,17 @@ from .cluster_tree import (
     save_placements,
     save_tree,
 )
-from .corpus import Document, TrainingPair, load_corpus, read_array, read_json_object, save_corpus
+from .corpus import (
+    Document,
+    TrainingPair,
+    load_corpus,
+    read_array,
+    read_json_object,
+    require_finite,
+    save_corpus,
+)
 from .embed import (
+    MIN_DIM,
     DocumentMatrix,
     HashingEmbedder,
     QueryRepresentation,
@@ -135,6 +144,8 @@ class RetrievalConfig:
             )
         if self.branching < 1 or self.expected_clusters < 1:
             raise ValueError("branching and expected_clusters must be >= 1")
+        if self.dim < MIN_DIM:
+            raise ValueError(f"dim must be >= {MIN_DIM}, got {self.dim}")
 
 
 @dataclass(frozen=True)
@@ -407,9 +418,9 @@ def load_index(directory: str) -> RetrievalIndex:
     config = load_config(config_path)
     docs = load_corpus(os.path.join(directory, CORPUS_FILE))
     manifest_path = os.path.join(directory, MANIFEST_FILE)
-    ids, matrix = load_embedding_sidecar(
-        os.path.join(directory, EMBEDDINGS_FILE), manifest_path
-    )
+    embeddings_path = os.path.join(directory, EMBEDDINGS_FILE)
+    ids, matrix = load_embedding_sidecar(embeddings_path, manifest_path)
+    require_finite(embeddings_path, matrix)
     if matrix.shape[1] != config.dim:
         raise ParseError(
             f"{manifest_path}: dim {matrix.shape[1]} disagrees with {config_path} dim {config.dim}"
@@ -427,9 +438,10 @@ def load_index(directory: str) -> RetrievalIndex:
     if not tree.cid_by_doc.keys() <= corpus.keys():
         outside = next(doc_id for doc_id in tree.cid_by_doc if doc_id not in corpus)
         raise ParseError(f"{directory}: {TREE_FILE} lists {outside!r} outside the corpus")
-    load_placements(tree, embeddings, corpus, os.path.join(directory, PLACEMENTS_FILE))
+    load_placements(tree, embeddings, os.path.join(directory, PLACEMENTS_FILE))
     adapter = None
     adapter_path = os.path.join(directory, ADAPTER_FILE)
     if os.path.exists(adapter_path):
-        adapter = LinearAdapter(weight=read_array(adapter_path, "<f4", (config.dim, config.dim)))
+        weight = read_array(adapter_path, "<f4", (config.dim, config.dim))
+        adapter = LinearAdapter(weight=require_finite(adapter_path, weight))
     return _assemble(corpus, embeddings, tree, adapter, config)

@@ -422,6 +422,16 @@ def test_out_of_range_numbers_are_usage_errors_that_touch_no_file(
     assert file_bytes(tmp_path) == before
 
 
+def test_a_dim_below_the_embedder_minimum_is_a_usage_error_that_creates_no_index(
+        tmp_path, corpus_path):
+    out = tmp_path / "idx"
+    proc = run_cli("build-index", "--corpus", corpus_path, "--out", str(out), "--dim", "4")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "dim must be >= 8" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_train_adapter_rejects_an_unknown_positive_before_training(tmp_path, corpus_path):
     idx = build(tmp_path, corpus_path)
     pairs = tmp_path / "pairs.jsonl"

@@ -265,20 +265,31 @@ def test_load_tree_rejects_malformed_node_fields_naming_tree_json(tmp_path, corr
         load_tree(jp, bp)
 
 
-def test_breadth_first_layout_gives_contiguous_children_and_preorder_ranks():
+def test_depth_first_layout_puts_the_root_at_row_0_and_children_in_one_block(tmp_path):
     emb, tree = blob_tree(counts=(30, 30, 30, 5), expected=20, branching=3)
-    paths = list(tree.nodes)[1:]  # breadth-first, root first
     assert len({len(cid) for cid in tree.leaves}) > 1  # leaves at mixed depths
-    assert tree.centroid_rows.shape == (len(paths), tree.dim)
-    for row, path in enumerate(paths):
-        node = tree.nodes[path]
-        assert np.shares_memory(node.centroid, tree.centroid_rows)
+    assert tree.centroid_rows.shape == (len(tree.nodes), tree.dim)
+    paths = {0: ()}  # row -> digit path, read off first_child and child_count
+    for row in range(len(tree.nodes)):
+        node = tree.nodes[paths[row]]
+        assert np.shares_memory(node.centroid, tree.centroid_rows[row])
         assert node.centroid.tobytes() == tree.centroid_rows[row].tobytes()
         assert tree.child_count[row] == len(node.children)
-        assert tree.leaf_cid[row] == (None if node.children else path + (TERMINAL,))
+        assert tree.leaf_cid[row] == (None if node.children else paths[row] + (TERMINAL,))
         for i in range(len(node.children)):
-            assert paths[tree.first_child[row] + i] == path + (i + 1,)
-    assert [paths[row] for row in np.argsort(tree.preorder)] == sorted(paths)
+            paths[tree.first_child[row] + i] = paths[row] + (i + 1,)
+    assert sorted(paths) == list(range(len(tree.nodes)))
+    in_preorder = np.argsort(tree.preorder)
+    assert [paths[row] for row in in_preorder] == sorted(paths.values())
+    next_free = 1  # the walk gives each node's children the next free rows
+    for row in in_preorder:
+        if tree.child_count[row]:
+            assert tree.first_child[row] == next_free
+            next_free += tree.child_count[row]
+    jp, bp = str(tmp_path / "tree.json"), str(tmp_path / "centroids.bin")
+    save_tree(tree, jp, bp)
+    with open(bp, "rb") as fh:
+        assert fh.read() == tree.centroid_rows[in_preorder].astype("<f4").tobytes()
 
 
 def test_leaf_index_runs_in_preorder_for_built_and_loaded_trees(tmp_path):

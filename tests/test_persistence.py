@@ -299,6 +299,11 @@ def append_ff(data):
 CENTROID = 4 * CONFIG.dim  # bytes
 
 
+def write_float(offset, value):
+    """A damage that overwrites the float32 at byte `offset` with `value`."""
+    return lambda data: data[:offset] + np.array([value], "<f4").tobytes() + data[offset + 4:]
+
+
 @pytest.mark.parametrize("name, damage", [
     pytest.param("corpus.jsonl", append_ff, id="corpus-0xff"),
     pytest.param("tree.json", append_ff, id="tree-0xff"),
@@ -312,16 +317,19 @@ CENTROID = 4 * CONFIG.dim  # bytes
     pytest.param("centroids.bin", lambda data: data + data[-CENTROID:],
                  id="centroids-one-too-many"),
     pytest.param("centroids.bin", lambda data: data[:-1], id="centroids-truncated"),
+    pytest.param("centroids.bin", write_float(CENTROID, np.nan), id="centroids-nan"),
     pytest.param("manifest.json", append_ff, id="manifest-0xff"),
     pytest.param("manifest.json", lambda data: data[:-2], id="manifest-invalid-json"),
     pytest.param("manifest.json", lambda data: b"{}", id="manifest-without-keys"),
     pytest.param("manifest.json", edit_json(rename_first_id), id="manifest-foreign-id"),
     pytest.param("manifest.json", edit_json(repeat_first_id), id="manifest-repeated-id"),
     pytest.param("embeddings.bin", lambda data: data[:-1], id="embeddings-truncated"),
+    pytest.param("embeddings.bin", write_float(0, np.nan), id="embeddings-nan"),
     pytest.param("config.json", append_ff, id="config-0xff"),
     pytest.param("config.json", lambda data: data[:-2], id="config-invalid-json"),
     pytest.param("config.json", lambda data: b"[]", id="config-not-an-object"),
     pytest.param("adapter.bin", lambda data: data[:-1], id="adapter-truncated"),
+    pytest.param("adapter.bin", write_float(0, np.inf), id="adapter-inf"),
     pytest.param("placements.bin", lambda data: data[:-1], id="placements-truncated"),
     pytest.param("settings.json", append_ff, id="config-flag-0xff"),
 ])
@@ -378,6 +386,24 @@ def test_loaded_leaves_hold_their_members_rows_and_resave_the_same_placements(
     assert list(loaded.tree.cid_by_doc.items()) == list(index.tree.cid_by_doc.items())
     save_index(loaded, str(tmp_path / "again"))
     assert (tmp_path / "again" / "placements.bin").read_bytes() == placements
+
+
+def test_swapping_two_added_documents_in_corpus_jsonl_keeps_their_leaves(added_index):
+    tree = load_index(str(added_index)).tree
+    before = tree.cid_by_doc
+    built = {doc_id for members in tree.build_members.values() for doc_id in members}
+    first, *rest = [doc_id for doc_id in before if doc_id not in built]
+    other = next(doc_id for doc_id in rest if before[doc_id] != before[first])
+    path = added_index / "corpus.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    i, j = (next(n for n, line in enumerate(lines) if json.loads(line)["id"] == doc_id)
+            for doc_id in (first, other))
+    lines[i], lines[j] = lines[j], lines[i]
+    path.write_text("".join(lines), encoding="utf-8")
+    loaded = load_index(str(added_index))
+    assert list(loaded.tree.cid_by_doc.items()) == list(before.items())
+    for leaf in loaded.tree.leaves.values():
+        assert leaf.rows.tolist() == [loaded.embeddings.row[d] for d in leaf.members]
 
 
 def test_add_docs_and_train_adapter_write_only_their_files_with_full_save_bytes(

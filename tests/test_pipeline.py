@@ -99,6 +99,7 @@ def test_config_rejects_values_of_the_wrong_type(field, value):
 @pytest.mark.parametrize("field, value", [
     ("temperature", 0), ("temperature", -0.1), ("gamma", 0.0), ("n_a", -1),
     ("beta", math.nan), ("length_penalty", math.inf), ("temperature", math.inf),
+    ("dim", 7),
 ])
 def test_config_rejects_values_out_of_range(field, value):
     with pytest.raises(ValueError, match=field):
