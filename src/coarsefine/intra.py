@@ -31,6 +31,7 @@ because dropping its zero terms would reorder its sums.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -42,6 +43,16 @@ from .corpus import TrainingPair
 from .embed import DocumentMatrix
 from .errors import DimMismatch, DivergedLoss, UnknownCid, UnknownDoc
 from .kmeans import derive_seed
+
+
+# How far below the m-th largest screened sigmoid a member may screen and still
+# get an exact _sigmoid. The screen 1 / (1 + np.exp(-sim)) lies in [0, 1];
+# np.exp came within 1 ulp of math.exp on 600k inputs, with and without numpy's
+# AVX-512 dispatch, and the add and divide round once each, so the screen is
+# within a few ulps of 1, under 1e-15, of _sigmoid(sim). That is more than
+# 1,000 times below the margin. See rank_within_cluster for why a member that
+# screens below the bar minus the margin cannot be in the top m.
+SIGMOID_SCREEN_MARGIN = 1e-12
 
 
 def _sigmoid(x: float) -> float:
@@ -80,31 +91,44 @@ def rank_within_cluster(
     With a DocumentMatrix the leaf's rows are gathered in one indexing step;
     any other mapping is read member by member. Either way all similarities
     come from one stacked matmul (row_dots), equal bit for bit to intra_score
-    on each member.
+    on each member. A one-member leaf returns its member directly.
+
+    s_intra is the per-element _sigmoid, but only for the members that can be
+    in the top m. When the leaf holds more than m members, they are screened
+    with one vectorised 1 / (1 + np.exp(-sims)), and a member that screens
+    below bar - SIGMOID_SCREEN_MARGIN, where bar is the m-th largest screened
+    value, is dropped. At least m members screen at or above bar, so whenever
+    the screen's error is below half the margin, a dropped member's exact
+    s_intra is strictly below those of m kept members: it can neither make
+    the top m nor tie with a member that does.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     leaf = tree.leaves.get(tuple(cid))
     if leaf is None:
         raise UnknownCid(f"{tuple(cid)} is not a leaf CID of the tree")
-    if not leaf.members:
+    members = leaf.members
+    if not members:
         return []
     if isinstance(embeddings, DocumentMatrix):
         docs = embeddings.matrix.take(leaf.rows, axis=0)
     else:
-        docs = np.array([embeddings[doc_id] for doc_id in leaf.members])
+        docs = np.array([embeddings[doc_id] for doc_id in members])
     q = np.asarray(q)
     if docs.shape[1:] != q.shape:
         raise DimMismatch(f"query dim {q.shape} != document dim {docs.shape[1:]}")
-    members = leaf.members
-    sims = row_dots(docs, q).tolist()
-    s_intra = [_sigmoid(sim) for sim in sims]
-    candidates: Sequence[int] = range(len(sims))
-    if len(sims) > m:
-        # Only members scoring at least the m-th largest s_intra can be in the top m.
-        values = np.array(s_intra)
-        cutoff = np.partition(values, len(values) - m)[len(values) - m]
-        candidates = np.flatnonzero(values >= cutoff).tolist()
+    sims = row_dots(docs, q)
+    if len(members) == 1:
+        sim = float(sims[0])
+        return [IntraScore(doc_id=members[0], sim=sim, s_intra=_sigmoid(sim))]
+    candidates: Sequence[int] = range(len(members))
+    if len(members) > m:
+        with np.errstate(over="ignore"):  # exp(-sim) overflows to inf, screening 0
+            screen = 1.0 / (1.0 + np.exp(-sims))
+        bar = np.partition(screen, len(screen) - m)[len(screen) - m]
+        candidates = np.flatnonzero(screen >= bar - SIGMOID_SCREEN_MARGIN).tolist()
+    sims = sims.tolist()
+    s_intra = {i: _sigmoid(sims[i]) for i in candidates}
     top = sorted(candidates, key=lambda i: (-s_intra[i], members[i]))[:m]
     return [IntraScore(doc_id=members[i], sim=sims[i], s_intra=s_intra[i]) for i in top]
 
@@ -138,13 +162,21 @@ def sample_negatives(
     exclusion = {pair.positive_doc_id}
     if relevant is not None:
         exclusion.update(relevant)
-    eligible = [d for d in tree.leaves[cid].members if d not in exclusion]
-    if len(eligible) > n_a:
-        rng = np.random.default_rng(seed)
-        picks = rng.choice(len(eligible), size=n_a, replace=False)
-        intra = [eligible[int(i)] for i in picks]
+    members = tree.leaves[cid].members
+    # The draw depends only on how many members are eligible, so the leaf is
+    # copied only when all of them are taken, as from a leaf of n_a or fewer.
+    skipped = []
+    if len(members) > n_a:
+        skipped = sorted(members.index(d) for d in exclusion if tree.cid_by_doc.get(d) == cid)
+    n_eligible = len(members) - len(skipped)
+    if n_eligible > n_a:
+        picks = np.random.default_rng(seed).choice(n_eligible, size=n_a, replace=False)
+        # s - j eligible members precede the j-th skipped position s, so the
+        # eligible member p sits past every skipped position with s - j <= p.
+        shifts = [s - j for j, s in enumerate(skipped)]
+        intra = [members[p + bisect.bisect_right(shifts, p)] for p in picks.tolist()]
     else:
-        intra = list(eligible)
+        intra = [d for d in members if d not in exclusion]
     inter: list[str] = []
     for other in batch:  # pair itself and its copies: their positive is in exclusion
         doc_id = other.positive_doc_id

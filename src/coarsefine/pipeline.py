@@ -20,15 +20,18 @@ DocumentMatrix in the row order of embeddings.bin (corpus order, as
 save_index writes it), so loading reads the file into that matrix without
 copying rows. Each tree leaf carries an int array of its members' rows next to
 their ids, so the fine stage scores a recalled leaf with one gather and one
-stacked matmul. The tree keeps all centroids as one float32 matrix, the root
-as row 0 and every node's children a contiguous block of rows. A beam step
-groups the frontier's nodes by child count, scores each group's children
-with one stacked matmul and normalises them as one 2-D array (see inter.py
-for why a stacked 1 x d . d x 1 matmul and not a gemv, and why groups rather
-than np.add.reduceat). `index.trie` is the tree's own trie, built
-once with the tree at build and on load, so decoding takes that path.
-`index.embeddings` is still a mapping from id to vector; its values are row
-views of the matrix.
+stacked matmul, and takes the exact sigmoid only for the members that a
+vectorised screen leaves in reach of the top k (see rank_within_cluster).
+The tree keeps all centroids as one float32 matrix, the root as row 0 and
+every node's children a contiguous block of rows. A beam step groups the
+frontier's nodes by child count, scores each group's children with one
+stacked matmul and normalises them as one 2-D array (see inter.py for why a
+stacked 1 x d . d x 1 matmul and not a gemv, and why groups rather than
+np.add.reduceat); math.log is taken only for the children that a vectorised
+np.log screen leaves in reach of the beam. `index.trie` is the tree's own
+trie, built once with the tree at build and on load, so decoding takes that
+path. `index.embeddings` is still a mapping from id to vector; its values are
+row views of the matrix.
 
 On disk an index is a directory: corpus.jsonl, embeddings.bin +
 manifest.json (sidecar format), placements.bin, tree.json + centroids.bin,
@@ -37,13 +40,14 @@ construction-time leaf membership only; placements.bin holds the leaf of
 every document added later, in the document matrix's row order. Both
 formats, and how a loaded tree gets its documents back, belong to
 cluster_tree (save_tree/load_tree and save_placements/load_placements);
-load_index adds only the checks across files. save_index is three writers,
-one per group of files that change together: save_documents (corpus, embeddings,
-placements), save_tree (build-time only) and save_settings (config and
-adapter). add-docs calls only the first, train-adapter only the last; every
-file either writes is byte-identical to what a full save_index of the same
-index writes. Readers may share a loaded index; mutation (add_documents,
-attaching an adapter) requires exclusive access.
+load_index adds only the checks across files, adapter.json's dim against
+config.json's among them. save_index is three writers, one per group of
+files that change together: save_documents (corpus, embeddings, placements),
+save_tree (build-time only) and save_settings (config and adapter).
+add-docs calls only the first, train-adapter only the last; every file
+either writes is byte-identical to what a full save_index of the same index
+writes. Readers may share a loaded index; mutation (add_documents, attaching
+an adapter) requires exclusive access.
 
 Every compact JSON file (tree.json, manifest.json, adapter.json) is one
 json.dumps call, which runs the C encoder; json.dump always runs the
@@ -442,6 +446,14 @@ def load_index(directory: str) -> RetrievalIndex:
     adapter = None
     adapter_path = os.path.join(directory, ADAPTER_FILE)
     if os.path.exists(adapter_path):
+        meta_path = os.path.join(directory, ADAPTER_META_FILE)
+        if not os.path.exists(meta_path):
+            raise ParseError(f"{meta_path}: missing, though {ADAPTER_FILE} exists")
+        dim = read_json_object(meta_path).get("dim")
+        if dim != config.dim:
+            raise ParseError(
+                f"{meta_path}: dim {dim!r} disagrees with {config_path} dim {config.dim}"
+            )
         weight = read_array(adapter_path, "<f4", (config.dim, config.dim))
         adapter = LinearAdapter(weight=require_finite(adapter_path, weight))
     return _assemble(corpus, embeddings, tree, adapter, config)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from coarsefine import inter
 from coarsefine.embed import QueryRepresentation
 from coarsefine.errors import BeamTooSmall, InvalidPrefix, UnknownCid
 from coarsefine.inter import CentroidScorer, decode_clusters, inter_loss
@@ -303,3 +304,87 @@ def test_ties_across_depths_break_toward_the_lexicographically_smaller_cid():
         got = decode_clusters(q, scorer, trie, 2, 0.0, k)
         assert [h.cid for h in got] == [(1, 1, 0), (2, 0)][:k]
         assert got == decode_clusters(q, Forwarding(scorer), trie, 2, 0.0, k)
+
+
+class CountingMath:
+    """The math module as inter sees it, counting calls to log."""
+
+    def __init__(self):
+        self.logs = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def log(self, x):
+        self.logs += 1
+        return math.log(x)
+
+
+def screened_tree(seed):
+    """A seeded tree at least three levels deep whose beam steps offer more
+    children than narrow beams keep."""
+    emb = blob_embeddings((60, 45, 30, 20, 5), dim=8, seed=seed)
+    tree = build_cluster_tree(emb, k=3 + seed % 2, expected_clusters=40, seed=seed)
+    assert max(len(cid) for cid in tree.leaves) >= 4
+    return emb, tree
+
+
+def screened_queries(emb, seed):
+    rng = np.random.default_rng(seed)
+    for vec in (emb[next(iter(emb))].astype(np.float64), rng.standard_normal(8)):
+        for scale in (1.0, 60.0):
+            yield QueryRepresentation(pooled=scale * vec)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_screened_beam_steps_equal_the_generic_path_exactly(seed, monkeypatch):
+    emb, tree = screened_tree(seed)
+    covering = build_trie(tree.leaves.keys())  # the same CIDs, but not the tree's own trie
+    counting = CountingMath()
+    monkeypatch.setattr(inter, "math", counting)
+    cases = screened = 0
+    for temperature in (0.1, 0.002):
+        scorer = CentroidScorer(tree, temperature=temperature)
+        for q in screened_queries(emb, seed):
+            for alpha in (0.0, 0.8):
+                for beam, k in ((1, 1), (3, 2), (6, 4), (10, 10)):
+                    counting.logs = 0
+                    got = decode_clusters(q, scorer, tree.trie, beam, alpha, k)
+                    logs = counting.logs
+                    with monkeypatch.context() as unscreened:
+                        unscreened.setattr(inter, "LOG_SCREEN_MARGIN", math.inf)
+                        counting.logs = 0
+                        assert decode_clusters(q, scorer, tree.trie, beam, alpha, k) == got
+                        screened += logs < counting.logs
+                    expected = decode_clusters(q, scorer, covering, beam, alpha, k)
+                    assert [(h.cid, h.log_prob) for h in got] == \
+                        [(h.cid, h.log_prob) for h in expected]
+                    assert got == expected
+                    cases += 1
+    assert screened > cases // 2  # most cases dropped children before taking their logs
+
+
+class SkewedLog:
+    """numpy as inter sees it, with np.log off by 1e-11: well inside the screen's
+    margin argument, and far more than an ulp of any log-probability here."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def log(x):
+        return np.log(x) - 1e-11
+
+
+def test_kept_children_take_math_log_not_the_screened_value(monkeypatch):
+    # Every kept child's screened value now differs from its exact one, so a
+    # decoder that kept the screened values would not match the generic path.
+    emb, tree = screened_tree(0)
+    covering = build_trie(tree.leaves.keys())
+    monkeypatch.setattr(inter, "np", SkewedLog())
+    for temperature in (0.1, 0.002):
+        scorer = CentroidScorer(tree, temperature=temperature)
+        for q in screened_queries(emb, 0):
+            for beam, k in ((1, 1), (3, 2), (6, 4)):
+                got = decode_clusters(q, scorer, tree.trie, beam, 0.8, k)
+                assert got == decode_clusters(q, scorer, covering, beam, 0.8, k)

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from coarsefine.corpus import TrainingPair
-from coarsefine import intra
+from coarsefine import RetrievalConfig, add_documents, build_index, intra
+from coarsefine.cluster_tree import row_dots
+from coarsefine.corpus import Document, TrainingPair
 from coarsefine.embed import DocumentMatrix, hash_embed
 from coarsefine.errors import DimMismatch, DivergedLoss, UnknownCid, UnknownDoc
 from coarsefine.intra import (
+    IntraScore,
     LinearAdapter,
     intra_loss,
     intra_score,
@@ -429,3 +431,92 @@ def test_train_adapter_rejects_a_non_finite_or_negative_rate(learning_rate):
     pairs, tree, emb, queries, kw = adapter_fixture()
     with pytest.raises(ValueError, match="learning_rate"):
         train_adapter(pairs, tree, emb, queries, learning_rate=learning_rate, **kw)
+
+
+def reference_rank(q, tree, cid, m, embeddings):
+    """rank_within_cluster without the screen: every member's _sigmoid, one full sort."""
+    members = tree.leaves[cid].members
+    sims = row_dots(np.array([embeddings[d] for d in members]), q).tolist()
+    scored = [IntraScore(d, sim, intra._sigmoid(sim)) for d, sim in zip(members, sims)]
+    return sorted(scored, key=lambda s: (-s.s_intra, s.doc_id))[:m]
+
+
+def grown_indexes():
+    """Indexes with leaves of 12-39 members and with one-member leaves, each
+    grown by add_documents."""
+    for expected_clusters in (3, 12):
+        config = RetrievalConfig(dim=32, expected_clusters=expected_clusters, branching=3,
+                                 beam_size=10, k_clusters=5, seed=4)
+        index = build_index(topic_corpus(4, 30, seed=4), config)
+        add_documents(index, [Document(f"late_{i}", doc.text)
+                              for i, doc in enumerate(topic_corpus(4, 5, seed=9))])
+        yield index
+
+
+def test_screened_rank_within_cluster_equals_the_unscreened_sort(monkeypatch):
+    calls = []
+    sigmoid = intra._sigmoid
+    monkeypatch.setattr(intra, "_sigmoid", lambda x: calls.append(x) or sigmoid(x))
+    rng = np.random.default_rng(3)
+    sizes, saturated_ties, screened = set(), 0, 0
+    for index in grown_indexes():
+        matrix = index.embeddings
+        vectors = {doc_id: matrix[doc_id] for doc_id in index.corpus}
+        directions = [rng.standard_normal(32), matrix[next(iter(index.corpus))]]
+        queries = [scale * np.asarray(v, np.float64) for v in directions for scale in (1, 60, 200)]
+        for cid, leaf in index.tree.leaves.items():
+            sizes.add(len(leaf.members))
+            for q in queries:
+                for m in sorted({1, 3, 10, len(leaf.members)}):
+                    expected = reference_rank(q, index.tree, cid, m, vectors)
+                    for embeddings in (matrix, vectors):
+                        calls.clear()
+                        assert rank_within_cluster(q, index.tree, cid, m, embeddings) == expected
+                        screened += len(calls) < len(leaf.members)
+                    saturated_ties += [s.s_intra for s in expected[:2]] == [1.0, 1.0]
+    assert 1 in sizes and max(sizes) > 10
+    assert saturated_ties > 0 and screened > 0
+
+
+class SkewedExp:
+    """numpy as intra sees it, with np.exp off by a relative 1e-13: well inside
+    the screen's margin argument, and more than an ulp of most sigmoids here."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def exp(x):
+        return np.exp(x) * (1 + 1e-13)
+
+
+def test_kept_members_take_the_exact_sigmoid_not_the_screened_value(monkeypatch):
+    monkeypatch.setattr(intra, "np", SkewedExp())
+    index = next(grown_indexes())
+    q = np.random.default_rng(5).standard_normal(32)
+    for cid, leaf in index.tree.leaves.items():
+        for m in (1, 3, 10):
+            expected = reference_rank(q, index.tree, cid, m, index.embeddings)
+            assert rank_within_cluster(q, index.tree, cid, m, index.embeddings) == expected
+
+
+def test_sample_negatives_picks_equal_the_list_based_draw_around_excluded_members():
+    emb = blob_embeddings((30, 6), dim=8, seed=4)
+    tree = build_cluster_tree(emb, k=2, expected_clusters=1, seed=4)
+    members = max(tree.leaves.values(), key=lambda leaf: len(leaf.members)).members
+    assert len(members) >= 20
+    other_leaf = next(d for d in emb if tree.cid_by_doc[d] != tree.cid_by_doc[members[0]])
+    middle = len(members) // 2
+    for positive, relevant in [
+        (members[0], None),
+        (members[-1], {members[0]}),
+        (members[middle], {members[0], members[1], members[middle + 1], members[-1]}),
+        (members[1], {members[-2], members[-1], other_leaf, "not-indexed"}),
+    ]:
+        pair = TrainingPair("q", "t", positive)
+        n_eligible = len(set(members) - {positive} - (relevant or set()))
+        for n_a in (0, 1, 4, n_eligible - 1, n_eligible, n_eligible + 3):
+            for seed in range(5):
+                got = sample_negatives(pair, tree, [pair], n_a, seed, relevant)
+                assert got == reference_sample_negatives(pair, tree, [pair], n_a, seed, relevant)
+                assert len(got.intra) == min(n_a, n_eligible)

@@ -296,6 +296,10 @@ def append_ff(data):
     return data + b"\xff"  # a byte that never occurs in UTF-8
 
 
+def delete(data):
+    return None  # the file is removed
+
+
 CENTROID = 4 * CONFIG.dim  # bytes
 
 
@@ -330,6 +334,9 @@ def write_float(offset, value):
     pytest.param("config.json", lambda data: b"[]", id="config-not-an-object"),
     pytest.param("adapter.bin", lambda data: data[:-1], id="adapter-truncated"),
     pytest.param("adapter.bin", write_float(0, np.inf), id="adapter-inf"),
+    pytest.param("adapter.json", delete, id="adapter-meta-missing"),
+    pytest.param("adapter.json", lambda data: b"[]", id="adapter-meta-not-an-object"),
+    pytest.param("adapter.json", edit_json(lambda obj: obj.update(dim=3)), id="adapter-meta-dim"),
     pytest.param("placements.bin", lambda data: data[:-1], id="placements-truncated"),
     pytest.param("settings.json", append_ff, id="config-flag-0xff"),
 ])
@@ -348,7 +355,11 @@ def test_a_damaged_file_is_a_parse_error_naming_it_and_exits_2(added_index, tmp_
         path = added_index / name
         load, target = load_index, added_index
         argv = ["inspect", "--index", str(added_index)]
-    path.write_bytes(damage(path.read_bytes()))
+    data = damage(path.read_bytes())
+    if data is None:
+        path.unlink()
+    else:
+        path.write_bytes(data)
     with pytest.raises(ParseError, match=re.escape(name)):
         load(str(target))
     capsys.readouterr()
