@@ -9,7 +9,6 @@ inner-product similarity (fine stage); the two scores are fused additively.
 from .cluster_tree import (
     ClusterNode,
     ClusterTree,
-    assign_cid,
     assign_new_document,
     build_cluster_tree,
     compute_c,
@@ -50,7 +49,6 @@ from .pipeline import (
     load_index,
     retrieve,
     save_index,
-    total_loss,
 )
 from .trie import PrefixTrie, build_trie
 
@@ -79,7 +77,6 @@ __all__ = [
     "TrainingPair",
     "acc_at_k",
     "add_documents",
-    "assign_cid",
     "assign_new_document",
     "build_cluster_tree",
     "build_index",
@@ -107,6 +104,5 @@ __all__ = [
     "save_corpus",
     "save_index",
     "tokenize",
-    "total_loss",
     "train_adapter",
 ]

@@ -13,12 +13,13 @@ In memory, the centroids of every node are the rows of one float32 matrix,
 laid out by one depth-first walk with children in label order (labels are
 1..n): the root is row 0, and when the walk reaches a node it gives that
 node's children the next free rows. So each node's children are a contiguous
-block of rows: a node's `child_centroids` is a slice view of that matrix and
-each node's `centroid` a row view. Next to the matrix, per row, the tree
-keeps the row of the node's first child, its child count, its preorder rank
-(the order of the walk, which sorts nodes like their digit paths, across
-depths too) and, for a leaf, its CID. A prefix -> node map replaces walking
-the tree from the root. The same walk derives the leaf index in preorder,
+block of rows, and each node's `centroid` is a row view of that matrix. Next
+to the matrix, per row, the tree keeps the row of the node's first child, its
+child count, its preorder rank (the order of the walk, which sorts nodes like
+their digit paths, across depths too) and, for a leaf, its CID. The row is
+the only node index: a digit path is followed down from row 0, digit d of the
+node at row r leading to row first_child[r] + d - 1, so scoring and placement
+read no node objects. The same walk derives the leaf index in preorder,
 for built and loaded trees alike: `leaves`, `cid_by_doc`, and
 `build_members` (the construction-time membership that tree.json records);
 a document in two leaves, or a tree without leaves, is rejected. Each tree,
@@ -53,7 +54,7 @@ import numpy as np
 
 from .corpus import read_array, read_json_object, require_finite
 from .embed import DocumentMatrix
-from .errors import EmptyCorpus, MissingCid, ParseError, UnknownDoc
+from .errors import EmptyCorpus, MissingCid, ParseError
 from .kmeans import derive_seed, kmeans
 from .trie import TERMINAL, Cid, PrefixTrie, build_trie
 
@@ -72,7 +73,6 @@ class ClusterNode:
     children: list["ClusterNode"] = field(default_factory=list)
     members: list[str] = field(default_factory=list)
     rows: np.ndarray = field(default_factory=lambda: _NO_ROWS)
-    child_centroids: np.ndarray | None = None
 
 
 @dataclass
@@ -85,7 +85,6 @@ class ClusterTree:
     leaves: dict[Cid, ClusterNode] = field(init=False, repr=False)
     cid_by_doc: dict[str, Cid] = field(init=False, repr=False)
     build_members: dict[Cid, tuple[str, ...]] = field(init=False, repr=False)
-    nodes: dict[Cid, ClusterNode] = field(init=False, repr=False)
     centroid_rows: np.ndarray = field(init=False, repr=False)
     first_child: np.ndarray = field(init=False, repr=False)
     child_count: np.ndarray = field(init=False, repr=False)
@@ -94,21 +93,20 @@ class ClusterTree:
     trie: PrefixTrie = field(init=False, repr=False)
 
     def __post_init__(self):
-        """Lay the nodes out in one depth-first walk, index them by digit path,
-        derive the leaf index and build the trie of the leaves; ValueError for bad
-        labels, a repeated document or a tree without leaves."""
+        """Lay the nodes out in one depth-first walk, derive the leaf index and
+        build the trie of the leaves; ValueError for bad labels, a repeated
+        document or a tree without leaves."""
         if not self.root.children:
             raise ValueError("the root has no children, so the tree has no leaves")
         rows, paths = [self.root], [()]  # by row: the root is row 0
         visited, first = [], []  # rows in preorder, and the row of each one's first child
-        self.nodes, self.leaves, self.cid_by_doc = {}, {}, {}
+        self.leaves, self.cid_by_doc = {}, {}
         stack = [0]
         while stack:
             row = stack.pop()
             node, path = rows[row], paths[row]
             visited.append(row)
             first.append(len(rows))  # its children take the next free rows
-            self.nodes[path] = node
             if node.children:
                 labels = [child.label for child in node.children]
                 if labels != list(range(1, len(labels) + 1)):
@@ -132,9 +130,6 @@ class ClusterTree:
         self.preorder[visited] = np.arange(len(rows))
         for row, node in enumerate(rows):
             node.centroid = self.centroid_rows[row]
-            if node.children:
-                start = self.first_child[row]
-                node.child_centroids = self.centroid_rows[start : start + len(node.children)]
         self.leaf_cid = [None if node.children else path + (TERMINAL,)
                          for node, path in zip(rows, paths)]
         self.build_members = {cid: tuple(leaf.members) for cid, leaf in self.leaves.items()}
@@ -215,25 +210,18 @@ def build_cluster_tree(
     return ClusterTree(root=root, k=k, c=c, seed=seed, dim=int(X.shape[1]))
 
 
-def assign_cid(tree: ClusterTree, doc_id: str) -> Cid:
-    try:
-        return tree.cid_by_doc[doc_id]
-    except KeyError:
-        raise UnknownDoc(f"document {doc_id!r} is not in the tree")
-
-
 def assign_new_document(tree: ClusterTree, embedding: np.ndarray) -> Cid:
     """CID for a new document: descend by highest inner product per level.
 
     Ties prefer the smaller child label (argmax returns the first maximum).
     Read-only: the tree is not modified.
     """
-    node = tree.root
-    path: list[int] = []
-    while node.children:
-        node = node.children[int(np.argmax(row_dots(node.child_centroids, embedding)))]
-        path.append(node.label)
-    return tuple(path) + (TERMINAL,)
+    row = 0
+    while count := tree.child_count[row]:
+        start = tree.first_child[row]
+        row = start + int(np.argmax(row_dots(tree.centroid_rows[start : start + count],
+                                             embedding)))
+    return tree.leaf_cid[row]
 
 
 def place_documents(tree: ClusterTree, documents: DocumentMatrix, ids: Sequence[str],
@@ -355,6 +343,8 @@ def _check_node(obj, parent: Cid | None, json_path: str) -> None:
     members = obj["members"]
     if type(members) is not list or (members and not all(type(m) is str for m in members)):
         raise _node_error(parent, json_path, "has members that are not a list of strings")
+    if members and (parent is None or obj["children"]):  # the root is never a leaf
+        raise _node_error(parent, json_path, "lists members, but only a leaf may")
 
 
 def _rebuild(obj: dict, path: Cid, rows: Iterator[np.ndarray], json_path: str,
@@ -374,9 +364,7 @@ def _rebuild(obj: dict, path: Cid, rows: Iterator[np.ndarray], json_path: str,
         _check_node(child_obj, path, json_path)
         children.append(_rebuild(child_obj, path + (child_obj["label"],), rows, json_path,
                                  bin_path))
-    # Only leaves below the root keep their members (a list the decoder made for them).
-    members = obj["members"] if path and not children else []
-    return ClusterNode(obj["label"], centroid, children, members)
+    return ClusterNode(obj["label"], centroid, children, obj["members"])
 
 
 def load_tree(json_path: str, bin_path: str) -> ClusterTree:

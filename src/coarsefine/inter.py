@@ -6,15 +6,16 @@ probabilities along root-to-leaf paths; a completed hypothesis keeps the raw
 product as its cluster score while ranking applies a length penalty,
 log_prob / len**length_penalty, with len counting the terminal digit.
 
-The centroid scorer looks a prefix up in the tree's prefix -> node map and
-scores every allowed child in one call against the node's stacked float32
-child-centroid matrix, cast to float64. It uses a stacked (n, 1, d) @ (d, 1)
-matmul rather than the gemv `C @ q`: the stacked form runs each row through
-the same BLAS dot product as scoring one centroid at a time, so logits are
-bit-identical to the per-child loop, whereas the gemv uses another kernel and
-rounds differently in the last ulp for some rows (measured with numpy 2.4 and
-OpenBLAS 0.3.31 on a 2-vCPU Xeon: 118 of 224,061 logits on the decode-heavy
-benchmark corpus, 72 of 6,000 on fine-heavy), which can reorder results.
+The centroid scorer follows a prefix down the tree's rows from the root, row
+0, and scores every allowed child in one call against the node's block of
+child rows in the tree's float32 centroid matrix, cast to float64. It uses a
+stacked (n, 1, d) @ (d, 1) matmul rather than the gemv `C @ q`: the stacked
+form runs each row through the same BLAS dot product as scoring one centroid
+at a time, so logits are bit-identical to the per-child loop, whereas the
+gemv uses another kernel and rounds differently in the last ulp for some rows
+(measured with numpy 2.4 and OpenBLAS 0.3.31 on a 2-vCPU Xeon: 118 of 224,061
+logits on the decode-heavy benchmark corpus, 72 of 6,000 on fine-heavy),
+which can reorder results.
 Per call on that machine, at dim 256, the stacked matmul took 11 us for 30
 rows and 76 us for 430, against 91 us and 1,143 us for a per-row loop.
 
@@ -87,8 +88,8 @@ class CentroidScorer:
     """Softmax over inner products between the query and child centroids.
 
     Logits are <pooled, centroid>/temperature for each child the trie allows,
-    all of one step computed by a single stacked matmul over the node's child
-    centroid matrix (rows are selected only when `valid` is a strict subset of
+    all of one step computed by a single stacked matmul over the node's block
+    of child rows (rows are selected only when `valid` is a strict subset of
     the children). At a leaf-complete prefix the terminal digit gets
     probability 1. It holds no state beyond an immutable tree, so instances
     are safe to share across threads.
@@ -109,14 +110,16 @@ class CentroidScorer:
             raise InvalidPrefix(
                 f"{tuple(prefix)}: terminal digit mixed with branch digits"
             )
-        node = self.tree.nodes.get(tuple(prefix))
-        if node is None:
-            raise InvalidPrefix(f"{tuple(prefix)} does not name a tree node")
+        tree, row = self.tree, 0
+        for digit in prefix:
+            if not 1 <= digit <= tree.child_count[row]:
+                raise InvalidPrefix(f"{tuple(prefix)} does not name a tree node")
+            row = tree.first_child[row] + digit - 1
         digits = sorted(valid)
-        centroids = node.child_centroids
-        n_children = 0 if centroids is None else len(centroids)
+        start, n_children = tree.first_child[row], tree.child_count[row]
         if digits[0] < 1 or digits[-1] > n_children:
             raise InvalidPrefix(f"digits {digits} are not all children of {tuple(prefix)}")
+        centroids = tree.centroid_rows[start : start + n_children]
         if len(digits) < n_children:
             centroids = centroids[[digit - 1 for digit in digits]]
         logits = row_dots(centroids, query.pooled) / self.temperature

@@ -88,10 +88,12 @@ def rank_within_cluster(
 ) -> list[IntraScore]:
     """Top-min(m, cluster size) members of a leaf by s_intra, ties by doc id.
 
-    With a DocumentMatrix the leaf's rows are gathered in one indexing step;
-    any other mapping is read member by member. Either way all similarities
-    come from one stacked matmul (row_dots), equal bit for bit to intra_score
-    on each member. A one-member leaf returns its member directly.
+    With a DocumentMatrix, when the leaf's `rows` cover its members (a tree
+    built by hand has none until documents are placed in it), they are
+    gathered in one indexing step; otherwise the mapping is read member by
+    member. Either way all similarities come from one stacked matmul
+    (row_dots), equal bit for bit to intra_score on each member. A one-member
+    leaf returns its member directly.
 
     s_intra is the per-element _sigmoid, but only for the members that can be
     in the top m. When the leaf holds more than m members, they are screened
@@ -110,7 +112,7 @@ def rank_within_cluster(
     members = leaf.members
     if not members:
         return []
-    if isinstance(embeddings, DocumentMatrix):
+    if isinstance(embeddings, DocumentMatrix) and len(leaf.rows) == len(members):
         docs = embeddings.matrix.take(leaf.rows, axis=0)
     else:
         docs = np.array([embeddings[doc_id] for doc_id in members])

@@ -81,7 +81,6 @@ from .cluster_tree import (
 )
 from .corpus import (
     Document,
-    TrainingPair,
     load_corpus,
     read_array,
     read_json_object,
@@ -105,8 +104,8 @@ from .errors import (
     ParseError,
     UnknownDoc,
 )
-from .inter import CentroidScorer, StepScorer, decode_clusters, inter_loss
-from .intra import LinearAdapter, intra_loss, rank_within_cluster, sample_negatives
+from .inter import CentroidScorer, StepScorer, decode_clusters
+from .intra import LinearAdapter, rank_within_cluster
 from .kmeans import derive_seed
 from .trie import PrefixTrie
 
@@ -301,38 +300,6 @@ def add_documents(index: RetrievalIndex, docs: Sequence[Document]) -> RetrievalI
     index.embeddings.append(ids, vectors)
     place_documents(index.tree, index.embeddings, ids)
     return index
-
-
-def total_loss(
-    index: RetrievalIndex, pair: TrainingPair, batch: Sequence[TrainingPair] = ()
-) -> float:
-    """Diagnostic sum of the decoding loss and the dense contrastive loss.
-
-    The positives of every pair in `batch` with pair's query id are excluded
-    from its negatives, as in train_adapter.
-    """
-    gold = index.tree.cid_by_doc.get(pair.positive_doc_id)
-    if gold is None:
-        raise UnknownDoc(f"positive document {pair.positive_doc_id!r} is not indexed")
-    q = query_vector(index, pair.query_text)
-    coarse = inter_loss(QueryRepresentation(pooled=q), gold, index.scorer, index.trie)
-    batch = list(batch) if batch else [pair]
-    negatives = sample_negatives(
-        pair,
-        index.tree,
-        batch,
-        index.config.n_a,
-        seed=derive_seed(index.config.seed, "negatives", pair.query_id),
-        relevant={p.positive_doc_id for p in batch if p.query_id == pair.query_id},
-    )
-    fine = intra_loss(
-        q,
-        index.embeddings[pair.positive_doc_id],
-        [index.embeddings[d] for d in negatives.intra],
-        [index.embeddings[d] for d in negatives.inter],
-        index.config.gamma,
-    )
-    return coarse + fine.loss
 
 
 CORPUS_FILE = "corpus.jsonl"

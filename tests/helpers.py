@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from coarsefine import Document
-from coarsefine.cluster_tree import TERMINAL, Cid, ClusterNode, ClusterTree
+from coarsefine.cluster_tree import TERMINAL, Cid, ClusterNode, ClusterTree, row_dots
 from coarsefine.corpus import tokenize
 from coarsefine.embed import QueryRepresentation
 from coarsefine.errors import DimMismatch, DivergedLoss, EmptySet, ParseError, UnknownDoc
@@ -226,6 +226,29 @@ def binary_depth2_tree(dim=8):
     assert tree.cid_by_doc == cid_by_doc and list(tree.cid_by_doc) == list(cid_by_doc)
     assert tree.leaves == leaves and list(tree.leaves) == list(leaves)
     return tree
+
+
+def internal_nodes(node, path=()):
+    """(digit path, node) for every node below and including `node` that has
+    children, in preorder, read off the node objects alone."""
+    if node.children:
+        yield path, node
+        for child in node.children:
+            yield from internal_nodes(child, path + (child.label,))
+
+
+def reference_assign_new_document(tree, embedding):
+    """Greedy descent over the node objects, as assign_new_document walked the
+    tree before it followed layout rows. Kept as it was, except that each
+    node's child centroids, once a slice view it held, are stacked here.
+    """
+    node = tree.root
+    path = []
+    while node.children:
+        child_centroids = np.stack([child.centroid for child in node.children])
+        node = node.children[int(np.argmax(row_dots(child_centroids, embedding)))]
+        path.append(node.label)
+    return tuple(path) + (TERMINAL,)
 
 
 def reference_step_probs(tree, pooled, prefix, valid, temperature):

@@ -8,18 +8,19 @@ import pytest
 from coarsefine import cluster_tree
 from coarsefine.cluster_tree import (
     TERMINAL,
-    assign_cid,
     assign_new_document,
     build_cluster_tree,
     compute_c,
     load_tree,
     mean_prefix_overlap,
+    place_documents,
     prefix_overlap_pair,
     row_dots,
     save_tree,
 )
-from coarsefine.errors import EmptyCorpus, MissingCid, ParseError, UnknownDoc
-from helpers import binary_depth2_tree, blob_embeddings
+from coarsefine.embed import DocumentMatrix
+from coarsefine.errors import EmptyCorpus, MissingCid, ParseError
+from helpers import binary_depth2_tree, blob_embeddings, reference_assign_new_document
 
 
 def blob_tree(counts=(40, 40, 40), dim=16, seed=0, expected=6, branching=8):
@@ -99,14 +100,6 @@ def test_build_is_deterministic():
     assert all(a == b for a, b in pairs)
 
 
-def test_assign_cid_known_and_unknown():
-    emb, tree = blob_tree()
-    doc = next(iter(emb))
-    assert assign_cid(tree, doc) == tree.cid_by_doc[doc]
-    with pytest.raises(UnknownDoc):
-        assign_cid(tree, "nope")
-
-
 def test_assign_new_document_at_leaf_centroid_returns_that_leaf():
     emb, tree = blob_tree()
     cid, node = next(iter(tree.leaves.items()))
@@ -181,22 +174,34 @@ def test_row_dots_equals_one_dot_product_per_row_bit_for_bit(rows, dim):
     assert got.tolist() == expected
 
 
-def test_child_centroids_are_row_views_of_one_stacked_matrix():
-    emb, tree = blob_tree()
-    for node in tree.nodes.values():
-        if node.children:
-            assert node.child_centroids.dtype == np.float32
-            for i, child in enumerate(node.children):
-                assert child.label == i + 1
-                assert np.shares_memory(child.centroid, node.child_centroids)
-                assert child.centroid.tobytes() == node.child_centroids[i].tobytes()
-
-
 def test_assign_new_document_breaks_ties_toward_the_smaller_label():
     tree = binary_depth2_tree()
     point = np.zeros(8, dtype=np.float32)
     point[4] = point[5] = 1.0  # equal inner product with both top-level centroids
     assert assign_new_document(tree, point)[0] == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_row_descent_equals_the_node_walk_for_built_added_and_tied_points(seed):
+    emb, tree = blob_tree(counts=(30, 30, 30, 5), seed=seed, expected=20, branching=3)
+    assert len({len(cid) for cid in tree.leaves}) > 1  # leaves at mixed depths
+    built = list(emb.values())
+    fresh = np.random.default_rng(seed).standard_normal((40, 16)).astype(np.float32)
+    fresh /= np.linalg.norm(fresh, axis=1, keepdims=True)
+    tied = np.zeros(16, dtype=np.float32)  # every child's logit is 0 at every level
+    got = [assign_new_document(tree, point) for point in built + list(fresh) + [tied]]
+    assert got == [reference_assign_new_document(tree, point)
+                   for point in built + list(fresh) + [tied]]
+    assert set(got[-1][:-1]) == {1}
+    ids = [f"new{i}" for i in range(len(fresh))]  # added, they land where the walk sends them
+    place_documents(tree, DocumentMatrix(list(emb) + ids, np.stack(built + list(fresh))), ids)
+    assert [tree.cid_by_doc[doc_id] for doc_id in ids] == got[len(built) : -1]
+    hand_built = binary_depth2_tree()
+    for axes in [(4, 5), (4, 0, 1), (5, 2, 3), (6, 7)]:  # ties at the top, below it, or both
+        point = np.zeros(8, dtype=np.float32)
+        point[list(axes)] = 1.0
+        assert (assign_new_document(hand_built, point)
+                == reference_assign_new_document(hand_built, point))
 
 
 @pytest.mark.parametrize("dim", [0, "256", True])
@@ -268,17 +273,22 @@ def test_load_tree_rejects_malformed_node_fields_naming_tree_json(tmp_path, corr
 def test_depth_first_layout_puts_the_root_at_row_0_and_children_in_one_block(tmp_path):
     emb, tree = blob_tree(counts=(30, 30, 30, 5), expected=20, branching=3)
     assert len({len(cid) for cid in tree.leaves}) > 1  # leaves at mixed depths
-    assert tree.centroid_rows.shape == (len(tree.nodes), tree.dim)
-    paths = {0: ()}  # row -> digit path, read off first_child and child_count
-    for row in range(len(tree.nodes)):
-        node = tree.nodes[paths[row]]
+    assert tree.centroid_rows.dtype == np.float32
+    n_nodes = len(tree.centroid_rows)
+    # row -> node and digit path, read off first_child from the root down
+    nodes, paths = {0: tree.root}, {0: ()}
+    for row in range(n_nodes):
+        node = nodes[row]  # a child's row is always after its parent's
         assert np.shares_memory(node.centroid, tree.centroid_rows[row])
         assert node.centroid.tobytes() == tree.centroid_rows[row].tobytes()
         assert tree.child_count[row] == len(node.children)
         assert tree.leaf_cid[row] == (None if node.children else paths[row] + (TERMINAL,))
-        for i in range(len(node.children)):
+        for i, child in enumerate(node.children):
+            assert child.label == i + 1
+            nodes[tree.first_child[row] + i] = child
             paths[tree.first_child[row] + i] = paths[row] + (i + 1,)
-    assert sorted(paths) == list(range(len(tree.nodes)))
+    assert sorted(paths) == list(range(n_nodes))
+    assert len({id(node) for node in nodes.values()}) == n_nodes
     in_preorder = np.argsort(tree.preorder)
     assert [paths[row] for row in in_preorder] == sorted(paths.values())
     next_free = 1  # the walk gives each node's children the next free rows

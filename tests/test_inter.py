@@ -15,6 +15,7 @@ from helpers import (
     binary_depth2_tree,
     blob_embeddings,
     brute_force_hypotheses,
+    internal_nodes,
     random_cids,
     rank_by_penalized,
     reference_step_probs,
@@ -181,7 +182,7 @@ def test_lower_temperature_sharpens_the_step_distribution():
 def test_centroid_scorer_equals_the_per_child_reference_exactly():
     emb = blob_embeddings((40, 40, 40, 40), dim=32, seed=4)
     tree = build_cluster_tree(emb, k=3, expected_clusters=40, seed=4)
-    internal = [p for p, node in tree.nodes.items() if node.children]
+    internal = dict(internal_nodes(tree.root))
     assert max(len(p) for p in internal) >= 2
     scorer = CentroidScorer(tree, temperature=0.1)
     rng = np.random.default_rng(4)
@@ -191,7 +192,7 @@ def test_centroid_scorer_equals_the_per_child_reference_exactly():
     for pooled in queries:
         q = QueryRepresentation(pooled=pooled)
         for prefix in internal:
-            labels = [child.label for child in tree.nodes[prefix].children]
+            labels = [child.label for child in internal[prefix].children]
             subsets = [labels] + [labels[i::2] for i in range(2) if len(labels) > 2]
             subsets += [[d] for d in labels if len(labels) > 1]
             for digits in subsets:
@@ -210,6 +211,25 @@ def test_centroid_scorer_rejects_digits_that_are_not_children():
         scorer.score_next(q, (1,), frozenset({1, 3}))
     with pytest.raises(InvalidPrefix):
         scorer.score_next(q, (1, 1), frozenset({1}))
+
+
+@pytest.mark.parametrize("prefix", [(0,), (3,), (1, 3), (1, 1, 1), (2, 1, 0), (-1,)])
+def test_centroid_scorer_rejects_a_prefix_that_names_no_node(prefix):
+    scorer = CentroidScorer(binary_depth2_tree(), temperature=0.1)
+    q = QueryRepresentation(pooled=np.ones(8, dtype=np.float32))
+    with pytest.raises(InvalidPrefix, match="does not name a tree node"):
+        scorer.score_next(q, prefix, frozenset({1}))
+
+
+def test_centroid_scorer_takes_a_prefix_of_numpy_ints_like_one_of_python_ints():
+    emb = blob_embeddings((40, 40, 40, 40), dim=32, seed=4)
+    tree = build_cluster_tree(emb, k=3, expected_clusters=40, seed=4)
+    scorer = CentroidScorer(tree, temperature=0.1)
+    q = QueryRepresentation(pooled=next(iter(emb.values())))
+    for prefix, node in internal_nodes(tree.root):
+        valid = frozenset(range(1, len(node.children) + 1))
+        numpy_prefix = tuple(np.array(prefix, dtype=np.int64))
+        assert scorer.score_next(q, numpy_prefix, valid) == scorer.score_next(q, prefix, valid)
 
 
 class Forwarding:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from coarsefine import RetrievalConfig, add_documents, build_index, intra
-from coarsefine.cluster_tree import row_dots
+from coarsefine.cluster_tree import place_documents, row_dots
 from coarsefine.corpus import Document, TrainingPair
 from coarsefine.embed import DocumentMatrix, hash_embed
 from coarsefine.errors import DimMismatch, DivergedLoss, UnknownCid, UnknownDoc
@@ -92,6 +92,21 @@ def test_rank_within_cluster_matches_exhaustive_sort():
         )
         assert [r.doc_id for r in ranked] == [o.doc_id for o in oracle]
         assert [r.s_intra for r in ranked] == [o.s_intra for o in oracle]
+
+
+def test_rank_within_cluster_reads_members_by_id_when_the_leaf_rows_do_not_cover_them():
+    ids, axes = ["d11a", "d11b", "d12a", "d21a", "d22a", "new"], [0, 1, 2, 3, 4, 7]
+    by_id = {doc_id: axis_vec(8, axis) for doc_id, axis in zip(ids, axes)}
+    documents = DocumentMatrix(ids, np.stack(list(by_id.values())))
+    tree = binary_depth2_tree()  # built by hand, so its leaves have no rows
+    q = axis_vec(8, 7)  # orthogonal to every document but "new"
+    unplaced = rank_within_cluster(q, tree, (1, 1, 0), 1, documents)
+    assert unplaced == rank_within_cluster(q, tree, (1, 1, 0), 1, by_id)
+    assert [scored.doc_id for scored in unplaced] == ["d11a"]
+    place_documents(tree, documents, ["new"], [(1, 1, 0)])  # one row for three members
+    placed = rank_within_cluster(q, tree, (1, 1, 0), 1, documents)
+    assert placed == rank_within_cluster(q, tree, (1, 1, 0), 1, by_id)
+    assert placed == [IntraScore("new", sim=1.0, s_intra=1 / (1 + math.exp(-1.0)))]
 
 
 def test_rank_within_cluster_validates_arguments():

@@ -284,6 +284,17 @@ def rename_a_member(obj):
     node["members"][0] = "ghost"
 
 
+def move_a_leaf_member_up(to_root):
+    """A change that moves a member of the first leaf into its parent, or into the root."""
+    def change(obj):
+        nodes = [obj["root"]]
+        while nodes[-1]["children"]:
+            nodes.append(nodes[-1]["children"][0])
+        assert len(nodes) > 2  # the first leaf's parent is not the root
+        nodes[0 if to_root else -2]["members"].append(nodes[-1]["members"].pop())
+    return change
+
+
 def rename_first_id(obj):
     obj["ids"][0] = "ghost"
 
@@ -317,6 +328,8 @@ def write_float(offset, value):
     pytest.param("tree.json", edit_json(set_root_label), id="tree-root-label"),
     pytest.param("tree.json", edit_json(set_first_child_label), id="tree-child-label"),
     pytest.param("tree.json", edit_json(rename_a_member), id="tree-foreign-member"),
+    pytest.param("tree.json", edit_json(move_a_leaf_member_up(False)), id="internal-node-members"),
+    pytest.param("tree.json", edit_json(move_a_leaf_member_up(True)), id="root-members"),
     pytest.param("centroids.bin", lambda data: data[:-CENTROID], id="centroids-one-too-few"),
     pytest.param("centroids.bin", lambda data: data + data[-CENTROID:],
                  id="centroids-one-too-many"),

@@ -18,13 +18,11 @@ from coarsefine import (
     load_index,
     retrieve,
     save_index,
-    total_loss,
 )
-from coarsefine.corpus import TrainingPair
 from coarsefine.embed import DocumentMatrix
 from coarsefine.errors import DuplicateId, EmptyCorpus, EmptyIndex, EmptyText, ParseError
 from coarsefine import cluster_tree, pipeline
-from coarsefine.intra import LinearAdapter, intra_score, rank_within_cluster, sample_negatives
+from coarsefine.intra import LinearAdapter, intra_score, rank_within_cluster
 from coarsefine.pipeline import load_config, query_vector
 from helpers import (
     AxisEmbedder,
@@ -256,39 +254,15 @@ def test_hand_index_retrieval_scores():
     assert all(e.s_intra == pytest.approx(0.5, abs=1e-12) for e in entries[1:])
 
 
-def test_total_loss_fixture_sums_decoding_and_contrastive_parts():
-    idx = hand_index()
-    pair = TrainingPair("q1", "5", "d11a")
-    other = TrainingPair("q2", "6", "d21a")
-    got = total_loss(idx, pair, batch=[pair, other])
-    assert got == pytest.approx(2 * math.log(2) + math.log(4), abs=1e-12)
-    # with no second pair there is no in-batch negative: ln(1 + 2) instead
-    alone = total_loss(idx, pair)
-    assert alone == pytest.approx(2 * math.log(2) + math.log(3), abs=1e-12)
+def test_every_public_name_resolves_and_the_removed_ones_are_gone():
+    import coarsefine
 
-
-def test_total_loss_never_draws_a_querys_own_positives_as_negatives(monkeypatch):
-    docs = topic_corpus(4, 30, seed=0)
-    idx = build_index(docs, small_config())
-    leaf = max(idx.tree.leaves.values(), key=lambda leaf: len(leaf.members))
-    a, b, c = leaf.members[:3]
-    first, second = TrainingPair("q", "t0w1 t0w2", a), TrainingPair("q", "t0w1 t0w2", b)
-    other = TrainingPair("r", "t1w1", c)
-    drawn = []
-
-    def spy(pair, *args, **kwargs):
-        negatives = sample_negatives(pair, *args, **kwargs)
-        drawn.append((pair, negatives))
-        return negatives
-
-    monkeypatch.setattr(pipeline, "sample_negatives", spy)
-    batch = [first, second, other]
-    for pair in batch:
-        total_loss(idx, pair, batch=batch)
-    own = {"q": {a, b}, "r": {c}}
-    for pair, negatives in drawn:
-        assert not own[pair.query_id] & {*negatives.intra, *negatives.inter}
-    assert drawn[2][1].inter == [a, b]  # another query's positives stay negatives
+    assert len(set(coarsefine.__all__)) == len(coarsefine.__all__)
+    assert all(getattr(coarsefine, name, None) is not None for name in coarsefine.__all__)
+    for name in ("total_loss", "assign_cid"):
+        assert name not in coarsefine.__all__
+        assert not hasattr(coarsefine, name)
+        assert not hasattr(pipeline, name) and not hasattr(cluster_tree, name)
 
 
 def test_add_documents_appends_without_touching_existing_state():
