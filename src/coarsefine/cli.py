@@ -18,7 +18,7 @@ from collections import Counter
 
 from .corpus import TrainingPair, _has_tokens, load_corpus, load_queries, qrels_mapping, read_jsonl
 from .embed import load_embedding_sidecar
-from .errors import ParseError, RetrievalError
+from .errors import DuplicateId, ParseError, RetrievalError
 from .evaluation import EvalReport, evaluate_results, index_diagnostics, position_error_rate
 from .intra import train_adapter
 from .kmeans import derive_seed
@@ -164,6 +164,8 @@ def _load_results(path: str) -> dict[str, list[str]]:
         ):
             raise ParseError(f"{path}: line {lineno}: 'results' must be a list of objects "
                              "with a string 'doc_id'", line=lineno)
+        if obj["query_id"] in ranked:
+            raise DuplicateId(f"duplicate query id {obj['query_id']!r}")
         ranked[obj["query_id"]] = [entry["doc_id"] for entry in results]
     return ranked
 
@@ -240,7 +242,6 @@ def cmd_train_adapter(args: argparse.Namespace) -> int:
     adapter, losses = train_adapter(
         pairs,
         index.tree,
-        index.embeddings,
         query_embeddings,
         gamma=index.config.gamma,
         n_a=index.config.n_a,

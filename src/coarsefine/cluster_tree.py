@@ -25,17 +25,17 @@ for built and loaded trees alike: `leaves`, `cid_by_doc`, and
 a document in two leaves, or a tree without leaves, is rejected. Each tree,
 built or loaded, then builds the prefix trie of its leaves once (`trie`);
 documents placed later only join existing leaves, so the trie never changes.
-Each leaf keeps, next to its `members`, an int array of the members' rows in
-the document matrix the tree was built from (or, for a loaded index,
-attached to).
+The tree owns the document matrix its leaves index (`documents`): each leaf
+keeps, next to its `members`, an int array of their rows in that matrix, so
+a leaf member without a row is rejected too.
 
 save_tree writes tree.json with one json.dumps call (the C encoder, the same
 bytes as the streaming json.dump) and centroids.bin as the centroid matrix
 gathered into preorder in one step, the root first, not one bytes copy per
 node. Neither records documents placed after the build: save_placements
 writes their leaves to placements.bin in the document matrix's row order,
-and load_placements gives a loaded tree's leaves their rows and places those
-documents again, in that order, from that file or, without it, by descent.
+and load_placements places those documents again, in that order, from that
+file or, without it, by descent.
 
 Once built, a tree is immutable as far as this module is concerned and safe
 for concurrent readers, except that place_documents (the single writer)
@@ -58,11 +58,6 @@ from .errors import EmptyCorpus, MissingCid, ParseError
 from .kmeans import derive_seed, kmeans
 from .trie import TERMINAL, Cid, PrefixTrie, build_trie
 
-# The rows of a node that holds no documents (yet): one shared read-only array
-# instead of an allocation per node. Rows only ever grow by concatenation.
-_NO_ROWS = np.empty(0, dtype=np.intp)
-_NO_ROWS.flags.writeable = False
-
 
 @dataclass
 class ClusterNode:
@@ -72,7 +67,7 @@ class ClusterNode:
     centroid: np.ndarray
     children: list["ClusterNode"] = field(default_factory=list)
     members: list[str] = field(default_factory=list)
-    rows: np.ndarray = field(default_factory=lambda: _NO_ROWS)
+    rows: np.ndarray | None = None  # a leaf's members' rows in the tree's document matrix
 
 
 @dataclass
@@ -82,6 +77,7 @@ class ClusterTree:
     c: int
     seed: int
     dim: int
+    documents: DocumentMatrix
     leaves: dict[Cid, ClusterNode] = field(init=False, repr=False)
     cid_by_doc: dict[str, Cid] = field(init=False, repr=False)
     build_members: dict[Cid, tuple[str, ...]] = field(init=False, repr=False)
@@ -94,8 +90,9 @@ class ClusterTree:
 
     def __post_init__(self):
         """Lay the nodes out in one depth-first walk, derive the leaf index and
-        build the trie of the leaves; ValueError for bad labels, a repeated
-        document or a tree without leaves."""
+        the leaves' rows, and build the trie of the leaves; ValueError for bad
+        labels, a repeated document, a member without a row in `documents` or
+        a tree without leaves."""
         if not self.root.children:
             raise ValueError("the root has no children, so the tree has no leaves")
         rows, paths = [self.root], [()]  # by row: the root is row 0
@@ -121,7 +118,16 @@ class ClusterTree:
                 if doc_id in self.cid_by_doc:
                     raise ValueError(
                         f"document {doc_id!r} is in leaves {self.cid_by_doc[doc_id]} and {cid}")
+                if doc_id not in self.documents.row:
+                    raise ValueError(f"leaf {cid} lists {doc_id!r}, which has no document row")
                 self.cid_by_doc[doc_id] = cid
+        # cid_by_doc lists the leaves' members, the leaves in preorder: one
+        # array of their rows, and a slice of it for each leaf
+        doc_rows = np.array([self.documents.row[d] for d in self.cid_by_doc], dtype=np.intp)
+        end = 0
+        for leaf in self.leaves.values():
+            start, end = end, end + len(leaf.members)
+            leaf.rows = doc_rows[start:end]
         self.centroid_rows = np.array([node.centroid for node in rows], dtype=np.float32)
         self.first_child = np.empty(len(rows), dtype=np.intp)
         self.first_child[visited] = first
@@ -183,7 +189,6 @@ def _split(
             _split(child, X, member_idx, ids, child_path, k, c, seed)
         else:
             child.members = [ids[i] for i in member_idx]
-            child.rows = member_idx
 
 
 def build_cluster_tree(
@@ -191,23 +196,28 @@ def build_cluster_tree(
 ) -> ClusterTree:
     """Recursively cluster document embeddings into an identifier tree.
 
-    The mapping's iteration order fixes the document order (and the leaves'
-    `rows`), and all k-means sub-seeds are derived from (seed, digit path), so
-    the same inputs always produce the same tree. Raises EmptyCorpus when the
-    mapping is empty.
+    A DocumentMatrix becomes the tree's `documents` as it is; any other
+    mapping is stacked once into a new float32 one, in its iteration order.
+    That order fixes the document order, and all k-means sub-seeds are
+    derived from (seed, digit path), so the same inputs always produce the
+    same tree. Raises EmptyCorpus when the mapping is empty.
     """
-    ids = list(embeddings)
-    if not ids:
+    if not embeddings:
         raise EmptyCorpus("cannot build a cluster tree from zero documents")
     if k < 1:
         raise ValueError("k must be >= 1")
-    X = np.stack([np.asarray(embeddings[i], dtype=np.float32) for i in ids])
-    if X.ndim != 2:
-        raise ValueError("embeddings must be 1-D vectors of a common dimension")
-    c = compute_c(len(ids), expected_clusters)
+    documents = embeddings
+    if not isinstance(documents, DocumentMatrix):
+        ids = list(embeddings)
+        X = np.stack([np.asarray(embeddings[i], dtype=np.float32) for i in ids])
+        if X.ndim != 2:
+            raise ValueError("embeddings must be 1-D vectors of a common dimension")
+        documents = DocumentMatrix(ids, X)
+    X = documents.matrix
+    c = compute_c(len(X), expected_clusters)
     root = ClusterNode(label=None, centroid=X.astype(np.float64).mean(axis=0).astype(np.float32))
-    _split(root, X, np.arange(len(ids)), ids, (), k, c, seed)
-    return ClusterTree(root=root, k=k, c=c, seed=seed, dim=int(X.shape[1]))
+    _split(root, X, np.arange(len(X)), documents.ids, (), k, c, seed)
+    return ClusterTree(root=root, k=k, c=c, seed=seed, dim=int(X.shape[1]), documents=documents)
 
 
 def assign_new_document(tree: ClusterTree, embedding: np.ndarray) -> Cid:
@@ -224,17 +234,17 @@ def assign_new_document(tree: ClusterTree, embedding: np.ndarray) -> Cid:
     return tree.leaf_cid[row]
 
 
-def place_documents(tree: ClusterTree, documents: DocumentMatrix, ids: Sequence[str],
+def place_documents(tree: ClusterTree, ids: Sequence[str],
                     cids: Sequence[Cid] | None = None) -> None:
-    """Append each document `ids[i]`, with its row in `documents`, to leaf
+    """Append each document `ids[i]`, with its row in `tree.documents`, to leaf
     `cids[i]`, or without `cids` to the leaf that greedy descent picks for it.
 
     The one step that places documents after the build: new ones, and loaded
     ones with or without their saved placements (load_placements).
     """
-    rows = [documents.row[doc_id] for doc_id in ids]
+    rows = [tree.documents.row[doc_id] for doc_id in ids]
     if cids is None:
-        cids = [assign_new_document(tree, documents.matrix[row]) for row in rows]
+        cids = [assign_new_document(tree, tree.documents.matrix[row]) for row in rows]
     added: dict[Cid, list[int]] = {}
     for doc_id, cid, row in zip(ids, cids, rows):
         tree.leaves[cid].members.append(doc_id)
@@ -367,7 +377,7 @@ def _rebuild(obj: dict, path: Cid, rows: Iterator[np.ndarray], json_path: str,
     return ClusterNode(obj["label"], centroid, children, obj["members"])
 
 
-def load_tree(json_path: str, bin_path: str) -> ClusterTree:
+def load_tree(json_path: str, bin_path: str, documents: DocumentMatrix) -> ClusterTree:
     manifest = read_json_object(json_path)
     for key in ("k", "c", "dim"):
         value = manifest.get(key)
@@ -384,7 +394,7 @@ def load_tree(json_path: str, bin_path: str) -> ClusterTree:
         raise ParseError(f"{bin_path}: blob has more centroids than the manifest")
     try:
         return ClusterTree(root=root, k=manifest["k"], c=manifest["c"], seed=manifest["seed"],
-                           dim=dim)
+                           dim=dim, documents=documents)
     except ValueError as exc:
         raise ParseError(f"{json_path}: {exc}")
 
@@ -404,24 +414,16 @@ def save_placements(tree: ClusterTree, path: str) -> None:
         fh.write(np.array([position[cid] for cid in placed], dtype="<i4"))
 
 
-def load_placements(tree: ClusterTree, documents: DocumentMatrix, path: str) -> None:
-    """Give a loaded tree's documents their rows in `documents` and their leaves.
+def load_placements(tree: ClusterTree, path: str) -> None:
+    """Place the documents of a loaded tree's matrix that no leaf lists.
 
     Build members keep the leaves tree.json gives them. The other documents,
     in row order, go to the leaves that save_placements wrote to `path`, or,
     when there is no such file (an index saved before it existed), to the
-    leaves that descent picks. Every build member must be in `documents`. A
-    file of the wrong size or naming a leaf outside the tree is a ParseError
-    naming it.
+    leaves that descent picks. A file of the wrong size or naming a leaf
+    outside the tree is a ParseError naming it.
     """
-    leaves = list(tree.leaves.values())
-    rows = np.array([documents.row[doc_id] for leaf in leaves for doc_id in leaf.members],
-                    dtype=np.intp)
-    end = 0
-    for leaf in leaves:
-        start, end = end, end + len(leaf.members)
-        leaf.rows = rows[start:end]
-    added = [doc_id for doc_id in documents.ids if doc_id not in tree.cid_by_doc]
+    added = [doc_id for doc_id in tree.documents.ids if doc_id not in tree.cid_by_doc]
     cids = None
     if os.path.exists(path):
         positions = read_array(path, "<i4", (len(added),))
@@ -429,4 +431,4 @@ def load_placements(tree: ClusterTree, documents: DocumentMatrix, path: str) -> 
             raise ParseError(f"{path}: a placement lies outside the {tree.leaf_count} leaves")
         leaf_cids = list(tree.leaves)
         cids = [leaf_cids[p] for p in positions.tolist()]
-    place_documents(tree, documents, added, cids)
+    place_documents(tree, added, cids)

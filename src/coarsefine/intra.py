@@ -40,7 +40,6 @@ import numpy as np
 
 from .cluster_tree import ClusterTree, row_dots
 from .corpus import TrainingPair
-from .embed import DocumentMatrix
 from .errors import DimMismatch, DivergedLoss, UnknownCid, UnknownDoc
 from .kmeans import derive_seed
 
@@ -84,16 +83,13 @@ def rank_within_cluster(
     tree: ClusterTree,
     cid: Sequence[int],
     m: int,
-    embeddings: Mapping[str, np.ndarray],
 ) -> list[IntraScore]:
     """Top-min(m, cluster size) members of a leaf by s_intra, ties by doc id.
 
-    With a DocumentMatrix, when the leaf's `rows` cover its members (a tree
-    built by hand has none until documents are placed in it), they are
-    gathered in one indexing step; otherwise the mapping is read member by
-    member. Either way all similarities come from one stacked matmul
-    (row_dots), equal bit for bit to intra_score on each member. A one-member
-    leaf returns its member directly.
+    The members' vectors are gathered from the tree's document matrix by the
+    leaf's `rows` in one indexing step, and all similarities come from one
+    stacked matmul (row_dots), equal bit for bit to intra_score on each
+    member. A one-member leaf returns its member directly.
 
     s_intra is the per-element _sigmoid, but only for the members that can be
     in the top m. When the leaf holds more than m members, they are screened
@@ -112,10 +108,7 @@ def rank_within_cluster(
     members = leaf.members
     if not members:
         return []
-    if isinstance(embeddings, DocumentMatrix) and len(leaf.rows) == len(members):
-        docs = embeddings.matrix.take(leaf.rows, axis=0)
-    else:
-        docs = np.array([embeddings[doc_id] for doc_id in members])
+    docs = tree.documents.matrix.take(leaf.rows, axis=0)
     q = np.asarray(q)
     if docs.shape[1:] != q.shape:
         raise DimMismatch(f"query dim {q.shape} != document dim {docs.shape[1:]}")
@@ -294,7 +287,6 @@ class LinearAdapter:
 def train_adapter(
     pairs: Sequence[TrainingPair],
     tree: ClusterTree,
-    doc_embeddings: Mapping[str, np.ndarray],
     query_embeddings: Mapping[str, np.ndarray],
     gamma: float = 2.0,
     n_a: int = 4,
@@ -306,11 +298,11 @@ def train_adapter(
     """Fit a query-side linear adapter by mini-batch gradient descent.
 
     Each query vector q is replaced by W q inside intra_loss; W starts as the
-    identity and follows the mean batch gradient. Returns the adapter and the
-    mean loss per epoch. Raises DivergedLoss if any loss is non-finite, and
-    UnknownDoc, before any training, for the first positive in pair order
-    that has no embedding or no leaf. learning_rate == 0 or epochs == 0
-    leaves W at the identity.
+    identity and follows the mean batch gradient. Document vectors are the
+    rows of the tree's document matrix. Returns the adapter and the mean loss
+    per epoch. Raises DivergedLoss if any loss is non-finite, and UnknownDoc,
+    before any training, for the first positive in pair order that has no
+    leaf. learning_rate == 0 or epochs == 0 leaves W at the identity.
     """
     if not pairs:
         raise ValueError("pairs must be non-empty")
@@ -323,11 +315,11 @@ def train_adapter(
     positives: dict[str, set[str]] = {}
     for pair in pairs:
         doc_id = pair.positive_doc_id
-        if doc_id not in doc_embeddings or doc_id not in tree.cid_by_doc:
+        if doc_id not in tree.cid_by_doc:
             raise UnknownDoc(f"positive document {doc_id!r} is not indexed")
         positives.setdefault(pair.query_id, set()).add(doc_id)
-    dim = int(np.asarray(doc_embeddings[pairs[0].positive_doc_id]).shape[0])
-    weight = np.eye(dim, dtype=np.float64)
+    documents = tree.documents
+    weight = np.eye(documents.matrix.shape[1], dtype=np.float64)
     rng = np.random.default_rng(derive_seed(seed, "adapter"))
     epoch_losses: list[float] = []
     for epoch in range(epochs):
@@ -345,9 +337,9 @@ def train_adapter(
                 )
                 loss, grad_query, *_ = _contrastive(
                     weight @ q0,
-                    doc_embeddings[pair.positive_doc_id],
-                    [doc_embeddings[d] for d in negatives.intra],
-                    [doc_embeddings[d] for d in negatives.inter],
+                    documents[pair.positive_doc_id],
+                    [documents[d] for d in negatives.intra],
+                    [documents[d] for d in negatives.inter],
                     gamma,
                 )
                 if not math.isfinite(loss):

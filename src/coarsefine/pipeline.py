@@ -18,10 +18,12 @@ scores never change.
 In memory an index holds its document vectors as one float32 [N, dim]
 DocumentMatrix in the row order of embeddings.bin (corpus order, as
 save_index writes it), so loading reads the file into that matrix without
-copying rows. Each tree leaf carries an int array of its members' rows next to
-their ids, so the fine stage scores a recalled leaf with one gather and one
-stacked matmul, and takes the exact sigmoid only for the members that a
-vectorised screen leaves in reach of the top k (see rank_within_cluster).
+copying rows. The tree owns that matrix (`index.embeddings` is
+`index.tree.documents`), and each leaf carries an int array of its members'
+rows in it next to their ids, so the fine stage scores a recalled leaf with
+one gather and one stacked matmul, and takes the exact sigmoid only for the
+members that a vectorised screen leaves in reach of the top k (see
+rank_within_cluster).
 The tree keeps all centroids as one float32 matrix, the root as row 0 and
 every node's children a contiguous block of rows. A beam step groups the
 frontier's nodes by child count, scores each group's children with one
@@ -30,8 +32,7 @@ stacked 1 x d . d x 1 matmul and not a gemv, and why groups rather than
 np.add.reduceat); math.log is taken only for the children that a vectorised
 np.log screen leaves in reach of the beam. `index.trie` is the tree's own
 trie, built once with the tree at build and on load, so decoding takes that
-path. `index.embeddings` is still a mapping from id to vector; its values are
-row views of the matrix.
+path.
 
 On disk an index is a directory: corpus.jsonl, embeddings.bin +
 manifest.json (sidecar format), placements.bin, tree.json + centroids.bin,
@@ -167,7 +168,6 @@ class RetrievalResult:
 @dataclass
 class RetrievalIndex:
     corpus: dict[str, Document]
-    embeddings: DocumentMatrix
     tree: ClusterTree
     scorer: StepScorer
     adapter: LinearAdapter | None
@@ -178,6 +178,11 @@ class RetrievalIndex:
     def trie(self) -> PrefixTrie:
         """The trie of the tree's leaves, which decoding is constrained to."""
         return self.tree.trie
+
+    @property
+    def embeddings(self) -> DocumentMatrix:
+        """The document matrix, owned by the tree because its leaves index it."""
+        return self.tree.documents
 
 
 def build_index(
@@ -220,15 +225,14 @@ def build_index(
     tree = build_cluster_tree(
         embeddings, config.branching, config.expected_clusters, derive_seed(config.seed, "tree")
     )
-    return _assemble(corpus, embeddings, tree, None, config)
+    return _assemble(corpus, tree, None, config)
 
 
-def _assemble(corpus: dict[str, Document], embeddings: DocumentMatrix, tree: ClusterTree,
-              adapter: LinearAdapter | None, config: RetrievalConfig) -> RetrievalIndex:
+def _assemble(corpus: dict[str, Document], tree: ClusterTree, adapter: LinearAdapter | None,
+              config: RetrievalConfig) -> RetrievalIndex:
     """The index over these parts, with the scorer and embedder they determine."""
     return RetrievalIndex(
         corpus=corpus,
-        embeddings=embeddings,
         tree=tree,
         scorer=CentroidScorer(tree, temperature=config.temperature),
         adapter=adapter,
@@ -270,7 +274,7 @@ def retrieve(index: RetrievalIndex, query_text: str, k: int) -> RetrievalResult:
         s_inter = hyp.s_inter
         fused.extend(
             (-(s_inter + beta * scored.s_intra), -scored.s_intra, scored.doc_id, s_inter)
-            for scored in rank_within_cluster(q, index.tree, hyp.cid, k, index.embeddings)
+            for scored in rank_within_cluster(q, index.tree, hyp.cid, k)
         )
     fused.sort()
     return RetrievalResult(entries=[
@@ -297,8 +301,8 @@ def add_documents(index: RetrievalIndex, docs: Sequence[Document]) -> RetrievalI
     ids = [doc.doc_id for doc in docs]
     for doc in docs:
         index.corpus[doc.doc_id] = doc
-    index.embeddings.append(ids, vectors)
-    place_documents(index.tree, index.embeddings, ids)
+    index.tree.documents.append(ids, vectors)
+    place_documents(index.tree, ids)
     return index
 
 
@@ -399,17 +403,14 @@ def load_index(directory: str) -> RetrievalIndex:
     corpus = {doc.doc_id: doc for doc in docs}
     if set(ids) != corpus.keys():  # the sidecar reader rejects a repeated id
         raise ParseError(f"{manifest_path}: ids do not match {CORPUS_FILE}")
-    embeddings = DocumentMatrix(ids, matrix)
     tree_path = os.path.join(directory, TREE_FILE)
-    tree = load_tree(tree_path, os.path.join(directory, CENTROIDS_FILE))
+    tree = load_tree(tree_path, os.path.join(directory, CENTROIDS_FILE),
+                     DocumentMatrix(ids, matrix))
     if tree.dim != config.dim:
         raise ParseError(
             f"{tree_path}: dim {tree.dim} disagrees with {config_path} dim {config.dim}"
         )
-    if not tree.cid_by_doc.keys() <= corpus.keys():
-        outside = next(doc_id for doc_id in tree.cid_by_doc if doc_id not in corpus)
-        raise ParseError(f"{directory}: {TREE_FILE} lists {outside!r} outside the corpus")
-    load_placements(tree, embeddings, os.path.join(directory, PLACEMENTS_FILE))
+    load_placements(tree, os.path.join(directory, PLACEMENTS_FILE))
     adapter = None
     adapter_path = os.path.join(directory, ADAPTER_FILE)
     if os.path.exists(adapter_path):
@@ -423,4 +424,4 @@ def load_index(directory: str) -> RetrievalIndex:
             )
         weight = read_array(adapter_path, "<f4", (config.dim, config.dim))
         adapter = LinearAdapter(weight=require_finite(adapter_path, weight))
-    return _assemble(corpus, embeddings, tree, adapter, config)
+    return _assemble(corpus, tree, adapter, config)

@@ -10,7 +10,7 @@ import numpy as np
 from coarsefine import Document
 from coarsefine.cluster_tree import TERMINAL, Cid, ClusterNode, ClusterTree, row_dots
 from coarsefine.corpus import tokenize
-from coarsefine.embed import QueryRepresentation
+from coarsefine.embed import DocumentMatrix, QueryRepresentation
 from coarsefine.errors import DimMismatch, DivergedLoss, EmptySet, ParseError, UnknownDoc
 from coarsefine.inter import decode_clusters
 from coarsefine.intra import (
@@ -205,7 +205,8 @@ def binary_depth2_tree(dim=8):
     """Hand-built tree with CIDs (1,1,0), (1,2,0), (2,1,0), (2,2,0).
 
     Leaf (1,1) holds two docs so cluster-local negatives exist; the other
-    leaves hold one each. Centroids sit on distinct axes.
+    leaves hold one each. Centroids sit on distinct axes, and the documents
+    d11a, d11b, d12a, d21a, d22a on axes 0 to 4.
     """
     n11 = leaf_node(1, axis_vec(dim, 0), ["d11a", "d11b"])
     n12 = leaf_node(2, axis_vec(dim, 1), ["d12a"])
@@ -222,7 +223,8 @@ def binary_depth2_tree(dim=8):
         "d21a": (2, 1, 0), "d22a": (2, 2, 0),
     }
     leaves = {(1, 1, 0): n11, (1, 2, 0): n12, (2, 1, 0): n21, (2, 2, 0): n22}
-    tree = ClusterTree(root=root, k=2, c=2, seed=0, dim=dim)
+    documents = DocumentMatrix(list(cid_by_doc), np.eye(len(cid_by_doc), dim, dtype=np.float32))
+    tree = ClusterTree(root=root, k=2, c=2, seed=0, dim=dim, documents=documents)
     assert tree.cid_by_doc == cid_by_doc and list(tree.cid_by_doc) == list(cid_by_doc)
     assert tree.leaves == leaves and list(tree.leaves) == list(leaves)
     return tree
@@ -400,7 +402,7 @@ def reference_retrieve(index, query_text, k):
     )
     entries: list[ResultEntry] = []
     for hyp in hypotheses:
-        for scored in rank_within_cluster(q, index.tree, hyp.cid, k, index.embeddings):
+        for scored in rank_within_cluster(q, index.tree, hyp.cid, k):
             entries.append(
                 ResultEntry(
                     doc_id=scored.doc_id,

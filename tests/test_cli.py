@@ -340,6 +340,27 @@ def test_eval_rejects_a_malformed_results_line_with_exit_2(tmp_path, queries_pat
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("at", ["front", "end"])
+def test_eval_rejects_a_repeated_query_id_with_exit_1_and_writes_no_report(
+        tmp_path, corpus_path, queries_path, capsys, at):
+    idx = build(tmp_path, corpus_path)
+    out = tmp_path / "results.jsonl"
+    assert main(["retrieve", "--index", idx, "--queries", queries_path, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    first = json.loads(lines[0])
+    copy = json.dumps({**first, "results": []})
+    dup = tmp_path / "dup.jsonl"
+    dup.write_text("\n".join([copy] + lines if at == "front" else lines + [copy]) + "\n")
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(["eval", "--results", str(dup), "--qrels", queries_path, "--k", "1", "5",
+                 "--out", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: duplicate query id {first['query_id']!r}\n"
+    assert not report.exists()
+
+
 def training_rows(texts):
     docs = topic_corpus(4, 30, seed=0)
     return [{"query_id": "p0", "query_text": text, "positive_doc_id": doc.doc_id}
@@ -483,7 +504,7 @@ def test_train_adapter_embeds_each_query_id_once(tmp_path, corpus_path, monkeypa
     pairs = [TrainingPair(r["query_id"], r["query_text"], r["positive_doc_id"]) for r in rows]
     index = load_index(idx)
     expected, _ = train_adapter(
-        pairs, index.tree, index.embeddings,
+        pairs, index.tree,
         {p.query_id: index.embedder.embed(p.query_text) for p in pairs},
         gamma=index.config.gamma, n_a=index.config.n_a, epochs=2,
         seed=derive_seed(index.config.seed, "train"))

@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import weakref
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from coarsefine import cluster_tree
 from coarsefine.cluster_tree import (
     TERMINAL,
+    ClusterTree,
     assign_new_document,
     build_cluster_tree,
     compute_c,
@@ -43,6 +45,29 @@ def test_three_docs_widely_spread_become_three_leaves_in_input_order():
     }
     tree = build_cluster_tree(emb, k=5, expected_clusters=5_000, seed=0)
     assert tree.cid_by_doc == {"x": (1, 0), "y": (2, 0), "z": (3, 0)}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_dict_is_stacked_once_in_its_order_and_a_document_matrix_is_owned_as_it_is(seed):
+    emb, tree = blob_tree(seed=seed)
+    assert isinstance(tree.documents, DocumentMatrix) and tree.documents.ids == list(emb)
+    assert tree.documents.matrix.dtype == np.float32
+    assert tree.documents.matrix.tobytes() == np.stack(list(emb.values())).tobytes()
+    documents = DocumentMatrix(list(emb), np.stack(list(emb.values())))
+    owned = build_cluster_tree(documents, k=8, expected_clusters=6, seed=seed)
+    assert owned.documents is documents
+    assert owned.cid_by_doc == tree.cid_by_doc
+    assert owned.centroid_rows.tobytes() == tree.centroid_rows.tobytes()
+
+
+@pytest.mark.parametrize("missing", ["d11a", "d11b", "d12a", "d22a"])
+def test_a_leaf_member_without_a_row_in_the_document_matrix_is_rejected(missing):
+    tree = binary_depth2_tree()
+    kept = [d for d in tree.documents.ids if d != missing]
+    short = DocumentMatrix(kept, np.stack([tree.documents[d] for d in kept]))
+    cid = tree.cid_by_doc[missing]
+    with pytest.raises(ValueError, match=re.escape(f"leaf {cid} lists {missing!r}")):
+        ClusterTree(root=tree.root, k=2, c=2, seed=0, dim=8, documents=short)
 
 
 def test_empty_corpus_is_rejected():
@@ -138,7 +163,7 @@ def test_tree_round_trip_preserves_structure_and_bytes(tmp_path):
     emb, tree = blob_tree()
     jp, bp = str(tmp_path / "tree.json"), str(tmp_path / "centroids.bin")
     save_tree(tree, jp, bp)
-    loaded = load_tree(jp, bp)
+    loaded = load_tree(jp, bp, tree.documents)
     assert loaded.cid_by_doc == tree.cid_by_doc
     assert loaded.k == tree.k and loaded.c == tree.c and loaded.dim == tree.dim
     for cid, node in tree.leaves.items():
@@ -159,7 +184,7 @@ def test_load_tree_rejects_truncated_centroids(tmp_path):
     blob = open(bp, "rb").read()
     open(bp, "wb").write(blob[:-4])
     with pytest.raises(ParseError):
-        load_tree(jp, bp)
+        load_tree(jp, bp, tree.documents)
 
 
 @pytest.mark.parametrize("rows,dim", [(1, 8), (5, 16), (30, 256), (430, 256), (64, 33)])
@@ -194,7 +219,8 @@ def test_row_descent_equals_the_node_walk_for_built_added_and_tied_points(seed):
                    for point in built + list(fresh) + [tied]]
     assert set(got[-1][:-1]) == {1}
     ids = [f"new{i}" for i in range(len(fresh))]  # added, they land where the walk sends them
-    place_documents(tree, DocumentMatrix(list(emb) + ids, np.stack(built + list(fresh))), ids)
+    tree.documents.append(ids, fresh)
+    place_documents(tree, ids)
     assert [tree.cid_by_doc[doc_id] for doc_id in ids] == got[len(built) : -1]
     hand_built = binary_depth2_tree()
     for axes in [(4, 5), (4, 0, 1), (5, 2, 3), (6, 7)]:  # ties at the top, below it, or both
@@ -213,7 +239,7 @@ def test_load_tree_rejects_a_dim_that_is_not_a_positive_int(tmp_path, dim):
     manifest["dim"] = dim
     open(jp, "w").write(json.dumps(manifest))
     with pytest.raises(ParseError, match="tree.json"):
-        load_tree(jp, bp)
+        load_tree(jp, bp, tree.documents)
 
 
 def test_load_tree_rejects_children_not_labelled_one_to_n(tmp_path):
@@ -224,7 +250,7 @@ def test_load_tree_rejects_children_not_labelled_one_to_n(tmp_path):
     manifest["root"]["children"][0]["label"] = 7
     open(jp, "w").write(json.dumps(manifest))
     with pytest.raises(ParseError):
-        load_tree(jp, bp)
+        load_tree(jp, bp, tree.documents)
 
 
 def _drop(node, key):
@@ -267,7 +293,7 @@ def test_load_tree_rejects_malformed_node_fields_naming_tree_json(tmp_path, corr
     corrupt(manifest)
     open(jp, "w").write(json.dumps(manifest))
     with pytest.raises(ParseError, match="tree.json"):
-        load_tree(jp, bp)
+        load_tree(jp, bp, tree.documents)
 
 
 def test_depth_first_layout_puts_the_root_at_row_0_and_children_in_one_block(tmp_path):
@@ -307,7 +333,7 @@ def test_leaf_index_runs_in_preorder_for_built_and_loaded_trees(tmp_path):
     assert len({len(cid) for cid in tree.leaves}) > 1  # breadth-first order would differ
     jp, bp = str(tmp_path / "tree.json"), str(tmp_path / "centroids.bin")
     save_tree(tree, jp, bp)
-    for t in (tree, load_tree(jp, bp)):
+    for t in (tree, load_tree(jp, bp, tree.documents)):
         assert list(t.leaves) == sorted(t.leaves)
         assert list(t.cid_by_doc) == [d for leaf in t.leaves.values() for d in leaf.members]
         assert t.build_members == {cid: tuple(leaf.members) for cid, leaf in t.leaves.items()}
@@ -328,7 +354,7 @@ def test_load_tree_frees_the_centroid_blob_without_a_gc_pass(tmp_path, monkeypat
     monkeypatch.setattr(cluster_tree, "read_array", recording_read_array)
     gc.disable()
     try:
-        loaded = load_tree(jp, bp)
+        loaded = load_tree(jp, bp, tree.documents)
         freed = [blob() is None for blob in blobs]
     finally:
         gc.enable()

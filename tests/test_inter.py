@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coarsefine import inter
-from coarsefine.embed import QueryRepresentation
+from coarsefine.embed import DocumentMatrix, QueryRepresentation
 from coarsefine.errors import BeamTooSmall, InvalidPrefix, UnknownCid
 from coarsefine.inter import CentroidScorer, decode_clusters, inter_loss
 from coarsefine.trie import build_trie
@@ -315,7 +315,8 @@ def test_ties_across_depths_break_toward_the_lexicographically_smaller_cid():
     shallow = ClusterNode(label=2, centroid=axis_vec(4, 1), members=["b"])
     root = ClusterNode(label=None, centroid=axis_vec(4, 2), children=[inner, shallow])
     leaves = {(1, 1, 0): deep, (2, 0): shallow}
-    tree = ClusterTree(root=root, k=2, c=2, seed=0, dim=4)
+    documents = DocumentMatrix(["a", "b"], np.eye(2, 4, dtype=np.float32))  # on deep and shallow
+    tree = ClusterTree(root=root, k=2, c=2, seed=0, dim=4, documents=documents)
     assert tree.cid_by_doc == {"a": (1, 1, 0), "b": (2, 0)} and tree.leaves == leaves
     trie = tree.trie
     scorer = CentroidScorer(tree, temperature=0.1)

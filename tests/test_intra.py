@@ -7,7 +7,7 @@ import pytest
 from coarsefine import RetrievalConfig, add_documents, build_index, intra
 from coarsefine.cluster_tree import place_documents, row_dots
 from coarsefine.corpus import Document, TrainingPair
-from coarsefine.embed import DocumentMatrix, hash_embed
+from coarsefine.embed import hash_embed
 from coarsefine.errors import DimMismatch, DivergedLoss, UnknownCid, UnknownDoc
 from coarsefine.intra import (
     IntraScore,
@@ -53,29 +53,17 @@ def test_s_intra_strictly_increasing_in_sim():
     assert all(0.0 < v < 1.0 for v in vals)
 
 
-def two_doc_cluster():
-    tree = binary_depth2_tree()
-    emb = {
-        "d11a": axis_vec(8, 0),
-        "d11b": axis_vec(8, 1),
-        "d12a": axis_vec(8, 2),
-        "d21a": axis_vec(8, 3),
-        "d22a": axis_vec(8, 4),
-    }
-    return tree, emb
-
-
 def test_rank_within_cluster_orders_by_similarity():
-    tree, emb = two_doc_cluster()
+    tree = binary_depth2_tree()
     q = axis_vec(8, 0)  # aligned with d11a, orthogonal to d11b
-    ranked = rank_within_cluster(q, tree, (1, 1, 0), 2, emb)
+    ranked = rank_within_cluster(q, tree, (1, 1, 0), 2)
     assert [r.doc_id for r in ranked] == ["d11a", "d11b"]
     assert ranked[0].s_intra > ranked[1].s_intra
 
 
 def test_rank_within_cluster_caps_at_cluster_size():
-    tree, emb = two_doc_cluster()
-    ranked = rank_within_cluster(axis_vec(8, 0), tree, (1, 1, 0), 10, emb)
+    tree = binary_depth2_tree()
+    ranked = rank_within_cluster(axis_vec(8, 0), tree, (1, 1, 0), 10)
     assert len(ranked) == 2
 
 
@@ -85,7 +73,7 @@ def test_rank_within_cluster_matches_exhaustive_sort():
     rng = np.random.default_rng(0)
     q = rng.standard_normal(12).astype(np.float32)
     for cid, node in tree.leaves.items():
-        ranked = rank_within_cluster(q, tree, cid, len(node.members), emb)
+        ranked = rank_within_cluster(q, tree, cid, len(node.members))
         oracle = sorted(
             (intra_score(q, emb[m], m) for m in node.members),
             key=lambda s: (-s.s_intra, s.doc_id),
@@ -94,31 +82,41 @@ def test_rank_within_cluster_matches_exhaustive_sort():
         assert [r.s_intra for r in ranked] == [o.s_intra for o in oracle]
 
 
-def test_rank_within_cluster_reads_members_by_id_when_the_leaf_rows_do_not_cover_them():
-    ids, axes = ["d11a", "d11b", "d12a", "d21a", "d22a", "new"], [0, 1, 2, 3, 4, 7]
-    by_id = {doc_id: axis_vec(8, axis) for doc_id, axis in zip(ids, axes)}
-    documents = DocumentMatrix(ids, np.stack(list(by_id.values())))
-    tree = binary_depth2_tree()  # built by hand, so its leaves have no rows
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_tree_built_from_a_dict_ranks_every_member_by_its_own_vector(seed):
+    emb = blob_embeddings((20, 20), dim=8, seed=1)
+    tree = build_cluster_tree(emb, k=3, expected_clusters=10, seed=seed)
+    assert tree.documents.ids == list(emb)
+    assert any(len(leaf.members) == 2 for leaf in tree.leaves.values())
+    for q in (emb["b1_011"], emb["b0_003"], -emb["b1_006"]):
+        for cid, leaf in tree.leaves.items():
+            oracle = sorted((intra_score(q, emb[d], d) for d in leaf.members),
+                            key=lambda s: (-s.s_intra, s.doc_id))
+            for m in (1, 2, len(leaf.members)):
+                assert rank_within_cluster(q, tree, cid, m) == oracle[:m]
+
+
+def test_rank_within_cluster_scores_a_document_placed_after_the_build_by_its_appended_row():
+    tree = binary_depth2_tree()
     q = axis_vec(8, 7)  # orthogonal to every document but "new"
-    unplaced = rank_within_cluster(q, tree, (1, 1, 0), 1, documents)
-    assert unplaced == rank_within_cluster(q, tree, (1, 1, 0), 1, by_id)
-    assert [scored.doc_id for scored in unplaced] == ["d11a"]
-    place_documents(tree, documents, ["new"], [(1, 1, 0)])  # one row for three members
-    placed = rank_within_cluster(q, tree, (1, 1, 0), 1, documents)
-    assert placed == rank_within_cluster(q, tree, (1, 1, 0), 1, by_id)
+    assert [scored.doc_id for scored in rank_within_cluster(q, tree, (1, 1, 0), 1)] == ["d11a"]
+    tree.documents.append(["new"], [axis_vec(8, 7)])
+    place_documents(tree, ["new"], [(1, 1, 0)])
+    assert tree.leaves[(1, 1, 0)].rows.tolist() == [0, 1, 5]
+    placed = rank_within_cluster(q, tree, (1, 1, 0), 1)
     assert placed == [IntraScore("new", sim=1.0, s_intra=1 / (1 + math.exp(-1.0)))]
 
 
 def test_rank_within_cluster_validates_arguments():
-    tree, emb = two_doc_cluster()
+    tree = binary_depth2_tree()
     with pytest.raises(UnknownCid):
-        rank_within_cluster(axis_vec(8, 0), tree, (9, 0), 1, emb)
+        rank_within_cluster(axis_vec(8, 0), tree, (9, 0), 1)
     with pytest.raises(ValueError):
-        rank_within_cluster(axis_vec(8, 0), tree, (1, 1, 0), 0, emb)
+        rank_within_cluster(axis_vec(8, 0), tree, (1, 1, 0), 0)
 
 
 def test_sample_negatives_singleton_cluster_has_no_intra():
-    tree, emb = two_doc_cluster()
+    tree = binary_depth2_tree()
     pair = TrainingPair("q", "text", "d12a")
     out = sample_negatives(pair, tree, [pair], n_a=4, seed=0)
     assert out.intra == []
@@ -139,7 +137,7 @@ def test_sample_negatives_excludes_positive_and_relevant():
 
 
 def test_sample_negatives_inter_uses_other_pairs_positives():
-    tree, emb = two_doc_cluster()
+    tree = binary_depth2_tree()
     p1 = TrainingPair("q1", "t", "d11a")
     p2 = TrainingPair("q2", "t", "d21a")
     p3 = TrainingPair("q3", "t", "d22a")
@@ -249,12 +247,12 @@ def adapter_fixture():
         noisy = emb[doc_id] + 0.3 * rng.standard_normal(8).astype(np.float32)
         queries[qid] = (noisy / np.linalg.norm(noisy)).astype(np.float32)
     kwargs = dict(n_a=32, batch_size=len(pairs))
-    return pairs, tree, emb, queries, kwargs
+    return pairs, tree, queries, kwargs
 
 
 def test_train_adapter_zero_rate_keeps_identity():
-    pairs, tree, emb, queries, kw = adapter_fixture()
-    adapter, losses = train_adapter(pairs, tree, emb, queries, epochs=3,
+    pairs, tree, queries, kw = adapter_fixture()
+    adapter, losses = train_adapter(pairs, tree, queries, epochs=3,
                                     learning_rate=0.0, **kw)
     assert np.array_equal(adapter.weight, np.eye(8, dtype=np.float32))
     assert len(losses) == 3
@@ -262,9 +260,8 @@ def test_train_adapter_zero_rate_keeps_identity():
 
 def test_train_adapter_single_pair_no_negatives_keeps_identity():
     tree = binary_depth2_tree()
-    emb = {d: axis_vec(8, i) for i, d in enumerate(["d11a", "d11b", "d12a", "d21a", "d22a"])}
     pair = TrainingPair("q", "t", "d12a")  # singleton leaf, batch of one
-    adapter, losses = train_adapter([pair], tree, emb, {"q": axis_vec(8, 5)},
+    adapter, losses = train_adapter([pair], tree, {"q": axis_vec(8, 5)},
                                     epochs=2, learning_rate=0.5)
     assert np.array_equal(adapter.weight, np.eye(8, dtype=np.float32))
     assert losses == [0.0, 0.0]
@@ -272,42 +269,41 @@ def test_train_adapter_single_pair_no_negatives_keeps_identity():
 
 def test_train_adapter_zero_epochs_returns_identity():
     tree = binary_depth2_tree()
-    emb = {d: axis_vec(8, i) for i, d in enumerate(["d11a", "d11b", "d12a", "d21a", "d22a"])}
     pair = TrainingPair("q", "t", "d11a")
-    adapter, losses = train_adapter([pair], tree, emb, {"q": axis_vec(8, 5)}, epochs=0)
+    adapter, losses = train_adapter([pair], tree, {"q": axis_vec(8, 5)}, epochs=0)
     assert np.array_equal(adapter.weight, np.eye(8, dtype=np.float32))
     assert losses == []
 
 
 def test_train_adapter_reduces_loss_on_blob_fixture():
-    pairs, tree, emb, queries, kw = adapter_fixture()
-    adapter, losses = train_adapter(pairs, tree, emb, queries, epochs=20,
+    pairs, tree, queries, kw = adapter_fixture()
+    adapter, losses = train_adapter(pairs, tree, queries, epochs=20,
                                     learning_rate=0.5, **kw)
     assert losses[-1] < losses[0]
     assert not np.array_equal(adapter.weight, np.eye(8, dtype=np.float32))
 
 
 def test_train_adapter_losses_non_increasing_early():
-    pairs, tree, emb, queries, kw = adapter_fixture()
-    _, losses = train_adapter(pairs, tree, emb, queries, epochs=3,
+    pairs, tree, queries, kw = adapter_fixture()
+    _, losses = train_adapter(pairs, tree, queries, epochs=3,
                               learning_rate=0.05, **kw)
     assert losses[0] >= losses[1] >= losses[2]
 
 
 def test_train_adapter_is_deterministic():
-    pairs, tree, emb, queries, kw = adapter_fixture()
-    a1, l1 = train_adapter(pairs, tree, emb, queries, epochs=4, learning_rate=0.05,
+    pairs, tree, queries, kw = adapter_fixture()
+    a1, l1 = train_adapter(pairs, tree, queries, epochs=4, learning_rate=0.05,
                            seed=9, **kw)
-    a2, l2 = train_adapter(pairs, tree, emb, queries, epochs=4, learning_rate=0.05,
+    a2, l2 = train_adapter(pairs, tree, queries, epochs=4, learning_rate=0.05,
                            seed=9, **kw)
     assert a1.weight.tobytes() == a2.weight.tobytes()
     assert l1 == l2
 
 
 def test_train_adapter_diverges_with_absurd_rate():
-    pairs, tree, emb, queries, kw = adapter_fixture()
+    pairs, tree, queries, kw = adapter_fixture()
     with pytest.raises(DivergedLoss):
-        train_adapter(pairs, tree, emb, queries, epochs=5, learning_rate=1e40, **kw)
+        train_adapter(pairs, tree, queries, epochs=5, learning_rate=1e40, **kw)
 
 
 def test_train_adapter_never_draws_a_querys_own_positives_as_negatives(monkeypatch):
@@ -323,7 +319,7 @@ def test_train_adapter_never_draws_a_querys_own_positives_as_negatives(monkeypat
         return negatives
 
     monkeypatch.setattr(intra, "sample_negatives", spy)
-    train_adapter(pairs, tree, emb, {"q": emb[a], "r": emb[c]}, n_a=32, epochs=2, batch_size=3)
+    train_adapter(pairs, tree, {"q": emb[a], "r": emb[c]}, n_a=32, epochs=2, batch_size=3)
     own = {"q": {a, b}, "r": {c}}
     assert len(drawn) == 6
     for query_id, relevant, negatives in drawn:
@@ -347,7 +343,7 @@ QUERY_KINDS = ["hashed", "dense", "signed-zeros-and-subnormals-f32",
                "signed-zeros-and-subnormals-f64", "one-all-zero"]
 
 
-def exactness_fixture(query_kind, matrix):
+def exactness_fixture(query_kind):
     """Hashed documents at dim 32 in a 3-way tree, 16 pairs over 8 query ids
     (two positives each), plus a repeat of one pair object and an equal copy
     of another."""
@@ -355,8 +351,6 @@ def exactness_fixture(query_kind, matrix):
     docs = topic_corpus(3, 12, seed=2)
     emb = {d.doc_id: hash_embed(d.text, dim) for d in docs}
     tree = build_cluster_tree(emb, k=3, expected_clusters=3, seed=2)
-    if matrix:
-        emb = DocumentMatrix(list(emb), np.stack(list(emb.values())))
     rng = np.random.default_rng(4)
     picks = rng.choice(len(docs), size=16, replace=False)
     pairs = [TrainingPair(f"q{n % 8}", "t", docs[int(i)].doc_id) for n, i in enumerate(picks)]
@@ -377,33 +371,50 @@ def exactness_fixture(query_kind, matrix):
             queries[qid] = np.zeros(dim, dtype=np.float32)
         else:
             queries[qid] = hashed
-    return pairs, tree, emb, queries
+    return pairs, tree, queries
 
 
-@pytest.mark.parametrize("matrix", [False, True], ids=["dict", "matrix"])
 @pytest.mark.parametrize("batch_size", [1, 3, 16])
 @pytest.mark.parametrize("query_kind", QUERY_KINDS)
-def test_train_adapter_equals_the_dense_update_bit_for_bit(query_kind, batch_size, matrix):
-    pairs, tree, emb, queries = exactness_fixture(query_kind, matrix)
+def test_train_adapter_equals_the_dense_update_bit_for_bit(query_kind, batch_size):
+    pairs, tree, queries = exactness_fixture(query_kind)
     for learning_rate, epochs in [(0.5, 3), (0.0, 2), (0.5, 0)]:
         kw = dict(n_a=3, epochs=epochs, learning_rate=learning_rate, seed=3,
                   batch_size=batch_size)
-        adapter, losses = train_adapter(pairs, tree, emb, queries, **kw)
-        expected, expected_losses = reference_train_adapter(pairs, tree, emb, queries, **kw)
+        adapter, losses = train_adapter(pairs, tree, queries, **kw)
+        expected, expected_losses = reference_train_adapter(pairs, tree, tree.documents, queries,
+                                                            **kw)
         assert adapter.weight.tobytes() == expected.weight.tobytes()
         assert losses == expected_losses
         assert len(losses) == epochs
         assert np.array_equal(adapter.weight, np.eye(32)) == (learning_rate * epochs == 0)
 
 
+@pytest.mark.parametrize("batch_size", [1, 3, 16])
+def test_train_adapter_on_a_tree_built_from_float64_vectors_reads_its_float32_rows(batch_size):
+    rng = np.random.default_rng(batch_size)
+    emb = {f"d{i}": v / np.linalg.norm(v) for i, v in enumerate(rng.standard_normal((30, 8)))}
+    tree = build_cluster_tree(emb, k=3, expected_clusters=3, seed=1)
+    pairs = [TrainingPair(f"q{i % 5}", "t", f"d{i}") for i in range(0, 30, 2)]
+    queries = {f"q{i}": rng.standard_normal(8) for i in range(5)}
+    kw = dict(n_a=3, epochs=3, learning_rate=0.5, seed=2, batch_size=batch_size)
+    adapter, losses = train_adapter(pairs, tree, queries, **kw)
+    rows = {doc_id: tree.documents[doc_id] for doc_id in emb}
+    assert all(row.dtype == np.float32 for row in rows.values())
+    expected, expected_losses = reference_train_adapter(pairs, tree, rows, queries, **kw)
+    assert adapter.weight.tobytes() == expected.weight.tobytes()
+    assert losses == expected_losses
+    assert losses != reference_train_adapter(pairs, tree, emb, queries, **kw)[1]
+
+
 def test_train_adapter_diverges_where_the_dense_update_does():
-    pairs, tree, emb, queries, kw = adapter_fixture()
+    pairs, tree, queries, kw = adapter_fixture()
     for batch_size in (kw["batch_size"], 3):
         args = dict(kw, epochs=5, learning_rate=1e40, batch_size=batch_size)
         with pytest.raises(DivergedLoss) as got:
-            train_adapter(pairs, tree, emb, queries, **args)
+            train_adapter(pairs, tree, queries, **args)
         with pytest.raises(DivergedLoss) as expected:
-            reference_train_adapter(pairs, tree, emb, queries, **args)
+            reference_train_adapter(pairs, tree, tree.documents, queries, **args)
         assert str(got.value) == str(expected.value)
 
 
@@ -419,7 +430,7 @@ def test_intra_loss_and_sample_negatives_equal_their_references_bit_for_bit():
         for name in ("grad_query", "grad_positive", "grad_intra", "grad_inter"):
             assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
             assert getattr(got, name).shape == getattr(expected, name).shape, name
-    pairs, tree, _, _ = exactness_fixture("hashed", matrix=False)
+    pairs, tree, _ = exactness_fixture("hashed")
     batch = pairs[:5] + pairs[-2:] + [pairs[0]]  # the same object twice, an equal copy
     for pair in batch:
         for relevant in (None, {pairs[3].positive_doc_id}):
@@ -428,24 +439,18 @@ def test_intra_loss_and_sample_negatives_equal_their_references_bit_for_bit():
 
 
 def test_train_adapter_rejects_an_unknown_positive_before_training(monkeypatch):
-    pairs, tree, emb, queries, kw = adapter_fixture()
+    pairs, tree, queries, kw = adapter_fixture()
     monkeypatch.setattr(intra, "sample_negatives", None)  # training never starts
     pairs[3:3] = [TrainingPair(pairs[0].query_id, "t", d) for d in ("missing-a", "missing-b")]
     with pytest.raises(UnknownDoc, match="'missing-a'"):  # the first in pair order
-        train_adapter(pairs, tree, emb, queries, **kw)
-    leafless = dict(emb, extra=emb[pairs[0].positive_doc_id])
-    with pytest.raises(UnknownDoc, match="'extra'"):
-        train_adapter([TrainingPair("q0", "t", "extra")] + pairs, tree, leafless, queries, **kw)
-    matrix = DocumentMatrix(list(emb), np.stack(list(emb.values())))
-    with pytest.raises(UnknownDoc, match="'missing-a'"):
-        train_adapter(pairs, tree, matrix, queries, **kw)
+        train_adapter(pairs, tree, queries, **kw)
 
 
 @pytest.mark.parametrize("learning_rate", [math.nan, math.inf, -math.inf, -0.5])
 def test_train_adapter_rejects_a_non_finite_or_negative_rate(learning_rate):
-    pairs, tree, emb, queries, kw = adapter_fixture()
+    pairs, tree, queries, kw = adapter_fixture()
     with pytest.raises(ValueError, match="learning_rate"):
-        train_adapter(pairs, tree, emb, queries, learning_rate=learning_rate, **kw)
+        train_adapter(pairs, tree, queries, learning_rate=learning_rate, **kw)
 
 
 def reference_rank(q, tree, cid, m, embeddings):
@@ -484,10 +489,9 @@ def test_screened_rank_within_cluster_equals_the_unscreened_sort(monkeypatch):
             for q in queries:
                 for m in sorted({1, 3, 10, len(leaf.members)}):
                     expected = reference_rank(q, index.tree, cid, m, vectors)
-                    for embeddings in (matrix, vectors):
-                        calls.clear()
-                        assert rank_within_cluster(q, index.tree, cid, m, embeddings) == expected
-                        screened += len(calls) < len(leaf.members)
+                    calls.clear()
+                    assert rank_within_cluster(q, index.tree, cid, m) == expected
+                    screened += len(calls) < len(leaf.members)
                     saturated_ties += [s.s_intra for s in expected[:2]] == [1.0, 1.0]
     assert 1 in sizes and max(sizes) > 10
     assert saturated_ties > 0 and screened > 0
@@ -512,7 +516,7 @@ def test_kept_members_take_the_exact_sigmoid_not_the_screened_value(monkeypatch)
     for cid, leaf in index.tree.leaves.items():
         for m in (1, 3, 10):
             expected = reference_rank(q, index.tree, cid, m, index.embeddings)
-            assert rank_within_cluster(q, index.tree, cid, m, index.embeddings) == expected
+            assert rank_within_cluster(q, index.tree, cid, m) == expected
 
 
 def test_sample_negatives_picks_equal_the_list_based_draw_around_excluded_members():

@@ -378,7 +378,7 @@ def test_a_damaged_file_is_a_parse_error_naming_it_and_exits_2(added_index, tmp_
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and name in err
+    assert err.startswith(f"error: {path}:") and name in err
 
 
 def test_directory_without_placements_loads_the_same_and_the_next_add_writes_them(
@@ -391,22 +391,31 @@ def test_directory_without_placements_loads_the_same_and_the_next_add_writes_the
     assert_equals_a_full_save(added_index, tmp_path)
 
 
+def assert_the_tree_owns_the_document_matrix(index):
+    documents = index.tree.documents
+    assert index.embeddings is documents
+    for leaf in index.tree.leaves.values():
+        assert leaf.rows.tolist() == [documents.row[d] for d in leaf.members]
+    assert set(index.tree.cid_by_doc) == set(documents.ids)
+
+
 @pytest.mark.parametrize("batches", [0, 1, 3])
 @pytest.mark.parametrize("placed", [True, False], ids=["with-placements", "without"])
 def test_loaded_leaves_hold_their_members_rows_and_resave_the_same_placements(
         tmp_path, batches, placed):
     index = build_index(BASE, CONFIG)
+    assert_the_tree_owns_the_document_matrix(index)
     for batch in range(batches):
         add_documents(index, [Document(f"late{batch}_{i}", doc.text)
                               for i, doc in enumerate(topic_corpus(3, 2, seed=7 + batch))])
+        assert_the_tree_owns_the_document_matrix(index)
     save_index(index, str(tmp_path / "idx"))
     placements = (tmp_path / "idx" / "placements.bin").read_bytes()
     assert len(placements) == 4 * 6 * batches
     if not placed:
         (tmp_path / "idx" / "placements.bin").unlink()
     loaded = load_index(str(tmp_path / "idx"))
-    for leaf in loaded.tree.leaves.values():
-        assert leaf.rows.tolist() == [loaded.embeddings.row[d] for d in leaf.members]
+    assert_the_tree_owns_the_document_matrix(loaded)
     assert list(loaded.tree.cid_by_doc.items()) == list(index.tree.cid_by_doc.items())
     save_index(loaded, str(tmp_path / "again"))
     assert (tmp_path / "again" / "placements.bin").read_bytes() == placements

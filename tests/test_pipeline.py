@@ -59,16 +59,9 @@ def sample_queries(docs, n, seed):
 def hand_index(beta=1.0):
     """Index over the hand-built two-level tree with axis embeddings."""
     tree = binary_depth2_tree(dim=8)
-    doc_ids = ["d11a", "d11b", "d12a", "d21a", "d22a"]
-    emb = {}
-    for i, d in enumerate(doc_ids):
-        vec = np.zeros(8, dtype=np.float32)
-        vec[i] = 1.0
-        emb[d] = vec
     config = RetrievalConfig(dim=8, beta=beta, gamma=2.0, beam_size=8, k_clusters=8)
     return RetrievalIndex(
-        corpus={d: Document(d, str(i)) for i, d in enumerate(doc_ids)},
-        embeddings=emb,
+        corpus={d: Document(d, str(i)) for i, d in enumerate(tree.documents.ids)},
         tree=tree,
         scorer=UniformScorer(),
         adapter=None,
@@ -136,7 +129,7 @@ def test_retrieve_validates_arguments():
     docs, idx = small_index()
     with pytest.raises(ValueError):
         retrieve(idx, "anything", 0)
-    bare = RetrievalIndex(corpus={}, embeddings={}, tree=idx.tree,
+    bare = RetrievalIndex(corpus={}, tree=idx.tree,
                           scorer=idx.scorer, adapter=None, config=idx.config,
                           embedder=idx.embedder)
     with pytest.raises(EmptyIndex):
@@ -370,11 +363,11 @@ def test_rank_within_cluster_on_the_document_matrix_equals_intra_score():
     docs, idx = small_index(seed=17)
     q = query_vector(idx, docs[0].text)
     for cid, leaf in idx.tree.leaves.items():
-        ranked = rank_within_cluster(q, idx.tree, cid, len(leaf.members), idx.embeddings)
+        ranked = rank_within_cluster(q, idx.tree, cid, len(leaf.members))
         oracle = sorted((intra_score(q, idx.embeddings[m], m) for m in leaf.members),
                         key=lambda s: (-s.s_intra, s.doc_id))
         assert ranked == oracle
-        top = rank_within_cluster(q, idx.tree, cid, 2, idx.embeddings)
+        top = rank_within_cluster(q, idx.tree, cid, 2)
         assert top == oracle[:2]
 
 
