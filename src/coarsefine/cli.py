@@ -85,12 +85,20 @@ def _resolve_config(args: argparse.Namespace, base: RetrievalConfig | None = Non
     """Defaults (or the index's stored config), then config file, then flags.
 
     A config file overrides only the keys it contains; the merged values are
-    checked together, and an error names the file when one was given.
+    checked together, and an error names the file when one was given. On an
+    existing index (`base`), a key the subcommand takes no flag for is fixed
+    by the index: the file may repeat its stored value, which is kept, so a
+    build-time file can be reused, but any other value is a ParseError.
     """
     values = dataclasses.asdict(base if base is not None else RetrievalConfig())
     config_file = getattr(args, "config", None)
     if config_file:
-        values.update(read_config_file(config_file))
+        for key, value in read_config_file(config_file).items():
+            if base is None or hasattr(args, key):
+                values[key] = value
+            elif value != values[key] or type(value) is bool:
+                raise ParseError(f"{config_file}: {key} is fixed by the index at "
+                                 f"{values[key]!r}, got {value!r}")
     for name, _, _ in CONFIG_FLAGS:
         flag = getattr(args, name, None)
         if flag is not None:
@@ -258,6 +266,19 @@ def cmd_train_adapter(args: argparse.Namespace) -> int:
     return 0
 
 
+def _leaf_shape(leaves) -> str:
+    """How many leaves hold one member, the largest leaf, and a histogram of
+    leaf sizes in power-of-two bins (1, 2-3, 4-7, ...; 0 for an empty leaf)."""
+    sizes = [len(leaf.members) for leaf in leaves.values()]
+    one = sizes.count(1)
+    rows = [("one_member_leaves", f"{one} of {len(sizes)} ({one / len(sizes):.4f})"),
+            ("largest_leaf", str(max(sizes)))]
+    for bits, count in sorted(Counter(size.bit_length() for size in sizes).items()):
+        low, high = (1 << bits) >> 1, (1 << bits) - 1
+        rows.append((f"leaf_size_{low}" + (f"-{high}" if high > low else ""), str(count)))
+    return "\n".join(f"{name.ljust(19)} {value}" for name, value in rows)
+
+
 def cmd_inspect(args: argparse.Namespace) -> int:
     index = load_index(args.index)
     qrels = None
@@ -267,6 +288,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     print(f"documents           {len(index.corpus)}")
     print(f"adapter             {'yes' if index.adapter is not None else 'no'}")
     print(report.format_table())
+    print(_leaf_shape(index.tree.leaves))
     print("config:")
     for key, value in sorted(dataclasses.asdict(index.config).items()):
         print(f"  {key} = {value}")

@@ -25,15 +25,16 @@ a whole beam step with array operations over the tree's centroid matrix,
 where every node's children are one block of rows, instead of one
 score_next call per frontier node; only the root step still goes through
 score_next. Any other trie, even one built separately from the same leaves,
-takes the generic path. The internal frontier nodes are grouped by child
-count; each group's child rows are gathered and scored by one row_dots call
-(so the float64 copy it makes stays the size of one group) and normalised as
-an (m, u) array with the per-node ops of score_next: max, exp, sum and divide
-along axis 1. A row sum of a 2-D array adds in the same order as the sum of
-that row on its own, whereas np.add.reduceat over one flat array of uneven
-segments does not (with numpy 2.4, 801 of 2,000 random segments of 1-30
-values differed in the last bit), so nodes of different child counts are not
-mixed.
+takes the generic path. All child rows of a step's internal frontier nodes
+are gathered with one take and scored by one row_dots call, which gives each
+row the same bits whatever other rows share the call; its float64 copy is at
+most beam_size x branching rows. The nodes are grouped by child count, and
+each group's slice of the logits is normalised as an (m, u) array with the
+per-node ops of score_next: max, exp, sum and divide along axis 1. A row sum
+of a 2-D array adds in the same order as the sum of that row on its own,
+whereas np.add.reduceat over one flat array of uneven segments does not
+(with numpy 2.4, 801 of 2,000 random segments of 1-30 values differed in the
+last bit), so nodes of different child counts are not mixed.
 Log-probabilities are per-element math.log, because np.log differs from it
 in the last bit on some inputs, but only for the children that can survive
 the next beam cut. When a step yields more than beam_size children, they are
@@ -233,13 +234,14 @@ def _decode_tree(
         rows, lps, counts = rows[by_count], lps[by_count], counts[by_count]
         offsets = np.cumsum(counts) - counts
         children = np.repeat(tree.first_child[rows] - offsets, counts) + np.arange(counts.sum())
+        logits = row_dots(tree.centroid_rows.take(children, axis=0), query.pooled)
+        logits /= scorer.temperature
         probs = np.empty(len(children))
         start = 0
         for u, m in Counter(counts.tolist()).items():
             end = start + m * u
-            logits = row_dots(tree.centroid_rows[children[start:end]], query.pooled)
-            logits = logits.reshape(m, u) / scorer.temperature
-            exps = np.exp(logits - logits.max(axis=1, keepdims=True))
+            group = logits[start:end].reshape(m, u)
+            exps = np.exp(group - group.max(axis=1, keepdims=True))
             probs[start:end] = (exps / exps.sum(axis=1, keepdims=True)).ravel()
             start = end
         kept = probs > 0.0

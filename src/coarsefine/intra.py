@@ -86,10 +86,13 @@ def rank_within_cluster(
 ) -> list[IntraScore]:
     """Top-min(m, cluster size) members of a leaf by s_intra, ties by doc id.
 
-    The members' vectors are gathered from the tree's document matrix by the
-    leaf's `rows` in one indexing step, and all similarities come from one
-    stacked matmul (row_dots), equal bit for bit to intra_score on each
-    member. A one-member leaf returns its member directly.
+    A one-member leaf is scored with one 1-D float64 dot product of the query
+    and the member's row of the tree's document matrix, the product that
+    row_dots equals bit for bit on each row. A larger leaf's vectors are
+    gathered by the leaf's `rows` in one indexing step, and all similarities
+    come from one stacked matmul (row_dots), equal bit for bit to intra_score
+    on each member. The query is checked against the matrix's dimension
+    before either path.
 
     s_intra is the per-element _sigmoid, but only for the members that can be
     in the top m. When the leaf holds more than m members, they are screened
@@ -108,14 +111,15 @@ def rank_within_cluster(
     members = leaf.members
     if not members:
         return []
-    docs = tree.documents.matrix.take(leaf.rows, axis=0)
-    q = np.asarray(q)
-    if docs.shape[1:] != q.shape:
-        raise DimMismatch(f"query dim {q.shape} != document dim {docs.shape[1:]}")
-    sims = row_dots(docs, q)
+    # contiguous, so the 1-D product below is BLAS's unit-stride dot, as in row_dots
+    q = np.ascontiguousarray(q, dtype=np.float64)
+    matrix = tree.documents.matrix
+    if q.shape != matrix.shape[1:]:
+        raise DimMismatch(f"query dim {q.shape} != document dim {matrix.shape[1:]}")
     if len(members) == 1:
-        sim = float(sims[0])
-        return [IntraScore(doc_id=members[0], sim=sim, s_intra=_sigmoid(sim))]
+        sim = float(q @ matrix[leaf.rows[0]].astype(np.float64))
+        return [IntraScore(members[0], sim, _sigmoid(sim))]
+    sims = row_dots(matrix.take(leaf.rows, axis=0), q)
     candidates: Sequence[int] = range(len(members))
     if len(members) > m:
         with np.errstate(over="ignore"):  # exp(-sim) overflows to inf, screening 0
@@ -125,7 +129,7 @@ def rank_within_cluster(
     sims = sims.tolist()
     s_intra = {i: _sigmoid(sims[i]) for i in candidates}
     top = sorted(candidates, key=lambda i: (-s_intra[i], members[i]))[:m]
-    return [IntraScore(doc_id=members[i], sim=sims[i], s_intra=s_intra[i]) for i in top]
+    return [IntraScore(members[i], sims[i], s_intra[i]) for i in top]
 
 
 @dataclass(frozen=True)

@@ -20,19 +20,19 @@ DocumentMatrix in the row order of embeddings.bin (corpus order, as
 save_index writes it), so loading reads the file into that matrix without
 copying rows. The tree owns that matrix (`index.embeddings` is
 `index.tree.documents`), and each leaf carries an int array of its members'
-rows in it next to their ids, so the fine stage scores a recalled leaf with
-one gather and one stacked matmul, and takes the exact sigmoid only for the
-members that a vectorised screen leaves in reach of the top k (see
-rank_within_cluster).
+rows in it next to their ids. The fine stage scores a one-member leaf with
+one dot product of the query and that row, and a larger leaf with one gather
+and one stacked matmul, taking the exact sigmoid only for the members that a
+vectorised screen leaves in reach of the top k (see rank_within_cluster).
 The tree keeps all centroids as one float32 matrix, the root as row 0 and
-every node's children a contiguous block of rows. A beam step groups the
-frontier's nodes by child count, scores each group's children with one
-stacked matmul and normalises them as one 2-D array (see inter.py for why a
-stacked 1 x d . d x 1 matmul and not a gemv, and why groups rather than
-np.add.reduceat); math.log is taken only for the children that a vectorised
-np.log screen leaves in reach of the beam. `index.trie` is the tree's own
-trie, built once with the tree at build and on load, so decoding takes that
-path.
+every node's children a contiguous block of rows. A beam step gathers the
+children of all frontier nodes with one take, scores them with one stacked
+matmul, and normalises each group of nodes with the same child count as one
+2-D array (see inter.py for why a stacked 1 x d . d x 1 matmul and not a
+gemv, and why groups rather than np.add.reduceat); math.log is taken only
+for the children that a vectorised np.log screen leaves in reach of the
+beam. `index.trie` is the tree's own trie, built once with the tree at build
+and on load, so decoding takes that path.
 
 On disk an index is a directory: corpus.jsonl, embeddings.bin +
 manifest.json (sidecar format), placements.bin, tree.json + centroids.bin,

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -285,6 +286,33 @@ def test_inspect_command(tmp_path, corpus_path, capsys):
     assert "documents" in text and "leaf" in text
 
 
+def test_inspect_reports_the_leaf_sizes_of_a_hand_built_tree(tmp_path, corpus_path, capsys):
+    idx = build(tmp_path, corpus_path)
+    ids = [json.loads(line)["id"] for line in open(f"{idx}/corpus.jsonl")]
+    assert len(ids) == 120
+
+    def leaf(label, members):
+        return {"label": label, "members": members, "children": []}
+
+    # leaves of 1, 1, 2, 4 and 112 members; the last two under an internal node
+    inner = {"label": 3, "members": [], "children": [leaf(1, ids[4:8]), leaf(2, ids[8:])]}
+    root = {"label": None, "members": [], "children": [
+        leaf(1, ids[:1]), leaf(2, ids[1:2]), inner, leaf(4, ids[2:4])]}
+    tree = json.loads(open(f"{idx}/tree.json").read())
+    (tmp_path / "idx" / "tree.json").write_text(json.dumps({**tree, "root": root}))
+    np.eye(7, 64, dtype="<f4").tofile(f"{idx}/centroids.bin")  # 7 nodes in preorder
+    os.remove(f"{idx}/placements.bin")
+    assert main(["inspect", "--index", idx]) == 0
+    text = capsys.readouterr().out
+    assert "one_member_leaves   2 of 5 (0.4000)\n" in text
+    assert ("largest_leaf        112\n"
+            "leaf_size_1         2\n"
+            "leaf_size_2-3       1\n"
+            "leaf_size_4-7       1\n"
+            "leaf_size_64-127    1\n"
+            "config:\n") in text
+
+
 @pytest.mark.parametrize("relevant", [[["a"]], [1], ["a", None]])
 def test_inspect_rejects_relevant_ids_that_are_not_strings_with_exit_2(
         tmp_path, corpus_path, capsys, relevant):
@@ -322,6 +350,62 @@ def test_retrieve_config_file_keeps_the_stored_beta(tmp_path, corpus_path, queri
     assert entries
     for e in entries:
         assert e["s_overall"] == e["s_inter"] + 0.5 * e["s_intra"]
+
+
+def training_pairs(tmp_path):
+    docs = topic_corpus(4, 30, seed=0)
+    pairs = tmp_path / "pairs.jsonl"
+    write_jsonl(pairs, [{"query_id": f"p{i}", "query_text": " ".join(d.text.split()[:6]),
+                         "positive_doc_id": d.doc_id} for i, d in enumerate(docs[::5])])
+    return str(pairs)
+
+
+def file_digests(directory):
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+            for name in sorted(os.listdir(directory))}
+
+
+@pytest.mark.parametrize("setting", [{"seed": 99}, {"dim": 96}, {"seed": True}])
+def test_a_config_file_cannot_change_what_the_index_fixes_on_train_adapter(
+        tmp_path, corpus_path, capsys, setting):
+    idx = build(tmp_path, corpus_path)
+    before = file_digests(tmp_path / "idx")
+    config_file = tmp_path / "fixed.json"
+    config_file.write_text(json.dumps(setting))
+    assert main(["train-adapter", "--index", idx, "--pairs", training_pairs(tmp_path),
+                 "--epochs", "1", "--config", str(config_file)]) == 2
+    assert f"{config_file}: {next(iter(setting))} is fixed by the index" in \
+        capsys.readouterr().err
+    assert file_digests(tmp_path / "idx") == before
+
+
+def test_a_config_file_cannot_change_what_the_index_fixes_on_retrieve(
+        tmp_path, corpus_path, queries_path, capsys):
+    idx = build(tmp_path, corpus_path)
+    config_file = tmp_path / "seed.json"
+    config_file.write_text(json.dumps({"seed": 99}))
+    out = tmp_path / "results.jsonl"
+    assert main(["retrieve", "--index", idx, "--queries", queries_path, "--out", str(out),
+                 "--config", str(config_file)]) == 2
+    assert f"{config_file}: seed is fixed by the index at 0, got 99" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_build_config_file_can_be_reused_on_the_index_it_built(
+        tmp_path, corpus_path, queries_path):
+    config_file = tmp_path / "build.json"
+    config_file.write_text(json.dumps({"dim": 64, "expected_clusters": 8, "branching": 4,
+                                       "seed": 3, "gamma": 1.5}))
+    idx = str(tmp_path / "idx")
+    assert main(["build-index", "--corpus", corpus_path, "--out", idx,
+                 "--config", str(config_file)]) == 0
+    out = str(tmp_path / "results.jsonl")
+    assert main(["retrieve", "--index", idx, "--queries", queries_path, "--out", out,
+                 "--config", str(config_file)]) == 0
+    assert main(["train-adapter", "--index", idx, "--pairs", training_pairs(tmp_path),
+                 "--epochs", "1", "--config", str(config_file)]) == 0
+    stored = load_config(f"{idx}/config.json")
+    assert (stored.dim, stored.seed, stored.gamma) == (64, 3, 1.5)
 
 
 def results_line(results):

@@ -265,9 +265,26 @@ def tie_heavy_tree(seed):
     return emb, tree
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_frontier_decoder_equals_the_generic_path_exactly(seed):
-    emb, tree = tie_heavy_tree(seed)
+def mixed_count_tree(seed):
+    """A seeded tree whose second beam step scores nodes of at least three child
+    counts: triplicated points leave k-means fewer distinct points than k in
+    some nodes."""
+    emb = blob_embeddings((40, 24, 12, 6, 3), dim=8, seed=seed, spread=0.2)
+    ids = list(emb)
+    for i in range(0, len(ids) - 2, 3):
+        emb[ids[i + 1]] = emb[ids[i + 2]] = emb[ids[i]]
+    tree = build_cluster_tree(emb, k=5, expected_clusters=20, seed=seed)
+    root_children = range(tree.first_child[0], tree.first_child[0] + tree.child_count[0])
+    assert len({int(tree.child_count[row]) for row in root_children} - {0}) >= 3
+    return emb, tree
+
+
+@pytest.mark.parametrize("make_tree, seed", [
+    *(pytest.param(tie_heavy_tree, seed, id=str(seed)) for seed in range(4)),
+    *(pytest.param(mixed_count_tree, seed, id=f"mixed-counts-{seed}") for seed in (0, 1, 4)),
+])
+def test_frontier_decoder_equals_the_generic_path_exactly(make_tree, seed):
+    emb, tree = make_tree(seed)
     assert len({len(cid) for cid in tree.leaves}) > 1
     trie = tree.trie
     covering = build_trie(tree.leaves.keys())  # the same CIDs, but not the tree's own trie

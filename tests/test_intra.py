@@ -111,8 +111,15 @@ def test_rank_within_cluster_validates_arguments():
     tree = binary_depth2_tree()
     with pytest.raises(UnknownCid):
         rank_within_cluster(axis_vec(8, 0), tree, (9, 0), 1)
-    with pytest.raises(ValueError):
-        rank_within_cluster(axis_vec(8, 0), tree, (1, 1, 0), 0)
+    with pytest.raises(UnknownCid):
+        rank_within_cluster(axis_vec(8, 0), tree, (1, 2), 1)  # no terminal digit
+    for cid in ((1, 1, 0), (1, 2, 0)):  # two members, and one
+        with pytest.raises(ValueError, match="m must be"):
+            rank_within_cluster(axis_vec(8, 0), tree, cid, 0)
+        with pytest.raises(DimMismatch):
+            rank_within_cluster(axis_vec(7, 0), tree, cid, 1)
+        with pytest.raises(DimMismatch):
+            rank_within_cluster(axis_vec(8, 0)[None, :], tree, cid, 1)
 
 
 def test_sample_negatives_singleton_cluster_has_no_intra():
@@ -539,3 +546,51 @@ def test_sample_negatives_picks_equal_the_list_based_draw_around_excluded_member
                 got = sample_negatives(pair, tree, [pair], n_a, seed, relevant)
                 assert got == reference_sample_negatives(pair, tree, [pair], n_a, seed, relevant)
                 assert len(got.intra) == min(n_a, n_eligible)
+
+
+def one_member_queries(index, seed):
+    """float64, float32 and adapter-applied queries: a random direction and a
+    document's own vector, each at two scales."""
+    dim = index.config.dim
+    rng = np.random.default_rng(seed)
+    weight = np.eye(dim) + 0.05 * rng.standard_normal((dim, dim))
+    adapter = LinearAdapter(weight.astype(np.float32))
+    directions = [rng.standard_normal(dim), index.embeddings.matrix[0].astype(np.float64)]
+    for vec in (scale * d for d in directions for scale in (1.0, 40.0)):
+        yield from (vec, vec.astype(np.float32), adapter.apply(vec))
+
+
+def test_a_one_member_leaf_scores_bit_for_bit_like_intra_score_and_row_dots():
+    index = build_index(topic_corpus(4, 30, seed=6), RetrievalConfig(seed=6))
+    tree, matrix = index.tree, index.embeddings.matrix
+    singles = [cid for cid, leaf in tree.leaves.items() if len(leaf.members) == 1]
+    assert len(singles) > len(tree.leaves) // 2  # the default config leaves most at one member
+    queries = list(one_member_queries(index, 6))
+    for cid in singles:
+        (doc_id,), row = tree.leaves[cid].members, matrix[tree.leaves[cid].rows[0]]
+        for q in queries:
+            expected = intra_score(q, row, doc_id)
+            assert row_dots(row[None, :], q).tolist() == [expected.sim]
+            for m in (1, 5):
+                assert rank_within_cluster(q, tree, cid, m) == [expected]
+
+
+def test_a_leaf_grown_from_one_member_to_two_keeps_its_first_members_score():
+    index = build_index(topic_corpus(4, 30, seed=6), RetrievalConfig(seed=6))
+    tree = index.tree
+    singles = {leaf.members[0]: cid for cid, leaf in tree.leaves.items()
+               if len(leaf.members) == 1}
+    queries = list(one_member_queries(index, 7))
+    alone = {cid: [rank_within_cluster(q, tree, cid, 2) for q in queries]
+             for cid in singles.values()}
+    add_documents(index, [Document(f"copy_{doc_id}", index.corpus[doc_id].text)
+                          for doc_id in singles])
+    grown = [(doc_id, cid) for doc_id, cid in singles.items()
+             if tree.leaves[cid].members == [doc_id, f"copy_{doc_id}"]]
+    assert grown  # a copy of a one-member leaf's text descends to that leaf
+    vectors = {d: index.embeddings[d] for d in index.corpus}
+    for doc_id, cid in grown:
+        for q, before in zip(queries, alone[cid]):
+            got = rank_within_cluster(q, tree, cid, 2)
+            assert got == reference_rank(q, tree, cid, 2, vectors)
+            assert [s for s in got if s.doc_id == doc_id] == before
