@@ -229,11 +229,15 @@ def cmd_add_docs(args: argparse.Namespace) -> int:
 
 
 def _load_pairs(path: str) -> list[TrainingPair]:
-    """Training pairs; a query id may recur with more positives, but not with another text."""
+    """Training pairs with texts that have tokens; a query id may recur with more
+    positives, but not with another text."""
     pairs: list[TrainingPair] = []
     text_of: dict[str, str] = {}
     for lineno, obj in read_jsonl(path, ("query_id", "query_text", "positive_doc_id")):
         pair = TrainingPair(obj["query_id"], obj["query_text"], obj["positive_doc_id"])
+        if not _has_tokens(pair.query_text):
+            raise ParseError(f"{path}: line {lineno}: query {pair.query_id!r} has no tokens",
+                             line=lineno)
         if text_of.setdefault(pair.query_id, pair.query_text) != pair.query_text:
             raise ParseError(f"{path}: line {lineno}: query {pair.query_id!r} has a different "
                              "query_text than on an earlier line", line=lineno)

@@ -9,25 +9,25 @@ floored at 2. A child that k-means failed to shrink (all points in one
 cluster, e.g. k == 1 or duplicate points) becomes a leaf regardless, so the
 recursion always terminates.
 
-In memory, the centroids of every node are the rows of one float32 matrix,
-laid out by one depth-first walk with children in label order (labels are
-1..n): the root is row 0, and when the walk reaches a node it gives that
-node's children the next free rows. So each node's children are a contiguous
-block of rows, and each node's `centroid` is a row view of that matrix. Next
-to the matrix, per row, the tree keeps the row of the node's first child, its
-child count, its preorder rank (the order of the walk, which sorts nodes like
-their digit paths, across depths too) and, for a leaf, its CID. The row is
-the only node index: a digit path is followed down from row 0, digit d of the
-node at row r leading to row first_child[r] + d - 1, so scoring and placement
-read no node objects. The same walk derives the leaf index in preorder,
-for built and loaded trees alike: `leaves`, `cid_by_doc`, and
-`build_members` (the construction-time membership that tree.json records);
-a document in two leaves, or a tree without leaves, is rejected. Each tree,
-built or loaded, then builds the prefix trie of its leaves once (`trie`);
-documents placed later only join existing leaves, so the trie never changes.
-The tree owns the document matrix its leaves index (`documents`): each leaf
-keeps, next to its `members`, an int array of their rows in that matrix, so
-a leaf member without a row is rejected too.
+Every tree, built, loaded or hand-built, is given in tree.json's node form
+(nested {"label", "members", "children"} objects) with one float32 matrix of
+the node centroids in preorder, centroids.bin's layout. One depth-first walk,
+children in label order (labels are 1..n), checks each node by tree.json's
+rules and lays the nodes out as rows: the root is row 0, and when the walk
+reaches a node it gives that node's children the next free rows, a contiguous
+block. Per row, the tree keeps the node's centroid, the row of its first
+child, its child count, its preorder rank (the walk's order, which sorts nodes
+like their digit paths, across depths too) and, for a leaf, its CID. The row
+is the only node index: digit d of the node at row r leads to row
+first_child[r] + d - 1, so scoring and placement read no node objects. The
+walk also derives the leaf index in preorder: `leaves`, the only node objects
+kept (each leaf's `centroid` is a row view), `cid_by_doc`, and `build_members`
+(the construction-time membership that tree.json records); a document in two
+leaves, or a tree without leaves, is rejected. `root` builds the internal
+nodes on demand. Each tree builds the prefix trie of its leaves once (`trie`);
+later documents only join existing leaves, so it never changes. The tree owns
+the document matrix its leaves index (`documents`): each leaf keeps an int
+array of its members' rows in it, so a leaf member without a row is rejected.
 
 save_tree writes tree.json with one json.dumps call (the C encoder, the same
 bytes as the streaming json.dump) and centroids.bin as the centroid matrix
@@ -37,9 +37,9 @@ writes their leaves to placements.bin in the document matrix's row order,
 and load_placements places those documents again, in that order, from that
 file or, without it, by descent.
 
-Once built, a tree is immutable as far as this module is concerned and safe
-for concurrent readers, except that place_documents (the single writer)
-appends documents placed after the build to leaf member lists.
+Once built, a tree is immutable in this module and safe for concurrent
+readers, except that place_documents (the single writer) appends documents
+placed after the build to the leaves' member lists, which `root` shares.
 """
 
 from __future__ import annotations
@@ -47,14 +47,14 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import InitVar, dataclass, field
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import read_array, read_json_object, require_finite
 from .embed import DocumentMatrix
-from .errors import EmptyCorpus, MissingCid, ParseError
+from .errors import DimMismatch, EmptyCorpus, MissingCid, ParseError
 from .kmeans import derive_seed, kmeans
 from .trie import TERMINAL, Cid, PrefixTrie, build_trie
 
@@ -72,7 +72,8 @@ class ClusterNode:
 
 @dataclass
 class ClusterTree:
-    root: ClusterNode
+    manifest: InitVar[dict]
+    centroids: InitVar[np.ndarray]
     k: int
     c: int
     seed: int
@@ -88,62 +89,79 @@ class ClusterTree:
     leaf_cid: list[Cid | None] = field(init=False, repr=False)
     trie: PrefixTrie = field(init=False, repr=False)
 
-    def __post_init__(self):
-        """Lay the nodes out in one depth-first walk, derive the leaf index and
-        the leaves' rows, and build the trie of the leaves; ValueError for bad
-        labels, a repeated document, a member without a row in `documents` or
-        a tree without leaves."""
-        if not self.root.children:
+    def __post_init__(self, manifest: dict, centroids: np.ndarray):
+        """Lay out the root `manifest` and `centroids` (preorder), keeping neither.
+        ValueError, in the text load_tree prefixes with its file, for a node that
+        breaks tree.json's rules, a repeated document, a member without a row or
+        a tree without leaves; DimMismatch unless `centroids` has a row per node."""
+        _check_node(manifest, None)
+        if not manifest["children"]:
             raise ValueError("the root has no children, so the tree has no leaves")
-        rows, paths = [self.root], [()]  # by row: the root is row 0
+        nodes, paths = [manifest], [()]  # by row: the root is row 0
         visited, first = [], []  # rows in preorder, and the row of each one's first child
-        self.leaves, self.cid_by_doc = {}, {}
+        leaf_of_row: dict[int, Cid] = {}  # in preorder
+        self.cid_by_doc = {}
         stack = [0]
         while stack:
             row = stack.pop()
-            node, path = rows[row], paths[row]
+            node, path = nodes[row], paths[row]
             visited.append(row)
-            first.append(len(rows))  # its children take the next free rows
-            if node.children:
-                labels = [child.label for child in node.children]
+            first.append(len(nodes))  # its children take the next free rows
+            children = node["children"]
+            if children:
+                for child in children:
+                    _check_node(child, path)
+                labels = [child["label"] for child in children]
                 if labels != list(range(1, len(labels) + 1)):
                     raise ValueError(f"children of {path} must be labelled 1..n, got {labels}")
-                stack.extend(range(len(rows) + len(labels) - 1, len(rows) - 1, -1))
-                rows += node.children
+                stack.extend(range(len(nodes) + len(labels) - 1, len(nodes) - 1, -1))
+                nodes += children
                 paths += [path + (label,) for label in labels]
                 continue
-            cid = path + (TERMINAL,)
-            self.leaves[cid] = node
-            for doc_id in node.members:
+            cid = leaf_of_row[row] = path + (TERMINAL,)
+            for doc_id in node["members"]:
                 if doc_id in self.cid_by_doc:
                     raise ValueError(
                         f"document {doc_id!r} is in leaves {self.cid_by_doc[doc_id]} and {cid}")
                 if doc_id not in self.documents.row:
                     raise ValueError(f"leaf {cid} lists {doc_id!r}, which has no document row")
                 self.cid_by_doc[doc_id] = cid
+        if len(centroids) != len(nodes):
+            side = "fewer" if len(centroids) < len(nodes) else "more"
+            raise DimMismatch(f"{side} centroids than the manifest")
+        self.preorder = np.argsort(visited)  # the inverse of the visiting order
+        self.first_child = np.array(first, dtype=np.intp)[self.preorder]
+        self.child_count = np.array([len(node["children"]) for node in nodes], dtype=np.intp)
+        self.centroid_rows = np.asarray(centroids, dtype=np.float32)[self.preorder]
         # cid_by_doc lists the leaves' members, the leaves in preorder: one
         # array of their rows, and a slice of it for each leaf
         doc_rows = np.array([self.documents.row[d] for d in self.cid_by_doc], dtype=np.intp)
-        end = 0
-        for leaf in self.leaves.values():
-            start, end = end, end + len(leaf.members)
-            leaf.rows = doc_rows[start:end]
-        self.centroid_rows = np.array([node.centroid for node in rows], dtype=np.float32)
-        self.first_child = np.empty(len(rows), dtype=np.intp)
-        self.first_child[visited] = first
-        self.child_count = np.array([len(node.children) for node in rows], dtype=np.intp)
-        self.preorder = np.empty(len(rows), dtype=np.intp)
-        self.preorder[visited] = np.arange(len(rows))
-        for row, node in enumerate(rows):
-            node.centroid = self.centroid_rows[row]
-        self.leaf_cid = [None if node.children else path + (TERMINAL,)
-                         for node, path in zip(rows, paths)]
+        self.leaves, self.leaf_cid, end = {}, [None] * len(nodes), 0
+        for row, cid in leaf_of_row.items():
+            members = list(nodes[row]["members"])
+            start, end = end, end + len(members)
+            self.leaves[cid] = ClusterNode(cid[-2], self.centroid_rows[row], members=members,
+                                           rows=doc_rows[start:end])
+            self.leaf_cid[row] = cid
         self.build_members = {cid: tuple(leaf.members) for cid, leaf in self.leaves.items()}
         self.trie = build_trie(self.leaves.keys())
 
     @property
     def leaf_count(self) -> int:
         return len(self.leaves)
+
+    @property
+    def root(self) -> ClusterNode:
+        """The tree as node objects, built anew on each access: internal nodes
+        hold row views of `centroid_rows`, and the leaves are `leaves`' own."""
+        return self._node(0, None)
+
+    def _node(self, row: int, label: int | None) -> ClusterNode:
+        if not self.child_count[row]:
+            return self.leaves[self.leaf_cid[row]]
+        children = [self._node(self.first_child[row] + i, i + 1)
+                    for i in range(self.child_count[row])]
+        return ClusterNode(label, self.centroid_rows[row], children)
 
 
 def row_dots(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -169,7 +187,6 @@ def compute_c(corpus_size: int, expected_clusters: int) -> int:
 
 
 def _split(
-    node: ClusterNode,
     X: np.ndarray,
     indices: np.ndarray,
     ids: list[str],
@@ -177,18 +194,22 @@ def _split(
     k: int,
     c: int,
     seed: int,
-) -> None:
-    labels, centroids = kmeans(X[indices], k, derive_seed(seed, *path))
-    for j in range(len(centroids)):
-        label = j + 1
-        member_idx = indices[labels == j]
-        child = ClusterNode(label=label, centroid=centroids[j])
-        node.children.append(child)
-        child_path = path + (label,)
+    centroids: list[np.ndarray],
+) -> list[dict]:
+    """The tree.json nodes of the children k-means splits the documents at
+    `indices` into, appending their subtrees' centroids to `centroids` in preorder."""
+    labels, child_centroids = kmeans(X[indices], k, derive_seed(seed, *path))
+    children = []
+    for label, centroid in enumerate(child_centroids, start=1):
+        member_idx = indices[labels == label - 1]
+        centroids.append(centroid)
+        child = {"label": label, "members": [], "children": []}
         if len(member_idx) >= c and len(member_idx) < len(indices):
-            _split(child, X, member_idx, ids, child_path, k, c, seed)
+            child["children"] = _split(X, member_idx, ids, path + (label,), k, c, seed, centroids)
         else:
-            child.members = [ids[i] for i in member_idx]
+            child["members"] = [ids[i] for i in member_idx]
+        children.append(child)
+    return children
 
 
 def build_cluster_tree(
@@ -215,9 +236,12 @@ def build_cluster_tree(
         documents = DocumentMatrix(ids, X)
     X = documents.matrix
     c = compute_c(len(X), expected_clusters)
-    root = ClusterNode(label=None, centroid=X.astype(np.float64).mean(axis=0).astype(np.float32))
-    _split(root, X, np.arange(len(X)), documents.ids, (), k, c, seed)
-    return ClusterTree(root=root, k=k, c=c, seed=seed, dim=int(X.shape[1]), documents=documents)
+    centroids = [X.astype(np.float64).mean(axis=0).astype(np.float32)]
+    root = {"label": None, "members": [],
+            "children": _split(X, np.arange(len(X)), documents.ids, (), k, c, seed, centroids)}
+    centroids = np.stack(centroids)  # frees k-means' outputs before the layout gathers a copy
+    return ClusterTree(root, centroids, k=k, c=c, seed=seed, dim=int(X.shape[1]),
+                       documents=documents)
 
 
 def assign_new_document(tree: ClusterTree, embedding: np.ndarray) -> Cid:
@@ -295,15 +319,14 @@ def mean_prefix_overlap(
     return total / len(qrels)
 
 
-def _node_manifest(tree: ClusterTree, node: ClusterNode, path: Cid) -> dict:
-    if not node.children:  # a leaf, never the root; json writes the member tuple as an array
-        return {"label": node.label, "members": tree.build_members[path + (TERMINAL,)],
-                "children": []}
+def _node_manifest(tree: ClusterTree, row: int, label: int | None) -> dict:
+    if not tree.child_count[row]:  # a leaf; json writes the member tuple as an array
+        return {"label": label, "members": tree.build_members[tree.leaf_cid[row]], "children": []}
     return {
-        "label": node.label,
+        "label": label,
         "members": [],
-        "children": [_node_manifest(tree, child, path + (child.label,))
-                     for child in node.children],
+        "children": [_node_manifest(tree, tree.first_child[row] + i, i + 1)
+                     for i in range(tree.child_count[row])],
     }
 
 
@@ -319,7 +342,7 @@ def save_tree(tree: ClusterTree, json_path: str, bin_path: str) -> None:
         "c": tree.c,
         "seed": tree.seed,
         "dim": tree.dim,
-        "root": _node_manifest(tree, tree.root, ()),
+        "root": _node_manifest(tree, 0, None),
     }
     with open(json_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(manifest, sort_keys=True, separators=(",", ":")))
@@ -328,56 +351,34 @@ def save_tree(tree: ClusterTree, json_path: str, bin_path: str) -> None:
         fh.write(np.ascontiguousarray(tree.centroid_rows[np.argsort(tree.preorder)], dtype="<f4"))
 
 
-def _node_error(parent: Cid | None, json_path: str, problem: str) -> ParseError:
-    where = "the root" if parent is None else f"a child of node {parent}"
-    return ParseError(f"{json_path}: {where} {problem}")
-
-
-def _check_node(obj, parent: Cid | None, json_path: str) -> None:
-    """Raise ParseError unless `obj` is a well-formed tree.json node (parent None: the root).
+def _check_node(obj, parent: Cid | None) -> None:
+    """Raise ValueError unless `obj` is a well-formed tree.json node (parent None: the root).
 
     `type(x) is int` rather than isinstance keeps JSON booleans out.
     """
+    problem = None
     if type(obj) is not dict:
-        raise _node_error(parent, json_path, "is not an object")
-    for key in ("label", "children", "members"):
-        if key not in obj:
-            raise _node_error(parent, json_path, f"is missing {key!r}")
-    label = obj["label"]
-    if parent is None and label is not None:
-        raise _node_error(parent, json_path, f"has label {label!r}, expected null")
-    if parent is not None and not (type(label) is int and label >= 1):
-        raise _node_error(parent, json_path, f"has label {label!r}, expected a positive integer")
-    if type(obj["children"]) is not list:
-        raise _node_error(parent, json_path, "has children that are not a list")
-    members = obj["members"]
-    if type(members) is not list or (members and not all(type(m) is str for m in members)):
-        raise _node_error(parent, json_path, "has members that are not a list of strings")
-    if members and (parent is None or obj["children"]):  # the root is never a leaf
-        raise _node_error(parent, json_path, "lists members, but only a leaf may")
-
-
-def _rebuild(obj: dict, path: Cid, rows: Iterator[np.ndarray], json_path: str,
-             bin_path: str) -> ClusterNode:
-    """The node of checked tree.json object `obj` at `path` and its subtree, taking
-    their centroids from `rows` in preorder.
-
-    A module-level function, not a closure over the blob: a closure that calls
-    itself is a reference cycle, which keeps the blob alive after load_tree
-    returns, until the garbage collector finds the cycle.
-    """
-    centroid = next(rows, None)
-    if centroid is None:
-        raise ParseError(f"{bin_path}: blob has fewer centroids than the manifest")
-    children = []
-    for child_obj in obj["children"]:
-        _check_node(child_obj, path, json_path)
-        children.append(_rebuild(child_obj, path + (child_obj["label"],), rows, json_path,
-                                 bin_path))
-    return ClusterNode(obj["label"], centroid, children, obj["members"])
+        problem = "is not an object"
+    elif missing := [key for key in ("label", "children", "members") if key not in obj]:
+        problem = f"is missing {missing[0]!r}"
+    elif parent is None and obj["label"] is not None:
+        problem = f"has label {obj['label']!r}, expected null"
+    elif parent is not None and not (type(obj["label"]) is int and obj["label"] >= 1):
+        problem = f"has label {obj['label']!r}, expected a positive integer"
+    elif type(obj["children"]) is not list:
+        problem = "has children that are not a list"
+    elif type(obj["members"]) is not list or not all(type(m) is str for m in obj["members"]):
+        problem = "has members that are not a list of strings"
+    elif obj["members"] and (parent is None or obj["children"]):  # the root is never a leaf
+        problem = "lists members, but only a leaf may"
+    if problem is not None:
+        where = "the root" if parent is None else f"a child of node {parent}"
+        raise ValueError(f"{where} {problem}")
 
 
 def load_tree(json_path: str, bin_path: str, documents: DocumentMatrix) -> ClusterTree:
+    """The tree save_tree wrote, over `documents`; a ParseError naming the
+    file at fault when either file is malformed or they disagree on the nodes."""
     manifest = read_json_object(json_path)
     for key in ("k", "c", "dim"):
         value = manifest.get(key)
@@ -385,18 +386,14 @@ def load_tree(json_path: str, bin_path: str, documents: DocumentMatrix) -> Clust
             raise ParseError(f"{json_path}: {key} must be a positive integer, got {value!r}")
     if type(manifest.get("seed")) is not int:
         raise ParseError(f"{json_path}: seed must be an integer, got {manifest.get('seed')!r}")
-    dim = manifest["dim"]
-    centroids = require_finite(bin_path, read_array(bin_path, "<f4", (-1, dim)))
-    rows = iter(centroids)  # in preorder, the order _rebuild takes them in
-    _check_node(manifest.get("root"), None, json_path)
-    root = _rebuild(manifest["root"], (), rows, json_path, bin_path)
-    if next(rows, None) is not None:
-        raise ParseError(f"{bin_path}: blob has more centroids than the manifest")
+    centroids = require_finite(bin_path, read_array(bin_path, "<f4", (-1, manifest["dim"])))
     try:
-        return ClusterTree(root=root, k=manifest["k"], c=manifest["c"], seed=manifest["seed"],
-                           dim=dim, documents=documents)
+        return ClusterTree(manifest.get("root"), centroids, k=manifest["k"], c=manifest["c"],
+                           seed=manifest["seed"], dim=manifest["dim"], documents=documents)
     except ValueError as exc:
         raise ParseError(f"{json_path}: {exc}")
+    except DimMismatch as exc:
+        raise ParseError(f"{bin_path}: blob has {exc}")
 
 
 def save_placements(tree: ClusterTree, path: str) -> None:

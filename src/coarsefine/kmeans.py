@@ -31,19 +31,17 @@ def derive_seed(seed: int, *parts: object) -> int:
 
 
 def _distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows in first-appearance order plus each row's group index."""
-    seen: dict[bytes, int] = {}
+    """Distinct rows of C-contiguous `points` in first-appearance order plus each
+    row's group index, rows compared by their bytes (0.0 and -0.0 stay apart)."""
+    keys = points.view(np.dtype((np.void, points.itemsize * points.shape[1]))).ravel()
+    perm = np.argsort(keys, kind="stable")  # equal rows keep their row order
+    sorted_keys = keys[perm]
+    starts = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+    first = perm[starts]  # each group's first row, the groups in key order
+    order = np.argsort(first)
     groups = np.empty(len(points), dtype=np.int64)
-    uniques: list[np.ndarray] = []
-    for i, row in enumerate(points):
-        key = row.tobytes()
-        group = seen.get(key)
-        if group is None:
-            group = len(uniques)
-            seen[key] = group
-            uniques.append(row)
-        groups[i] = group
-    return np.stack(uniques), groups
+    groups[perm] = np.argsort(order)[np.cumsum(starts) - 1]
+    return points[first[order]], groups
 
 
 def _nearest(points: np.ndarray, sq_norms: np.ndarray, centers: np.ndarray) -> np.ndarray:

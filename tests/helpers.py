@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from coarsefine import Document
-from coarsefine.cluster_tree import TERMINAL, Cid, ClusterNode, ClusterTree, row_dots
+from coarsefine.cluster_tree import TERMINAL, Cid, ClusterTree, row_dots
 from coarsefine.corpus import tokenize
 from coarsefine.embed import DocumentMatrix, QueryRepresentation
 from coarsefine.errors import DimMismatch, DivergedLoss, EmptySet, ParseError, UnknownDoc
@@ -197,8 +197,9 @@ def rank_by_penalized(pairs, length_penalty, k):
     return ranked[:k]
 
 
-def leaf_node(label, centroid, members):
-    return ClusterNode(label=label, centroid=centroid, children=[], members=list(members))
+def node(label, children=(), members=()):
+    """A tree.json node, the form ClusterTree takes a hand-built tree in."""
+    return {"label": label, "members": list(members), "children": list(children)}
 
 
 def binary_depth2_tree(dim=8):
@@ -208,25 +209,19 @@ def binary_depth2_tree(dim=8):
     leaves hold one each. Centroids sit on distinct axes, and the documents
     d11a, d11b, d12a, d21a, d22a on axes 0 to 4.
     """
-    n11 = leaf_node(1, axis_vec(dim, 0), ["d11a", "d11b"])
-    n12 = leaf_node(2, axis_vec(dim, 1), ["d12a"])
-    n21 = leaf_node(1, axis_vec(dim, 2), ["d21a"])
-    n22 = leaf_node(2, axis_vec(dim, 3), ["d22a"])
-    top1 = ClusterNode(label=1, centroid=axis_vec(dim, 4), children=[n11, n12], members=[])
-    top1.members = n11.members + n12.members
-    top2 = ClusterNode(label=2, centroid=axis_vec(dim, 5), children=[n21, n22], members=[])
-    top2.members = n21.members + n22.members
-    root = ClusterNode(label=None, centroid=axis_vec(dim, 6),
-                       children=[top1, top2], members=top1.members + top2.members)
+    root = node(None, [node(1, [node(1, members=["d11a", "d11b"]), node(2, members=["d12a"])]),
+                       node(2, [node(1, members=["d21a"]), node(2, members=["d22a"])])])
+    centroids = np.stack([axis_vec(dim, axis) for axis in (6, 4, 0, 1, 5, 2, 3)])  # preorder
     cid_by_doc = {
         "d11a": (1, 1, 0), "d11b": (1, 1, 0), "d12a": (1, 2, 0),
         "d21a": (2, 1, 0), "d22a": (2, 2, 0),
     }
-    leaves = {(1, 1, 0): n11, (1, 2, 0): n12, (2, 1, 0): n21, (2, 2, 0): n22}
     documents = DocumentMatrix(list(cid_by_doc), np.eye(len(cid_by_doc), dim, dtype=np.float32))
-    tree = ClusterTree(root=root, k=2, c=2, seed=0, dim=dim, documents=documents)
+    tree = ClusterTree(root, centroids, k=2, c=2, seed=0, dim=dim, documents=documents)
     assert tree.cid_by_doc == cid_by_doc and list(tree.cid_by_doc) == list(cid_by_doc)
-    assert tree.leaves == leaves and list(tree.leaves) == list(leaves)
+    assert [(cid, leaf.centroid.tolist()) for cid, leaf in tree.leaves.items()] == [
+        (cid, axis_vec(dim, axis).tolist())
+        for cid, axis in [((1, 1, 0), 0), ((1, 2, 0), 1), ((2, 1, 0), 2), ((2, 2, 0), 3)]]
     return tree
 
 
@@ -428,6 +423,23 @@ def reference_write_results(path, queries, results, k):
                 "results": [dataclasses.asdict(entry) for entry in result.entries],
             }, sort_keys=True))
             fh.write("\n")
+
+
+def reference_distinct_rows(points):
+    """kmeans._distinct_rows as it was when it keyed a dict by each row's
+    bytes, kept verbatim as the oracle for the sorted grouping."""
+    seen: dict[bytes, int] = {}
+    groups = np.empty(len(points), dtype=np.int64)
+    uniques: list[np.ndarray] = []
+    for i, row in enumerate(points):
+        key = row.tobytes()
+        group = seen.get(key)
+        if group is None:
+            group = len(uniques)
+            seen[key] = group
+            uniques.append(row)
+        groups[i] = group
+    return np.stack(uniques), groups
 
 
 def reference_nearest(points, centers):

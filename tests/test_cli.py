@@ -460,6 +460,19 @@ def test_train_adapter_rejects_a_query_id_with_two_texts(tmp_path, corpus_path, 
     assert not (tmp_path / "idx" / "adapter.bin").exists()
 
 
+def test_train_adapter_rejects_a_tokenless_query_text_before_training(tmp_path, corpus_path,
+                                                                      capsys):
+    idx = build(tmp_path, corpus_path)
+    before = file_digests(tmp_path / "idx")
+    pairs = tmp_path / "pairs.jsonl"
+    rows = training_rows(["t0w1 t0w2", "   "])
+    rows[1]["query_id"] = "p1"
+    write_jsonl(pairs, rows)
+    assert main(["train-adapter", "--index", idx, "--pairs", str(pairs), "--epochs", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {pairs}: line 2: query 'p1' has no tokens\n"
+    assert file_digests(tmp_path / "idx") == before
+
+
 def test_train_adapter_accepts_a_query_id_with_several_positives(tmp_path, corpus_path):
     idx = build(tmp_path, corpus_path)
     pairs = tmp_path / "pairs.jsonl"

@@ -21,13 +21,21 @@ from coarsefine.cluster_tree import (
     save_tree,
 )
 from coarsefine.embed import DocumentMatrix
-from coarsefine.errors import EmptyCorpus, MissingCid, ParseError
+from coarsefine.errors import DimMismatch, EmptyCorpus, MissingCid, ParseError
 from helpers import binary_depth2_tree, blob_embeddings, reference_assign_new_document
 
 
 def blob_tree(counts=(40, 40, 40), dim=16, seed=0, expected=6, branching=8):
     emb = blob_embeddings(counts, dim=dim, seed=seed)
     return emb, build_cluster_tree(emb, k=branching, expected_clusters=expected, seed=seed)
+
+
+def node_form(tree, tmp_path):
+    """The root node of the tree's tree.json and its centroids.bin as a matrix,
+    the two inputs load_tree hands to ClusterTree."""
+    jp, bp = tmp_path / "tree.json", tmp_path / "centroids.bin"
+    save_tree(tree, str(jp), str(bp))
+    return json.loads(jp.read_text())["root"], np.fromfile(bp, "<f4").reshape(-1, tree.dim)
 
 
 def test_compute_c_matches_hand_values():
@@ -61,13 +69,14 @@ def test_a_dict_is_stacked_once_in_its_order_and_a_document_matrix_is_owned_as_i
 
 
 @pytest.mark.parametrize("missing", ["d11a", "d11b", "d12a", "d22a"])
-def test_a_leaf_member_without_a_row_in_the_document_matrix_is_rejected(missing):
+def test_a_leaf_member_without_a_row_in_the_document_matrix_is_rejected(tmp_path, missing):
     tree = binary_depth2_tree()
     kept = [d for d in tree.documents.ids if d != missing]
     short = DocumentMatrix(kept, np.stack([tree.documents[d] for d in kept]))
     cid = tree.cid_by_doc[missing]
+    manifest, centroids = node_form(tree, tmp_path)
     with pytest.raises(ValueError, match=re.escape(f"leaf {cid} lists {missing!r}")):
-        ClusterTree(root=tree.root, k=2, c=2, seed=0, dim=8, documents=short)
+        ClusterTree(manifest, centroids, k=2, c=2, seed=0, dim=8, documents=short)
 
 
 def test_empty_corpus_is_rejected():
@@ -360,3 +369,108 @@ def test_load_tree_frees_the_centroid_blob_without_a_gc_pass(tmp_path, monkeypat
         gc.enable()
     assert freed == [True]
     assert loaded.leaf_count == tree.leaf_count
+
+
+def layout(tree):
+    """The layout rows and the leaf index of `tree`, in a form `==` compares whole."""
+    return (tree.centroid_rows.tobytes(), tree.first_child.tolist(), tree.child_count.tolist(),
+            tree.preorder.tolist(), tree.leaf_cid,
+            [(cid, leaf.members, leaf.rows.tolist()) for cid, leaf in tree.leaves.items()],
+            list(tree.cid_by_doc.items()), tree.build_members)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_built_loaded_and_rebuilt_from_tree_json_trees_lay_out_alike(tmp_path, seed):
+    emb, tree = blob_tree(counts=(30, 30, 30, 5), seed=seed, expected=20, branching=3)
+    assert max(len(cid) for cid in tree.leaves) > 3  # internal nodes below the root's children
+    manifest, centroids = node_form(tree, tmp_path)
+    loaded = load_tree(str(tmp_path / "tree.json"), str(tmp_path / "centroids.bin"),
+                       tree.documents)
+    rebuilt = ClusterTree(manifest, centroids, k=tree.k, c=tree.c, seed=tree.seed, dim=tree.dim,
+                          documents=tree.documents)
+    assert layout(loaded) == layout(tree)
+    assert layout(rebuilt) == layout(tree)
+    rebuilt.documents.append(["new"], [centroids[-1]])
+    place_documents(rebuilt, ["new"])  # the constructor kept no list of its input
+    assert manifest == json.loads((tmp_path / "tree.json").read_text())["root"]
+
+
+@pytest.mark.parametrize("damage, message", [
+    pytest.param(lambda root: root["children"][0]["members"].append("d11a"),
+                 "a child of node () lists members, but only a leaf may",
+                 id="internal-node-members"),
+    pytest.param(lambda root: root.update(label=1), "the root has label 1, expected null",
+                 id="root-label"),
+    pytest.param(lambda root: root["children"][1].update(label=0),
+                 "a child of node () has label 0, expected a positive integer", id="label-0"),
+    pytest.param(lambda root: root["children"][1].update(label=3),
+                 "children of () must be labelled 1..n, got [1, 3]", id="labels-1-3"),
+    pytest.param(lambda root: root["children"][0]["children"].__setitem__(1, 5),
+                 "a child of node (1,) is not an object", id="child-not-an-object"),
+    pytest.param(lambda root: root["children"][1]["children"][1]["members"].append("d11a"),
+                 "document 'd11a' is in leaves (1, 1, 0) and (2, 2, 0)",
+                 id="member-in-two-leaves"),
+    pytest.param(lambda root: root["children"][0]["children"][1]["members"].append("ghost"),
+                 "leaf (1, 2, 0) lists 'ghost', which has no document row",
+                 id="member-without-a-row"),
+])
+def test_a_hand_built_tree_gets_tree_json_rules_in_the_text_load_tree_prefixes(
+        tmp_path, damage, message):
+    tree = binary_depth2_tree()
+    manifest, centroids = node_form(tree, tmp_path)
+    damage(manifest)
+    with pytest.raises(ValueError) as built:
+        ClusterTree(manifest, centroids, k=2, c=2, seed=0, dim=8, documents=tree.documents)
+    assert str(built.value) == message
+    jp = tmp_path / "tree.json"
+    saved = json.loads(jp.read_text())
+    saved["root"] = manifest
+    jp.write_text(json.dumps(saved))
+    with pytest.raises(ParseError) as loaded:
+        load_tree(str(jp), str(tmp_path / "centroids.bin"), tree.documents)
+    assert str(loaded.value) == f"{jp}: {message}"
+
+
+@pytest.mark.parametrize("side", ["fewer", "more"])
+def test_a_centroid_matrix_without_one_row_per_node_is_rejected(tmp_path, side):
+    tree = binary_depth2_tree()
+    manifest, centroids = node_form(tree, tmp_path)
+    changed = centroids[:-1] if side == "fewer" else np.vstack([centroids, centroids[-1:]])
+    with pytest.raises(DimMismatch) as built:
+        ClusterTree(manifest, changed, k=2, c=2, seed=0, dim=8, documents=tree.documents)
+    assert str(built.value) == f"{side} centroids than the manifest"
+    bp = tmp_path / "centroids.bin"
+    bp.write_bytes(changed.astype("<f4").tobytes())
+    with pytest.raises(ParseError) as loaded:
+        load_tree(str(tmp_path / "tree.json"), str(bp), tree.documents)
+    assert str(loaded.value) == f"{bp}: blob has {side} centroids than the manifest"
+
+
+def node_walk(node):
+    """(label, child count, centroid bytes) of `node` and every node below it, in preorder."""
+    walk = [(node.label, len(node.children), node.centroid.tobytes())]
+    for child in node.children:
+        walk += node_walk(child)
+    return walk
+
+
+def test_root_is_built_on_each_access_around_the_trees_own_leaves():
+    emb, tree = blob_tree(counts=(30, 30, 30, 5), expected=20, branching=3)
+    root = tree.root
+    assert tree.root is not root and node_walk(tree.root) == node_walk(root)
+    found, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if node.children:
+            stack.extend(reversed(node.children))
+        else:
+            found.append(node)
+    assert len(found) == tree.leaf_count
+    assert all(a is b for a, b in zip(found, tree.leaves.values()))
+    point = next(iter(tree.leaves.values())).centroid.copy()
+    tree.documents.append(["new"], [point])
+    place_documents(tree, ["new"])
+    node = root
+    for digit in tree.cid_by_doc["new"][:-1]:
+        node = node.children[digit - 1]
+    assert node.members[-1] == "new" and node.rows[-1] == tree.documents.row["new"]

@@ -16,11 +16,12 @@ from helpers import (
     blob_embeddings,
     brute_force_hypotheses,
     internal_nodes,
+    node,
     random_cids,
     rank_by_penalized,
     reference_step_probs,
 )
-from coarsefine.cluster_tree import ClusterNode, ClusterTree, build_cluster_tree
+from coarsefine.cluster_tree import ClusterTree, build_cluster_tree
 
 QUERY = QueryRepresentation(pooled=np.zeros(8, dtype=np.float32))
 
@@ -327,14 +328,13 @@ def test_ties_across_depths_break_toward_the_lexicographically_smaller_cid():
     # zero query both top-level digits get probability 1/2 and the only child of
     # (1,) gets 1, so (1, 1, 0) and (2, 0) tie at length penalty 0. Breadth-first order would
     # put (2, 0) first; lexicographic (preorder) order puts (1, 1, 0) first.
-    deep = ClusterNode(label=1, centroid=axis_vec(4, 0), members=["a"])
-    inner = ClusterNode(label=1, centroid=axis_vec(4, 0), children=[deep])
-    shallow = ClusterNode(label=2, centroid=axis_vec(4, 1), members=["b"])
-    root = ClusterNode(label=None, centroid=axis_vec(4, 2), children=[inner, shallow])
-    leaves = {(1, 1, 0): deep, (2, 0): shallow}
+    root = node(None, [node(1, [node(1, members=["a"])]), node(2, members=["b"])])
+    centroids = np.stack([axis_vec(4, axis) for axis in (2, 0, 0, 1)])  # preorder
     documents = DocumentMatrix(["a", "b"], np.eye(2, 4, dtype=np.float32))  # on deep and shallow
-    tree = ClusterTree(root=root, k=2, c=2, seed=0, dim=4, documents=documents)
-    assert tree.cid_by_doc == {"a": (1, 1, 0), "b": (2, 0)} and tree.leaves == leaves
+    tree = ClusterTree(root, centroids, k=2, c=2, seed=0, dim=4, documents=documents)
+    assert tree.cid_by_doc == {"a": (1, 1, 0), "b": (2, 0)}
+    assert [leaf.centroid.tolist() for leaf in tree.leaves.values()] == [
+        axis_vec(4, 0).tolist(), axis_vec(4, 1).tolist()]
     trie = tree.trie
     scorer = CentroidScorer(tree, temperature=0.1)
     q = QueryRepresentation(pooled=np.zeros(4))

@@ -3,8 +3,8 @@ import sys
 import numpy as np
 import pytest
 
-from coarsefine.kmeans import derive_seed, kmeans
-from helpers import blob_embeddings, reference_nearest
+from coarsefine.kmeans import _distinct_rows, derive_seed, kmeans
+from helpers import blob_embeddings, reference_distinct_rows, reference_nearest
 
 
 def test_derive_seed_is_deterministic_and_order_sensitive():
@@ -91,3 +91,24 @@ def test_squared_norms_summed_once_give_the_same_clustering_as_per_iteration(see
             want = kmeans(points, k, kseed)
         assert np.array_equal(got[0], want[0])
         assert got[1].tobytes() == want[1].tobytes()
+
+
+def _rows_with_repeats():
+    rng = np.random.default_rng(5)
+    rows = np.repeat(rng.standard_normal((9, 6)), [1, 3, 2, 5, 1, 1, 4, 2, 3], axis=0)
+    return rows[rng.permutation(len(rows))]
+
+
+@pytest.mark.parametrize("points", [
+    pytest.param(_rows_with_repeats(), id="repeats"),
+    pytest.param(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, -0.0], [-0.0, 1.0],
+                           [0.0, 0.0]]), id="signed-zeros"),
+    pytest.param(np.array([[0.5, -2.0, 3.0]]), id="one-row"),
+    pytest.param(np.full((7, 4), 0.25), id="all-equal"),
+    pytest.param(np.random.default_rng(6).standard_normal((50, 8)), id="all-distinct"),
+])
+def test_distinct_rows_group_like_a_dict_keyed_by_row_bytes(points):
+    uniques, groups = _distinct_rows(points)
+    want_uniques, want_groups = reference_distinct_rows(points)
+    assert uniques.dtype == want_uniques.dtype and uniques.tobytes() == want_uniques.tobytes()
+    assert groups.dtype == want_groups.dtype and groups.tolist() == want_groups.tolist()

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from coarsefine import Document, add_documents, build_index, load_index, retrieve, save_index
 from coarsefine.cli import main
+from coarsefine import cluster_tree
 from coarsefine.cluster_tree import build_cluster_tree, save_tree
 from coarsefine.corpus import _has_tokens, read_jsonl, save_corpus, tokenize
 from coarsefine.embed import save_embedding_sidecar
@@ -493,3 +494,27 @@ def test_added_documents_survive_save_and_load_and_a_failed_add_changes_no_byte(
         add_documents(index, batch)
     save_index(index, str(directory))
     assert {path.name: path.read_bytes() for path in directory.iterdir()} == saved
+
+
+def test_only_leaves_are_node_objects_after_build_load_add_and_retrieve(added_index,
+                                                                       monkeypatch):
+    made = []
+
+    class CountedNode(cluster_tree.ClusterNode):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(cluster_tree, "ClusterNode", CountedNode)
+    for make in (lambda: load_index(str(added_index)), lambda: build_index(BASE, CONFIG)):
+        index = make()
+        assert len(made) == index.tree.leaf_count
+        assert {id(node) for node in made} == {id(leaf) for leaf in index.tree.leaves.values()}
+        made.clear()
+        add_documents(index, [Document("late", BASE[0].text)])
+        retrieve(index, QUERIES[0], 10)
+        assert made == []
+        root = index.tree.root  # the internal nodes are built only on request
+        assert len(made) == len(index.tree.centroid_rows) - index.tree.leaf_count
+        assert root.children
+        made.clear()
