@@ -54,7 +54,8 @@ import numpy as np
 
 from .corpus import read_array, read_json_object, require_finite
 from .embed import DocumentMatrix
-from .errors import DimMismatch, EmptyCorpus, MissingCid, ParseError
+from .errors import (DimMismatch, DuplicateId, EmptyCorpus, MissingCid, ParseError, UnknownCid,
+                     UnknownDoc)
 from .kmeans import derive_seed, kmeans
 from .trie import TERMINAL, Cid, PrefixTrie, build_trie
 
@@ -93,7 +94,8 @@ class ClusterTree:
         """Lay out the root `manifest` and `centroids` (preorder), keeping neither.
         ValueError, in the text load_tree prefixes with its file, for a node that
         breaks tree.json's rules, a repeated document, a member without a row or
-        a tree without leaves; DimMismatch unless `centroids` has a row per node."""
+        a tree without leaves; DimMismatch unless `centroids` has a row per node,
+        each `dim` wide."""
         _check_node(manifest, None)
         if not manifest["children"]:
             raise ValueError("the root has no children, so the tree has no leaves")
@@ -129,6 +131,8 @@ class ClusterTree:
         if len(centroids) != len(nodes):
             side = "fewer" if len(centroids) < len(nodes) else "more"
             raise DimMismatch(f"{side} centroids than the manifest")
+        if np.shape(centroids)[1:] != (self.dim,):
+            raise DimMismatch(f"centroids of shape {np.shape(centroids)}, not dim {self.dim} wide")
         self.preorder = np.argsort(visited)  # the inverse of the visiting order
         self.first_child = np.array(first, dtype=np.intp)[self.preorder]
         self.child_count = np.array([len(node["children"]) for node in nodes], dtype=np.intp)
@@ -264,13 +268,28 @@ def place_documents(tree: ClusterTree, ids: Sequence[str],
     `cids[i]`, or without `cids` to the leaf that greedy descent picks for it.
 
     The one step that places documents after the build: new ones, and loaded
-    ones with or without their saved placements (load_placements).
+    ones with or without their saved placements (load_placements). Every
+    (document, leaf) pair is checked before the tree changes, so a call that
+    raises leaves members, rows and cid_by_doc as they were: UnknownDoc for an
+    id without a row, DuplicateId for an id already in a leaf or repeated in
+    `ids`, ValueError unless `cids` has one CID per id, and UnknownCid for a
+    CID that is not a leaf.
     """
-    rows = [tree.documents.row[doc_id] for doc_id in ids]
+    rows: dict[str, int] = {}  # by id, in call order
+    for doc_id in ids:
+        if doc_id not in tree.documents.row:
+            raise UnknownDoc(f"document {doc_id!r} has no row in the document matrix")
+        if doc_id in tree.cid_by_doc or doc_id in rows:
+            raise DuplicateId(f"document {doc_id!r} is in a leaf already or twice in the call")
+        rows[doc_id] = tree.documents.row[doc_id]
     if cids is None:
-        cids = [assign_new_document(tree, tree.documents.matrix[row]) for row in rows]
+        cids = [assign_new_document(tree, tree.documents.matrix[row]) for row in rows.values()]
+    elif len(cids) != len(ids):
+        raise ValueError(f"{len(cids)} CIDs for {len(ids)} documents")
+    if unknown := [cid for cid in cids if cid not in tree.leaves]:
+        raise UnknownCid(f"{unknown[0]} is not a leaf CID of the tree")
     added: dict[Cid, list[int]] = {}
-    for doc_id, cid, row in zip(ids, cids, rows):
+    for (doc_id, row), cid in zip(rows.items(), cids):
         tree.leaves[cid].members.append(doc_id)
         tree.cid_by_doc[doc_id] = cid
         added.setdefault(cid, []).append(row)
@@ -397,18 +416,19 @@ def load_tree(json_path: str, bin_path: str, documents: DocumentMatrix) -> Clust
 
 
 def save_placements(tree: ClusterTree, path: str) -> None:
-    """Write the leaf of every document placed after the build, in the order
-    it was placed (its row order in the document matrix), as the little-endian
-    int32 position of that leaf in `tree.leaves` (preorder); nothing when none
-    was placed.
-
-    cid_by_doc lists the build members first and then the placed documents.
+    """Write the leaf of every document that tree.json does not list, in the
+    document matrix's row order, as the little-endian int32 position of that
+    leaf in `tree.leaves` (preorder); nothing when there is none. Raises
+    MissingCid, before it opens `path`, for a row that no leaf lists, which
+    load_placements could not place back.
     """
+    built = set(itertools.chain.from_iterable(tree.build_members.values()))
+    added = [doc_id for doc_id in tree.documents.ids if doc_id not in built]
+    if unplaced := [doc_id for doc_id in added if doc_id not in tree.cid_by_doc]:
+        raise MissingCid(f"document {unplaced[0]!r} has a row but is in no leaf")
     position = {cid: i for i, cid in enumerate(tree.leaves)}
-    built = sum(map(len, tree.build_members.values()))
-    placed = itertools.islice(tree.cid_by_doc.values(), built, None)
     with open(path, "wb") as fh:
-        fh.write(np.array([position[cid] for cid in placed], dtype="<i4"))
+        fh.write(np.array([position[tree.cid_by_doc[d]] for d in added], dtype="<i4"))
 
 
 def load_placements(tree: ClusterTree, path: str) -> None:

@@ -67,7 +67,7 @@ class BadEmbedding(RetrievalError, ValueError):
 
 
 class MissingCid(RetrievalError):
-    """A document referenced by an overlap computation has no identifier."""
+    """A document that an overlap computation or a save refers to has no identifier."""
 
 
 class MissingQrel(RetrievalError):

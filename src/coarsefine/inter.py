@@ -6,35 +6,42 @@ probabilities along root-to-leaf paths; a completed hypothesis keeps the raw
 product as its cluster score while ranking applies a length penalty,
 log_prob / len**length_penalty, with len counting the terminal digit.
 
-The centroid scorer follows a prefix down the tree's rows from the root, row
-0, and scores every allowed child in one call against the node's block of
-child rows in the tree's float32 centroid matrix, cast to float64. It uses a
-stacked (n, 1, d) @ (d, 1) matmul rather than the gemv `C @ q`: the stacked
-form runs each row through the same BLAS dot product as scoring one centroid
-at a time, so logits are bit-identical to the per-child loop, whereas the
-gemv uses another kernel and rounds differently in the last ulp for some rows
-(measured with numpy 2.4 and OpenBLAS 0.3.31 on a 2-vCPU Xeon: 118 of 224,061
-logits on the decode-heavy benchmark corpus, 72 of 6,000 on fine-heavy),
-which can reorder results.
-Per call on that machine, at dim 256, the stacked matmul took 11 us for 30
-rows and 76 us for 430, against 91 us and 1,143 us for a per-row loop.
+One routine, _step_probs, turns child centroid rows into step
+probabilities, for the centroid scorer and the frontier decoder alike. It
+takes the rows of consecutive sibling groups from the tree's float32
+centroid matrix, scores them by one row_dots call (cast to float64) and
+divides by the temperature. It then normalises each run of groups of one
+size u, m groups long, as one (m, u) array: max, exp, sum and divide along
+axis 1. The callers pick the rows, each in its cheapest way: the scorer
+passes a view of its node's block of rows (a take of the same 30 rows made
+the call about 4 us slower with cold caches, numpy 2.4 on a 2-vCPU Xeon with
+a cache-clearing kernel run before each call), and the decoder one take of
+all the children of a step. A row sum of a 2-D array adds in the same order
+as the sum of that row on its own, whereas np.add.reduceat over one flat
+array of uneven segments does not (with numpy 2.4, 801 of 2,000 random
+segments of 1-30 values differed in the last bit), so groups of different
+sizes are not mixed, and every group gets the bits it would get alone.
+row_dots is a stacked (n, 1, d) @ (d, 1) matmul rather than the gemv `C @ q`:
+the stacked form runs each row through the same BLAS dot product as scoring
+one centroid at a time, so logits are bit-identical to the per-child loop
+whatever other rows share the call, whereas the gemv uses another kernel and
+rounds differently in the last ulp for some rows (measured with numpy 2.4
+and OpenBLAS 0.3.31 on a 2-vCPU Xeon: 118 of 224,061 logits on the
+decode-heavy benchmark corpus, 72 of 6,000 on fine-heavy), which can reorder
+results. Per call on that machine, at dim 256, the stacked matmul took 11 us
+for 30 rows and 76 us for 430, against 91 us and 1,143 us for a per-row loop.
 
-When the scorer is a CentroidScorer and the trie is its tree's own
-(`tree.trie`, which stores exactly the tree's leaves), decode_clusters scores
-a whole beam step with array operations over the tree's centroid matrix,
-where every node's children are one block of rows, instead of one
-score_next call per frontier node; only the root step still goes through
-score_next. Any other trie, even one built separately from the same leaves,
-takes the generic path. All child rows of a step's internal frontier nodes
-are gathered with one take and scored by one row_dots call, which gives each
-row the same bits whatever other rows share the call; its float64 copy is at
-most beam_size x branching rows. The nodes are grouped by child count, and
-each group's slice of the logits is normalised as an (m, u) array with the
-per-node ops of score_next: max, exp, sum and divide along axis 1. A row sum
-of a 2-D array adds in the same order as the sum of that row on its own,
-whereas np.add.reduceat over one flat array of uneven segments does not
-(with numpy 2.4, 801 of 2,000 random segments of 1-30 values differed in the
-last bit), so nodes of different child counts are not mixed.
+The centroid scorer follows a prefix down the tree's rows from the root, row
+0, and passes the allowed children of the node it reaches as one group (rows
+are selected out of the block only when `valid` is a strict subset). When
+the scorer is a CentroidScorer and the trie is its tree's own (`tree.trie`,
+which stores exactly the tree's leaves), decode_clusters scores a whole beam
+step with one _step_probs call over all internal frontier nodes, grouped by
+child count, instead of one score_next call per node; its float64 copy is
+at most beam_size x branching rows. Any other trie, even one built
+separately from the same leaves, takes the generic path. The root step still
+goes through score_next: it is one call per query, and the benchmark's
+tracer (benchmarks/tracing.py) measures the step scorer by timing that call.
 Log-probabilities are per-element math.log, because np.log differs from it
 in the last bit on some inputs, but only for the children that can survive
 the next beam cut. When a step yields more than beam_size children, they are
@@ -51,7 +58,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Protocol
+from typing import Iterable, Mapping, Protocol
 
 import numpy as np
 
@@ -84,14 +91,35 @@ class StepScorer(Protocol):
     ) -> Mapping[int, float]: ...
 
 
+def _step_probs(centroids: np.ndarray, groups: Iterable[tuple[int, int]], pooled: np.ndarray,
+                temperature: float) -> np.ndarray:
+    """Softmax of <pooled, centroid> / temperature within each sibling group.
+
+    The rows of `centroids` are child centroids in consecutive sibling
+    groups, and `groups` lists them in order as (u, m) runs: m groups of u
+    children each. All rows are scored by one row_dots call, and each run is
+    normalised as one (m, u) array by max, exp, sum and divide along axis 1,
+    so every group gets the bits it would get on its own (see the module
+    docstring).
+    """
+    probs = row_dots(centroids, pooled) / temperature  # the logits, normalised run by run
+    start = 0
+    for u, m in groups:
+        end = start + m * u
+        group = probs[start:end].reshape(m, u)
+        exps = np.exp(group - group.max(axis=1, keepdims=True))
+        probs[start:end] = (exps / exps.sum(axis=1, keepdims=True)).ravel()
+        start = end
+    return probs
+
+
 @dataclass
 class CentroidScorer:
     """Softmax over inner products between the query and child centroids.
 
     Logits are <pooled, centroid>/temperature for each child the trie allows,
-    all of one step computed by a single stacked matmul over the node's block
-    of child rows (rows are selected only when `valid` is a strict subset of
-    the children). At a leaf-complete prefix the terminal digit gets
+    all of one step scored by _step_probs with the allowed children as one
+    group. At a leaf-complete prefix the terminal digit gets
     probability 1. It holds no state beyond an immutable tree, so instances
     are safe to share across threads.
     """
@@ -108,9 +136,7 @@ class CentroidScorer:
         if valid == {TERMINAL}:
             return {TERMINAL: 1.0}
         if TERMINAL in valid:
-            raise InvalidPrefix(
-                f"{tuple(prefix)}: terminal digit mixed with branch digits"
-            )
+            raise InvalidPrefix(f"{tuple(prefix)}: terminal digit mixed with branch digits")
         tree, row = self.tree, 0
         for digit in prefix:
             if not 1 <= digit <= tree.child_count[row]:
@@ -120,12 +146,10 @@ class CentroidScorer:
         start, n_children = tree.first_child[row], tree.child_count[row]
         if digits[0] < 1 or digits[-1] > n_children:
             raise InvalidPrefix(f"digits {digits} are not all children of {tuple(prefix)}")
-        centroids = tree.centroid_rows[start : start + n_children]
+        centroids = tree.centroid_rows[start : start + n_children]  # a view, not a gather
         if len(digits) < n_children:
             centroids = centroids[[digit - 1 for digit in digits]]
-        logits = row_dots(centroids, query.pooled) / self.temperature
-        exps = np.exp(logits - logits.max())
-        probs = exps / exps.sum()
+        probs = _step_probs(centroids, [(len(digits), 1)], query.pooled, self.temperature)
         return dict(zip(digits, probs.tolist()))
 
 
@@ -136,7 +160,7 @@ class ClusterHypothesis:
     s_inter: float
 
 
-def _penalized(log_prob: float, length: int, length_penalty: float) -> float:
+def _penalized(log_prob: float | np.ndarray, length: int, length_penalty: float):
     return log_prob / length**length_penalty
 
 
@@ -165,6 +189,9 @@ def decode_clusters(
     if isinstance(scorer, CentroidScorer) and trie is scorer.tree.trie:
         return _decode_tree(query, scorer, beam_size, length_penalty, k)
 
+    def rank(item: tuple[Cid, float]) -> tuple[float, Cid]:
+        return -_penalized(item[1], len(item[0]), length_penalty), item[0]
+
     frontier: list[tuple[Cid, float]] = [((), 0.0)]
     completed: list[tuple[Cid, float]] = []
     while frontier:
@@ -182,14 +209,10 @@ def decode_clusters(
                     completed.append((extended, new_lp))
                 else:
                     candidates.append((extended, new_lp))
-        candidates.sort(
-            key=lambda item: (-_penalized(item[1], len(item[0]), length_penalty), item[0])
-        )
+        candidates.sort(key=rank)
         frontier = candidates[:beam_size]
 
-    completed.sort(
-        key=lambda item: (-_penalized(item[1], len(item[0]), length_penalty), item[0])
-    )
+    completed.sort(key=rank)
     return [
         ClusterHypothesis(cid=cid, log_prob=lp, s_inter=math.exp(lp))
         for cid, lp in completed[:k]
@@ -209,41 +232,31 @@ def _decode_tree(
     the same length, so the length penalty is one float per step.
     """
     tree = scorer.tree
-    valid = tree.trie.valid_next(())
-    root_probs = scorer.score_next(query, (), valid)
-    digits = [d for d in sorted(valid) if root_probs[d] > 0.0]
+    root_probs = scorer.score_next(query, (), tree.trie.valid_next(()))  # in digit order
+    digits = [d for d, p in root_probs.items() if p > 0.0]
     rows = tree.first_child[0] + np.array(digits, dtype=np.intp) - 1
     lps = np.array([0.0 + math.log(root_probs[d]) for d in digits])
     done_rows, done_lps, done_scores = [], [], []
     length = 1
-    while len(rows):
+    while True:
         if len(rows) > beam_size:
-            keep = np.lexsort((tree.preorder[rows], -(lps / length**length_penalty)))
+            keep = np.lexsort((tree.preorder[rows], -_penalized(lps, length, length_penalty)))
             rows, lps = rows[keep[:beam_size]], lps[keep[:beam_size]]
         length += 1
         counts = tree.child_count[rows]
         leaf = counts == 0
-        if leaf.any():
-            done_rows.append(rows[leaf])
-            done_lps.append(lps[leaf] + 0.0)
-            done_scores.append(done_lps[-1] / length**length_penalty)
-            if leaf.all():
-                break
-            rows, lps, counts = rows[~leaf], lps[~leaf], counts[~leaf]
+        done_rows.append(rows[leaf])
+        done_lps.append(lps[leaf] + 0.0)
+        done_scores.append(_penalized(done_lps[-1], length, length_penalty))
+        if leaf.all():  # an empty frontier too
+            break
+        rows, lps, counts = rows[~leaf], lps[~leaf], counts[~leaf]
         by_count = np.argsort(counts, kind="stable")
         rows, lps, counts = rows[by_count], lps[by_count], counts[by_count]
         offsets = np.cumsum(counts) - counts
         children = np.repeat(tree.first_child[rows] - offsets, counts) + np.arange(counts.sum())
-        logits = row_dots(tree.centroid_rows.take(children, axis=0), query.pooled)
-        logits /= scorer.temperature
-        probs = np.empty(len(children))
-        start = 0
-        for u, m in Counter(counts.tolist()).items():
-            end = start + m * u
-            group = logits[start:end].reshape(m, u)
-            exps = np.exp(group - group.max(axis=1, keepdims=True))
-            probs[start:end] = (exps / exps.sum(axis=1, keepdims=True)).ravel()
-            start = end
+        probs = _step_probs(tree.centroid_rows.take(children, axis=0),
+                            Counter(counts.tolist()).items(), query.pooled, scorer.temperature)
         kept = probs > 0.0
         rows, probs, lps = children[kept], probs[kept], np.repeat(lps, counts)[kept]
         if len(rows) > beam_size:
@@ -253,8 +266,6 @@ def _decode_tree(
             rows, probs, lps = rows[near], probs[near], lps[near]
         lps = lps + list(map(math.log, probs.tolist()))
 
-    if not done_rows:
-        return []
     rows, lps = np.concatenate(done_rows), np.concatenate(done_lps)
     top = np.lexsort((tree.preorder[rows], -np.concatenate(done_scores)))[:k]
     return [

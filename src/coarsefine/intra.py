@@ -31,7 +31,6 @@ because dropping its zero terms would reorder its sums.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -150,8 +149,12 @@ def sample_negatives(
 
     Same-cluster negatives: up to n_a members of the positive document's
     leaf, sampled uniformly without replacement (seeded), never including a
-    document relevant to the query. Cross-cluster negatives: the positives of
-    the other pairs in the batch, deduplicated, under the same exclusion.
+    document relevant to the query. The excluded members are masked out of
+    the leaf's rows, which keeps the rest in member order; when more than n_a
+    are left, one rng.choice over their count picks n_a of them, and the
+    picked rows are mapped to ids through tree.documents.ids. Cross-cluster
+    negatives: the positives of the other pairs in the batch, deduplicated,
+    under the same exclusion.
     """
     if n_a < 0:
         raise ValueError("n_a must be >= 0")
@@ -161,27 +164,15 @@ def sample_negatives(
     exclusion = {pair.positive_doc_id}
     if relevant is not None:
         exclusion.update(relevant)
-    members = tree.leaves[cid].members
-    # The draw depends only on how many members are eligible, so the leaf is
-    # copied only when all of them are taken, as from a leaf of n_a or fewer.
-    skipped = []
-    if len(members) > n_a:
-        skipped = sorted(members.index(d) for d in exclusion if tree.cid_by_doc.get(d) == cid)
-    n_eligible = len(members) - len(skipped)
-    if n_eligible > n_a:
-        picks = np.random.default_rng(seed).choice(n_eligible, size=n_a, replace=False)
-        # s - j eligible members precede the j-th skipped position s, so the
-        # eligible member p sits past every skipped position with s - j <= p.
-        shifts = [s - j for j, s in enumerate(skipped)]
-        intra = [members[p + bisect.bisect_right(shifts, p)] for p in picks.tolist()]
-    else:
-        intra = [d for d in members if d not in exclusion]
-    inter: list[str] = []
-    for other in batch:  # pair itself and its copies: their positive is in exclusion
-        doc_id = other.positive_doc_id
-        if doc_id in exclusion or doc_id in inter:
-            continue
-        inter.append(doc_id)
+    rows = tree.leaves[cid].rows
+    for doc_id in exclusion:
+        if tree.cid_by_doc.get(doc_id) == cid:
+            rows = rows[rows != tree.documents.row[doc_id]]
+    if len(rows) > n_a:
+        rows = rows[np.random.default_rng(seed).choice(len(rows), size=n_a, replace=False)]
+    intra = [tree.documents.ids[row] for row in rows.tolist()]
+    positives = (other.positive_doc_id for other in batch)  # pair's own is in exclusion
+    inter = list(dict.fromkeys(doc_id for doc_id in positives if doc_id not in exclusion))
     return NegativeSet(intra=intra, inter=inter)
 
 

@@ -330,8 +330,11 @@ def save_index(index: RetrievalIndex, directory: str) -> None:
 
 
 def save_documents(index: RetrievalIndex, directory: str) -> None:
-    """Rewrite the files that adding documents changes: corpus.jsonl,
-    embeddings.bin + manifest.json and placements.bin."""
+    """Rewrite the files that adding documents changes: placements.bin,
+    corpus.jsonl and embeddings.bin + manifest.json. placements.bin goes
+    first, so a document row that no leaf lists raises MissingCid before any
+    file is written."""
+    save_placements(index.tree, os.path.join(directory, PLACEMENTS_FILE))
     save_corpus(list(index.corpus.values()), os.path.join(directory, CORPUS_FILE))
     save_embedding_sidecar(
         index.embeddings.ids,
@@ -339,7 +342,6 @@ def save_documents(index: RetrievalIndex, directory: str) -> None:
         os.path.join(directory, EMBEDDINGS_FILE),
         os.path.join(directory, MANIFEST_FILE),
     )
-    save_placements(index.tree, os.path.join(directory, PLACEMENTS_FILE))
 
 
 def save_settings(index: RetrievalIndex, directory: str) -> None:

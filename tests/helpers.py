@@ -349,6 +349,29 @@ def reference_save_tree(tree, json_path, bin_path):
         fh.write(bytes(blob))
 
 
+def reference_save_placements(tree, tree_json_path, path):
+    """placements.bin from tree.json and greedy descent alone: for every row of
+    the tree's document matrix that tree.json does not list, in row order, the
+    little-endian int32 preorder position of the leaf that
+    reference_assign_new_document picks for the row's vector. Reads neither
+    cid_by_doc nor the tree's leaf order, so it pins save_placements' bytes
+    independently."""
+    with open(tree_json_path, encoding="utf-8") as fh:
+        stack = [((), json.load(fh)["root"])]
+    listed, leaf_order = set(), []
+    while stack:  # preorder: children in label order
+        digits, obj = stack.pop()
+        if not obj["children"]:
+            leaf_order.append(digits + (TERMINAL,))
+            listed.update(obj["members"])
+        stack.extend((digits + (child["label"],), child)
+                     for child in sorted(obj["children"], key=lambda c: -c["label"]))
+    positions = [leaf_order.index(reference_assign_new_document(tree, tree.documents.matrix[row]))
+                 for row, doc_id in enumerate(tree.documents.ids) if doc_id not in listed]
+    with open(path, "wb") as fh:
+        fh.write(np.array(positions, dtype="<i4").tobytes())
+
+
 def reference_save_embedding_sidecar(ids, matrix, bin_path, manifest_path):
     matrix = np.asarray(matrix, dtype=np.float32)
     with open(bin_path, "wb") as fh:

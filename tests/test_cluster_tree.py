@@ -21,7 +21,8 @@ from coarsefine.cluster_tree import (
     save_tree,
 )
 from coarsefine.embed import DocumentMatrix
-from coarsefine.errors import DimMismatch, EmptyCorpus, MissingCid, ParseError
+from coarsefine.errors import (DimMismatch, DuplicateId, EmptyCorpus, MissingCid, ParseError,
+                              UnknownCid, UnknownDoc)
 from helpers import binary_depth2_tree, blob_embeddings, reference_assign_new_document
 
 
@@ -444,6 +445,45 @@ def test_a_centroid_matrix_without_one_row_per_node_is_rejected(tmp_path, side):
     with pytest.raises(ParseError) as loaded:
         load_tree(str(tmp_path / "tree.json"), str(bp), tree.documents)
     assert str(loaded.value) == f"{bp}: blob has {side} centroids than the manifest"
+
+
+@pytest.mark.parametrize("width", [5, 9])
+def test_a_centroid_matrix_of_another_width_than_dim_is_rejected_at_construction(tmp_path, width):
+    tree = binary_depth2_tree()
+    manifest, centroids = node_form(tree, tmp_path)
+    changed = np.zeros((len(centroids), width), dtype=np.float32)  # a row per node
+    with pytest.raises(DimMismatch) as built:
+        ClusterTree(manifest, changed, k=2, c=2, seed=0, dim=8, documents=tree.documents)
+    assert str(built.value) == f"centroids of shape (7, {width}), not dim 8 wide"
+
+
+def placement_state(tree):
+    """Every leaf's members and rows, and cid_by_doc in insertion order."""
+    leaves = {cid: (list(leaf.members), leaf.rows.tolist()) for cid, leaf in tree.leaves.items()}
+    return leaves, list(tree.cid_by_doc.items())
+
+
+@pytest.mark.parametrize("ids, cids, error", [
+    pytest.param(["d12a"], [(2, 2, 0)], DuplicateId, id="already-in-a-leaf"),
+    pytest.param(["new", "d12a"], None, DuplicateId, id="already-in-a-leaf-by-descent"),
+    pytest.param(["new", "new"], [(1, 1, 0), (2, 2, 0)], DuplicateId, id="repeated"),
+    pytest.param(["new", "new"], None, DuplicateId, id="repeated-by-descent"),
+    pytest.param(["new", "other"], [(1, 1, 0), (3, 0)], UnknownCid, id="unknown-cid"),
+    pytest.param(["new", "other"], [(1, 1, 0), (2,)], UnknownCid, id="internal-node"),
+    pytest.param(["new", "ghost"], [(1, 1, 0), (1, 1, 0)], UnknownDoc, id="rowless"),
+    pytest.param(["new", "ghost"], None, UnknownDoc, id="rowless-by-descent"),
+    pytest.param(["new", "other"], [(1, 1, 0)], ValueError, id="one-cid-short"),
+])
+def test_place_documents_checks_every_pair_before_it_changes_the_tree(ids, cids, error):
+    tree = binary_depth2_tree()
+    tree.documents.append(["new", "other"], np.eye(2, 8, k=5, dtype=np.float32))
+    before = placement_state(tree)
+    with pytest.raises(error):
+        place_documents(tree, ids, cids)
+    assert placement_state(tree) == before
+    place_documents(tree, ["new", "other"], [(2, 2, 0), (1, 1, 0)])  # the tree is still usable
+    assert tree.leaves[(2, 2, 0)].rows.tolist() == [4, 5]
+    assert tree.leaves[(1, 1, 0)].members == ["d11a", "d11b", "other"]
 
 
 def node_walk(node):

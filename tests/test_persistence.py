@@ -16,19 +16,24 @@ from hypothesis import strategies as st
 from coarsefine import Document, add_documents, build_index, load_index, retrieve, save_index
 from coarsefine.cli import main
 from coarsefine import cluster_tree
-from coarsefine.cluster_tree import build_cluster_tree, save_tree
+from coarsefine.cluster_tree import (build_cluster_tree, load_placements, load_tree,
+                                     place_documents, save_placements, save_tree)
 from coarsefine.corpus import _has_tokens, read_jsonl, save_corpus, tokenize
-from coarsefine.embed import save_embedding_sidecar
-from coarsefine.errors import DuplicateId, EmptySet, EmptyText, InvalidPrefix, ParseError
+from coarsefine.embed import DocumentMatrix, save_embedding_sidecar
+from coarsefine.errors import (DuplicateId, EmptySet, EmptyText, InvalidPrefix, MissingCid,
+                               ParseError)
 from coarsefine.intra import LinearAdapter
-from coarsefine.pipeline import RetrievalConfig, read_config_file, save_settings
+from coarsefine.pipeline import (RetrievalConfig, _assemble, read_config_file, save_documents,
+                                 save_settings)
 from coarsefine.trie import PrefixTrie
 from helpers import (
     ReferencePrefixTrie,
+    binary_depth2_tree,
     blob_embeddings,
     reference_read_jsonl,
     reference_save_corpus,
     reference_save_embedding_sidecar,
+    reference_save_placements,
     reference_save_tree,
     topic_corpus,
 )
@@ -518,3 +523,56 @@ def test_only_leaves_are_node_objects_after_build_load_add_and_retrieve(added_in
         assert len(made) == len(index.tree.centroid_rows) - index.tree.leaf_count
         assert root.children
         made.clear()
+
+
+def save_and_check_placements(tree, directory):
+    """Save the tree and its placements into `directory`, check placements.bin
+    against the descent reference, and return the bytes."""
+    directory.mkdir(exist_ok=True)
+    save_tree(tree, str(directory / "tree.json"), str(directory / "centroids.bin"))
+    save_placements(tree, str(directory / "placements.bin"))
+    reference_save_placements(tree, str(directory / "tree.json"), str(directory / "reference.bin"))
+    placements = (directory / "placements.bin").read_bytes()
+    assert placements == (directory / "reference.bin").read_bytes()
+    return placements
+
+
+@pytest.mark.parametrize("make_tree", [multi_level_tree, binary_depth2_tree])
+def test_placements_bin_equals_the_descent_reference_after_build_adds_and_reload(
+        tmp_path, make_tree):
+    tree = make_tree()
+    assert save_and_check_placements(tree, tmp_path / "built") == b""
+    rng = np.random.default_rng(11)
+    for batch, size in enumerate((5, 6)):
+        ids = [f"late{batch}_{i}" for i in range(size)]
+        tree.documents.append(ids, rng.standard_normal((size, tree.dim)))
+        # the second batch is placed against its row order, one document at a time
+        for chunk in ([ids] if batch == 0 else [[doc_id] for doc_id in reversed(ids)]):
+            place_documents(tree, chunk)
+        placements = save_and_check_placements(tree, tmp_path / f"batch{batch}")
+    assert len({tree.cid_by_doc[doc_id] for doc_id in ids}) > 1  # so the order shows in the bytes
+    documents = DocumentMatrix(tree.documents.ids, tree.documents.matrix)
+    loaded = load_tree(str(tmp_path / "batch1/tree.json"), str(tmp_path / "batch1/centroids.bin"),
+                       documents)
+    load_placements(loaded, str(tmp_path / "batch1/placements.bin"))
+    assert loaded.cid_by_doc == tree.cid_by_doc
+    assert save_and_check_placements(loaded, tmp_path / "reloaded") == placements
+
+
+def test_save_refuses_a_document_row_that_no_leaf_lists_before_writing_a_file(tmp_path):
+    tree = binary_depth2_tree()
+    tree.documents.append(["stray"], np.eye(1, 8, k=7, dtype=np.float32))
+    corpus = {doc_id: Document(doc_id, doc_id) for doc_id in tree.documents.ids}
+    index = add_documents(_assemble(corpus, tree, None, RetrievalConfig(dim=8)),
+                          [Document("late", "late words")])
+    with pytest.raises(MissingCid, match="'stray'"):
+        save_index(index, str(tmp_path / "fresh"))
+    assert os.listdir(tmp_path / "fresh") == []
+    index = build_index(BASE, CONFIG)
+    save_index(index, str(tmp_path / "idx"))
+    files = {name: (tmp_path / "idx" / name).read_bytes() for name in os.listdir(tmp_path / "idx")}
+    add_documents(index, [Document("late", "late words")])
+    index.tree.documents.append(["stray"], np.eye(1, 32, dtype=np.float32))
+    with pytest.raises(MissingCid, match="'stray'"):
+        save_documents(index, str(tmp_path / "idx"))
+    assert {name: (tmp_path / "idx" / name).read_bytes() for name in files} == files
