@@ -17,7 +17,7 @@ import sys
 from collections import Counter
 
 from .corpus import TrainingPair, _has_tokens, load_corpus, load_queries, qrels_mapping, read_jsonl
-from .embed import load_embedding_sidecar
+from .embed import DocumentMatrix, load_embedding_sidecar
 from .errors import DuplicateId, ParseError, RetrievalError
 from .evaluation import EvalReport, evaluate_results, index_diagnostics, position_error_rate
 from .intra import train_adapter
@@ -116,8 +116,7 @@ def _load_sidecar_if_given(args: argparse.Namespace):
         raise ParseError("--doc-embeddings-bin and --doc-embeddings-manifest go together")
     if bin_path is None:
         return None
-    ids, matrix = load_embedding_sidecar(bin_path, manifest)
-    return {doc_id: matrix[i] for i, doc_id in enumerate(ids)}
+    return DocumentMatrix(*load_embedding_sidecar(bin_path, manifest))
 
 
 def cmd_build_index(args: argparse.Namespace) -> int:
@@ -126,7 +125,7 @@ def cmd_build_index(args: argparse.Namespace) -> int:
     doc_embeddings = _load_sidecar_if_given(args)
     index = build_index(docs, config, doc_embeddings=doc_embeddings)
     save_index(index, args.out)
-    print(f"indexed {len(index.corpus)} documents into {index.tree.leaf_count} leaf clusters")
+    print(f"indexed {len(index.embeddings)} documents into {index.tree.leaf_count} leaf clusters")
     if args.qrels:
         qrels = qrels_mapping(load_queries(args.qrels, require_relevant=True))
         report = index_diagnostics(index.tree.leaves, index.tree.cid_by_doc, qrels)
@@ -289,7 +288,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     if args.qrels:
         qrels = qrels_mapping(load_queries(args.qrels, require_relevant=True))
     report = index_diagnostics(index.tree.leaves, index.tree.cid_by_doc, qrels)
-    print(f"documents           {len(index.corpus)}")
+    print(f"documents           {len(index.embeddings)}")
     print(f"adapter             {'yes' if index.adapter is not None else 'no'}")
     print(report.format_table())
     print(_leaf_shape(index.tree.leaves))

@@ -94,8 +94,8 @@ class ClusterTree:
         """Lay out the root `manifest` and `centroids` (preorder), keeping neither.
         ValueError, in the text load_tree prefixes with its file, for a node that
         breaks tree.json's rules, a repeated document, a member without a row or
-        a tree without leaves; DimMismatch unless `centroids` has a row per node,
-        each `dim` wide."""
+        a tree without leaves; DimMismatch unless `centroids` has a row per node
+        and it and the document matrix are `dim` wide."""
         _check_node(manifest, None)
         if not manifest["children"]:
             raise ValueError("the root has no children, so the tree has no leaves")
@@ -133,6 +133,9 @@ class ClusterTree:
             raise DimMismatch(f"{side} centroids than the manifest")
         if np.shape(centroids)[1:] != (self.dim,):
             raise DimMismatch(f"centroids of shape {np.shape(centroids)}, not dim {self.dim} wide")
+        if self.documents.matrix.shape[1] != self.dim:
+            raise DimMismatch(f"document matrix of shape {self.documents.matrix.shape}, "
+                              f"not dim {self.dim} wide")
         self.preorder = np.argsort(visited)  # the inverse of the visiting order
         self.first_child = np.array(first, dtype=np.intp)[self.preorder]
         self.child_count = np.array([len(node["children"]) for node in nodes], dtype=np.intp)
@@ -397,7 +400,8 @@ def _check_node(obj, parent: Cid | None) -> None:
 
 def load_tree(json_path: str, bin_path: str, documents: DocumentMatrix) -> ClusterTree:
     """The tree save_tree wrote, over `documents`; a ParseError naming the
-    file at fault when either file is malformed or they disagree on the nodes."""
+    file at fault when either file is malformed, they disagree on the nodes,
+    or tree.json's dim is not the width of `documents`."""
     manifest = read_json_object(json_path)
     for key in ("k", "c", "dim"):
         value = manifest.get(key)
@@ -405,6 +409,9 @@ def load_tree(json_path: str, bin_path: str, documents: DocumentMatrix) -> Clust
             raise ParseError(f"{json_path}: {key} must be a positive integer, got {value!r}")
     if type(manifest.get("seed")) is not int:
         raise ParseError(f"{json_path}: seed must be an integer, got {manifest.get('seed')!r}")
+    if manifest["dim"] != documents.matrix.shape[1]:
+        raise ParseError(f"{json_path}: dim {manifest['dim']} disagrees with the "
+                         f"{documents.matrix.shape[1]}-wide document matrix")
     centroids = require_finite(bin_path, read_array(bin_path, "<f4", (-1, manifest["dim"])))
     try:
         return ClusterTree(manifest.get("root"), centroids, k=manifest["k"], c=manifest["c"],

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import read_array, read_json_object, tokenize
-from .errors import BadDim, DimMismatch, EmptyText, ParseError
+from .errors import BadDim, DimMismatch, DuplicateId, EmptyText, ParseError
 
 MIN_DIM = 8
 UNIGRAM_MEMO_SIZE = 2**14
@@ -105,9 +105,12 @@ class QueryRepresentation:
 class DocumentMatrix(Mapping[str, np.ndarray]):
     """Document vectors as one float32 [N, dim] matrix, looked up by id.
 
-    Row i belongs to ids[i]. Values are row views of the one matrix, not
-    copies; append() replaces the matrix by a grown one, so the old rows are
-    released unless a caller still holds a view of them.
+    Row i belongs to ids[i]. The matrix is an index's one registry of
+    documents: it raises DuplicateId, before it changes anything, for an id
+    repeated at construction or, on append(), for an id that already has a
+    row or repeats within the call. Values are row views of the one matrix,
+    not copies; append() replaces the matrix by a grown one, so the old rows
+    are released unless a caller still holds a view of them.
     """
 
     def __init__(self, ids: Sequence[str], matrix: np.ndarray):
@@ -116,6 +119,9 @@ class DocumentMatrix(Mapping[str, np.ndarray]):
         self.ids = list(ids)
         self.matrix = matrix
         self.row = {doc_id: i for i, doc_id in enumerate(self.ids)}
+        if len(self.row) != len(self.ids):  # a repeated id's row is that of its last copy
+            repeated = next(doc_id for i, doc_id in enumerate(self.ids) if self.row[doc_id] != i)
+            raise DuplicateId(f"duplicate document id {repeated!r}")
 
     def __getitem__(self, doc_id: str) -> np.ndarray:
         return self.matrix[self.row[doc_id]]
@@ -127,12 +133,11 @@ class DocumentMatrix(Mapping[str, np.ndarray]):
         return len(self.ids)
 
     def append(self, ids: Sequence[str], vectors: Sequence[np.ndarray]) -> None:
-        """Add one row per id at the end."""
+        """Add one row per id at the end. The grown matrix is built, and checked,
+        apart, so an id that is already here or repeats in `ids` changes nothing."""
         new = np.asarray(vectors, dtype=np.float32).reshape(len(ids), self.matrix.shape[1])
-        self.matrix = np.concatenate([self.matrix, new])
-        for doc_id in ids:
-            self.row[doc_id] = len(self.ids)
-            self.ids.append(doc_id)
+        grown = DocumentMatrix(self.ids + list(ids), np.concatenate([self.matrix, new]))
+        self.ids, self.row, self.matrix = grown.ids, grown.row, grown.matrix
 
 
 def save_embedding_sidecar(

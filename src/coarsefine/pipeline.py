@@ -20,7 +20,10 @@ DocumentMatrix in the row order of embeddings.bin (corpus order, as
 save_index writes it), so loading reads the file into that matrix without
 copying rows. The tree owns that matrix (`index.embeddings` is
 `index.tree.documents`), and each leaf carries an int array of its members'
-rows in it next to their ids. The fine stage scores a one-member leaf with
+rows in it next to their ids. The matrix is the index's only registry of
+document ids and its one duplicate gate (DuplicateId); beside it the index
+keeps only the texts, by row (`index.texts`), which only saving reads, and
+no Document objects. The fine stage scores a one-member leaf with
 one dot product of the query and that row, and a larger leaf with one gather
 and one stacked matmul, taking the exact sigmoid only for the members that a
 vectorised screen leaves in reach of the top k (see rank_within_cluster).
@@ -99,9 +102,9 @@ from .embed import (
 from .errors import (
     BadEmbedding,
     DimMismatch,
-    DuplicateId,
     EmptyCorpus,
     EmptyIndex,
+    EmptyText,
     ParseError,
     UnknownDoc,
 )
@@ -167,7 +170,11 @@ class RetrievalResult:
 
 @dataclass
 class RetrievalIndex:
-    corpus: dict[str, Document]
+    """A built or loaded index. Its documents are the rows of the tree's
+    DocumentMatrix (`embeddings`), the only registry of their ids; `texts[i]`
+    is the text of `embeddings.ids[i]`, kept only to be saved."""
+
+    texts: list[str]
     tree: ClusterTree
     scorer: StepScorer
     adapter: LinearAdapter | None
@@ -195,17 +202,14 @@ def build_index(
     When doc_embeddings is given (an external embedder's output), those
     vectors are used instead of hashing; they must be unit-length float
     vectors of the configured dimension. Queries are always embedded by the
-    built-in hashing embedder.
+    built-in hashing embedder. A repeated doc id raises DuplicateId from the
+    DocumentMatrix, after every document is embedded.
     """
     if not docs:
         raise EmptyCorpus("cannot build an index from zero documents")
     embedder = HashingEmbedder(dim=config.dim, seed=derive_seed(config.seed, "embed"))
-    corpus: dict[str, Document] = {}
     vectors: list[np.ndarray] = []
     for doc in docs:
-        if doc.doc_id in corpus:
-            raise DuplicateId(f"duplicate document id {doc.doc_id!r}")
-        corpus[doc.doc_id] = doc
         if doc_embeddings is None:
             vectors.append(embedder.embed(doc.text))
         else:
@@ -220,19 +224,19 @@ def build_index(
                 raise BadEmbedding(
                     f"embedding for {doc.doc_id!r} must be finite and unit length")
             vectors.append(vec)
-    embeddings = DocumentMatrix(list(corpus), np.stack(vectors))
+    embeddings = DocumentMatrix([doc.doc_id for doc in docs], np.stack(vectors))
     del vectors  # the matrix is now the only copy of the document vectors
     tree = build_cluster_tree(
         embeddings, config.branching, config.expected_clusters, derive_seed(config.seed, "tree")
     )
-    return _assemble(corpus, tree, None, config)
+    return _assemble([doc.text for doc in docs], tree, None, config)
 
 
-def _assemble(corpus: dict[str, Document], tree: ClusterTree, adapter: LinearAdapter | None,
+def _assemble(texts: list[str], tree: ClusterTree, adapter: LinearAdapter | None,
               config: RetrievalConfig) -> RetrievalIndex:
     """The index over these parts, with the scorer and embedder they determine."""
     return RetrievalIndex(
-        corpus=corpus,
+        texts=texts,
         tree=tree,
         scorer=CentroidScorer(tree, temperature=config.temperature),
         adapter=adapter,
@@ -257,7 +261,7 @@ def retrieve(index: RetrievalIndex, query_text: str, k: int) -> RetrievalResult:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not index.corpus:
+    if not index.embeddings:
         raise EmptyIndex("index contains no documents")
     cfg = index.config
     # Every score is computed in float64; cast once instead of on every step.
@@ -288,20 +292,15 @@ def add_documents(index: RetrievalIndex, docs: Sequence[Document]) -> RetrievalI
 
     Each document is embedded and assigned to the leaf reached by greedy
     centroid descent. The tree structure, centroids, trie, and all existing
-    assignments are left untouched. Raises DuplicateId for ids already
-    present (or repeated within this call). Every document is embedded before
-    the index changes, so a text that fails to embed leaves it as it was.
+    assignments are left untouched. Every document is embedded before the
+    index changes, so a text that fails to embed leaves it as it was; then
+    the document matrix raises DuplicateId, still before any change, for an
+    id already present or repeated within this call.
     """
-    fresh: set[str] = set()
-    for doc in docs:
-        if doc.doc_id in index.corpus or doc.doc_id in fresh:
-            raise DuplicateId(f"duplicate document id {doc.doc_id!r}")
-        fresh.add(doc.doc_id)
     vectors = [index.embedder.embed(doc.text) for doc in docs]
     ids = [doc.doc_id for doc in docs]
-    for doc in docs:
-        index.corpus[doc.doc_id] = doc
     index.tree.documents.append(ids, vectors)
+    index.texts.extend(doc.text for doc in docs)
     place_documents(index.tree, ids)
     return index
 
@@ -331,13 +330,20 @@ def save_index(index: RetrievalIndex, directory: str) -> None:
 
 def save_documents(index: RetrievalIndex, directory: str) -> None:
     """Rewrite the files that adding documents changes: placements.bin,
-    corpus.jsonl and embeddings.bin + manifest.json. placements.bin goes
-    first, so a document row that no leaf lists raises MissingCid before any
-    file is written."""
+    corpus.jsonl (ids and texts in row order) and embeddings.bin +
+    manifest.json. Before any file is written, a document row that no leaf
+    lists raises MissingCid (save_placements, which goes first), and one that
+    a leaf lists but that has no text raises EmptyText."""
+    ids = index.embeddings.ids
+    # texts trail the rows they lack; every leaf member has a row, so equal counts
+    # mean every row is in a leaf and save_placements will not raise first
+    if len(index.texts) < len(ids) == len(index.tree.cid_by_doc):
+        raise EmptyText(f"document {ids[len(index.texts)]!r} has no text")
     save_placements(index.tree, os.path.join(directory, PLACEMENTS_FILE))
-    save_corpus(list(index.corpus.values()), os.path.join(directory, CORPUS_FILE))
+    save_corpus([Document(doc_id, text) for doc_id, text in zip(ids, index.texts)],
+                os.path.join(directory, CORPUS_FILE))
     save_embedding_sidecar(
-        index.embeddings.ids,
+        ids,
         index.embeddings.matrix,
         os.path.join(directory, EMBEDDINGS_FILE),
         os.path.join(directory, MANIFEST_FILE),
@@ -389,7 +395,9 @@ def load_index(directory: str) -> RetrievalIndex:
     Documents present in the corpus but absent from the construction-time
     tree membership are documents that were added later; load_placements
     puts them in the leaves placements.bin names or, without that file, in
-    the leaves the same deterministic descent used at add time picks.
+    the leaves the same deterministic descent used at add time picks. The
+    texts of corpus.jsonl, in any line order, are paired with the rows of
+    embeddings.bin by id, so a save writes them back in row order.
     """
     config_path = os.path.join(directory, CONFIG_FILE)
     config = load_config(config_path)
@@ -402,16 +410,12 @@ def load_index(directory: str) -> RetrievalIndex:
         raise ParseError(
             f"{manifest_path}: dim {matrix.shape[1]} disagrees with {config_path} dim {config.dim}"
         )
-    corpus = {doc.doc_id: doc for doc in docs}
-    if set(ids) != corpus.keys():  # the sidecar reader rejects a repeated id
+    text_of = {doc.doc_id: doc.text for doc in docs}
+    if set(ids) != text_of.keys():  # the sidecar reader rejects a repeated id
         raise ParseError(f"{manifest_path}: ids do not match {CORPUS_FILE}")
-    tree_path = os.path.join(directory, TREE_FILE)
-    tree = load_tree(tree_path, os.path.join(directory, CENTROIDS_FILE),
+    # load_tree checks tree.json's dim against the matrix, so against config.json's too
+    tree = load_tree(os.path.join(directory, TREE_FILE), os.path.join(directory, CENTROIDS_FILE),
                      DocumentMatrix(ids, matrix))
-    if tree.dim != config.dim:
-        raise ParseError(
-            f"{tree_path}: dim {tree.dim} disagrees with {config_path} dim {config.dim}"
-        )
     load_placements(tree, os.path.join(directory, PLACEMENTS_FILE))
     adapter = None
     adapter_path = os.path.join(directory, ADAPTER_FILE)
@@ -426,4 +430,4 @@ def load_index(directory: str) -> RetrievalIndex:
             )
         weight = read_array(adapter_path, "<f4", (config.dim, config.dim))
         adapter = LinearAdapter(weight=require_finite(adapter_path, weight))
-    return _assemble(corpus, tree, adapter, config)
+    return _assemble([text_of[doc_id] for doc_id in ids], tree, adapter, config)

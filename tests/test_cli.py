@@ -167,7 +167,8 @@ def test_texts_with_a_lone_surrogate_build_add_retrieve_and_inspect(tmp_path):
                  "--out", str(out), "--k", "5"]) == 0
     assert main(["inspect", "--index", idx]) == 0
     assert json.loads(out.read_text())["query_text"] == "hello \udc80"
-    assert load_index(idx).corpus["late"].text == "late \ud800 text"
+    loaded = load_index(idx)
+    assert loaded.texts[loaded.embeddings.row["late"]] == "late \ud800 text"
 
 
 def test_config_precedence_file_overrides_defaults_flags_override_file(tmp_path, corpus_path):

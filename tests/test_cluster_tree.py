@@ -457,6 +457,21 @@ def test_a_centroid_matrix_of_another_width_than_dim_is_rejected_at_construction
     assert str(built.value) == f"centroids of shape (7, {width}), not dim 8 wide"
 
 
+@pytest.mark.parametrize("width", [5, 16])
+def test_a_document_matrix_of_another_width_than_dim_is_rejected(tmp_path, width):
+    tree = binary_depth2_tree()
+    manifest, centroids = node_form(tree, tmp_path)
+    documents = DocumentMatrix(tree.documents.ids,
+                               np.eye(len(tree.documents), width, dtype=np.float32))
+    with pytest.raises(DimMismatch) as built:
+        ClusterTree(manifest, centroids, k=2, c=2, seed=0, dim=8, documents=documents)
+    assert str(built.value) == f"document matrix of shape (5, {width}), not dim 8 wide"
+    jp = tmp_path / "tree.json"
+    with pytest.raises(ParseError) as loaded:
+        load_tree(str(jp), str(tmp_path / "centroids.bin"), documents)
+    assert str(loaded.value) == f"{jp}: dim 8 disagrees with the {width}-wide document matrix"
+
+
 def placement_state(tree):
     """Every leaf's members and rows, and cid_by_doc in insertion order."""
     leaves = {cid: (list(leaf.members), leaf.rows.tolist()) for cid, leaf in tree.leaves.items()}

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from coarsefine.embed import (
     UNIGRAM_MEMO_SIZE,
+    DocumentMatrix,
     HashingEmbedder,
     _unigram_digest,
     hash_embed,
     load_embedding_sidecar,
     save_embedding_sidecar,
 )
-from coarsefine.errors import BadDim, EmptyText, ParseError
+from coarsefine.errors import BadDim, DuplicateId, EmptyText, ParseError
 from coarsefine.kmeans import derive_seed
 from helpers import reference_hash_embed
 
@@ -225,3 +226,30 @@ def test_tokens_that_look_like_feature_prefixes_match_the_reference(text):
 
 def test_unigram_memo_is_bounded():
     assert _unigram_digest.cache_info().maxsize == UNIGRAM_MEMO_SIZE < float("inf")
+
+
+@pytest.mark.parametrize("ids", [["a", "b", "a"], ["a", "a"], ["b", "a", "c", "c"],
+                                 ["a", "b", "b", "a"]])
+def test_document_matrix_refuses_a_repeated_id_at_construction(ids):
+    repeated = next(doc_id for doc_id in ids if ids.count(doc_id) > 1)
+    with pytest.raises(DuplicateId) as raised:
+        DocumentMatrix(ids, np.eye(len(ids), 8, dtype=np.float32))
+    assert str(raised.value) == f"duplicate document id {repeated!r}"
+
+
+@pytest.mark.parametrize("ids, repeated", [
+    pytest.param(["c", "a"], "a", id="has-a-row"),
+    pytest.param(["c", "d", "c"], "c", id="repeated-in-the-call"),
+    pytest.param(["b", "b"], "b", id="repeated-pair"),
+])
+def test_document_matrix_append_refuses_a_known_or_repeated_id_and_changes_nothing(
+        ids, repeated):
+    documents = DocumentMatrix(["a"], np.eye(1, 8, dtype=np.float32))
+    matrix = documents.matrix
+    with pytest.raises(DuplicateId) as raised:
+        documents.append(ids, np.eye(len(ids), 8, k=1, dtype=np.float32))
+    assert str(raised.value) == f"duplicate document id {repeated!r}"
+    assert documents.ids == ["a"] and documents.row == {"a": 0}
+    assert documents.matrix is matrix and matrix.tolist() == np.eye(1, 8).tolist()
+    documents.append(["b", "c"], np.eye(2, 8, k=1, dtype=np.float32))
+    assert documents.ids == ["a", "b", "c"] and documents.row == {"a": 0, "b": 1, "c": 2}

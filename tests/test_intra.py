@@ -488,8 +488,8 @@ def test_screened_rank_within_cluster_equals_the_unscreened_sort(monkeypatch):
     sizes, saturated_ties, screened = set(), 0, 0
     for index in grown_indexes():
         matrix = index.embeddings
-        vectors = {doc_id: matrix[doc_id] for doc_id in index.corpus}
-        directions = [rng.standard_normal(32), matrix[next(iter(index.corpus))]]
+        vectors = {doc_id: matrix[doc_id] for doc_id in matrix}
+        directions = [rng.standard_normal(32), matrix[matrix.ids[0]]]
         queries = [scale * np.asarray(v, np.float64) for v in directions for scale in (1, 60, 200)]
         for cid, leaf in index.tree.leaves.items():
             sizes.add(len(leaf.members))
@@ -583,12 +583,12 @@ def test_a_leaf_grown_from_one_member_to_two_keeps_its_first_members_score():
     queries = list(one_member_queries(index, 7))
     alone = {cid: [rank_within_cluster(q, tree, cid, 2) for q in queries]
              for cid in singles.values()}
-    add_documents(index, [Document(f"copy_{doc_id}", index.corpus[doc_id].text)
+    add_documents(index, [Document(f"copy_{doc_id}", index.texts[index.embeddings.row[doc_id]])
                           for doc_id in singles])
     grown = [(doc_id, cid) for doc_id, cid in singles.items()
              if tree.leaves[cid].members == [doc_id, f"copy_{doc_id}"]]
     assert grown  # a copy of a one-member leaf's text descends to that leaf
-    vectors = {d: index.embeddings[d] for d in index.corpus}
+    vectors = {d: index.embeddings[d] for d in index.embeddings}
     for doc_id, cid in grown:
         for q, before in zip(queries, alone[cid]):
             got = rank_within_cluster(q, tree, cid, 2)

@@ -427,8 +427,13 @@ def test_loaded_leaves_hold_their_members_rows_and_resave_the_same_placements(
     assert (tmp_path / "again" / "placements.bin").read_bytes() == placements
 
 
-def test_swapping_two_added_documents_in_corpus_jsonl_keeps_their_leaves(added_index):
-    tree = load_index(str(added_index)).tree
+def test_swapping_two_added_documents_in_corpus_jsonl_keeps_their_leaves(added_index, tmp_path):
+    """Loaded leaves follow the rows, not the corpus lines, and the next save
+    writes corpus.jsonl back in row order and every other file as it was."""
+    written = {name: (added_index / name).read_bytes() for name in os.listdir(added_index)}
+    index = load_index(str(added_index))
+    results = [retrieve(index, q, 10) for q in QUERIES]
+    tree = index.tree
     before = tree.cid_by_doc
     built = {doc_id for members in tree.build_members.values() for doc_id in members}
     first, *rest = [doc_id for doc_id in before if doc_id not in built]
@@ -443,6 +448,11 @@ def test_swapping_two_added_documents_in_corpus_jsonl_keeps_their_leaves(added_i
     assert list(loaded.tree.cid_by_doc.items()) == list(before.items())
     for leaf in loaded.tree.leaves.values():
         assert leaf.rows.tolist() == [loaded.embeddings.row[d] for d in leaf.members]
+    save_index(loaded, str(tmp_path / "again"))
+    again = {name: (tmp_path / "again" / name).read_bytes() for name in written}
+    assert again["corpus.jsonl"] == written["corpus.jsonl"] != path.read_bytes()
+    assert again == written
+    assert [retrieve(loaded, q, 10) for q in QUERIES] == results
 
 
 def test_add_docs_and_train_adapter_write_only_their_files_with_full_save_bytes(
@@ -491,7 +501,7 @@ def test_added_documents_survive_save_and_load_and_a_failed_add_changes_no_byte(
     (directory / "placements.bin").unlink()
     assert tree_state(load_index(str(directory))) == before
 
-    ids = list(index.corpus)
+    ids = list(index.embeddings)
     bad = Document(ids[pick % len(ids)], "alpha") if duplicate else Document("blank", " \t ")
     batch = [Document(f"fresh{i}", "alpha beta") for i in range(3)]
     batch.insert(at, bad)
@@ -562,8 +572,7 @@ def test_placements_bin_equals_the_descent_reference_after_build_adds_and_reload
 def test_save_refuses_a_document_row_that_no_leaf_lists_before_writing_a_file(tmp_path):
     tree = binary_depth2_tree()
     tree.documents.append(["stray"], np.eye(1, 8, k=7, dtype=np.float32))
-    corpus = {doc_id: Document(doc_id, doc_id) for doc_id in tree.documents.ids}
-    index = add_documents(_assemble(corpus, tree, None, RetrievalConfig(dim=8)),
+    index = add_documents(_assemble(list(tree.documents.ids), tree, None, RetrievalConfig(dim=8)),
                           [Document("late", "late words")])
     with pytest.raises(MissingCid, match="'stray'"):
         save_index(index, str(tmp_path / "fresh"))
@@ -574,5 +583,19 @@ def test_save_refuses_a_document_row_that_no_leaf_lists_before_writing_a_file(tm
     add_documents(index, [Document("late", "late words")])
     index.tree.documents.append(["stray"], np.eye(1, 32, dtype=np.float32))
     with pytest.raises(MissingCid, match="'stray'"):
+        save_documents(index, str(tmp_path / "idx"))
+    assert {name: (tmp_path / "idx" / name).read_bytes() for name in files} == files
+
+
+def test_save_refuses_a_placed_document_row_without_text_before_writing_a_file(tmp_path):
+    index = build_index(BASE, CONFIG)
+    save_index(index, str(tmp_path / "idx"))
+    files = {name: (tmp_path / "idx" / name).read_bytes() for name in os.listdir(tmp_path / "idx")}
+    index.tree.documents.append(["late"], np.eye(1, 32, dtype=np.float32))
+    place_documents(index.tree, ["late"])
+    with pytest.raises(EmptyText, match="'late'"):
+        save_index(index, str(tmp_path / "fresh"))
+    assert os.listdir(tmp_path / "fresh") == []
+    with pytest.raises(EmptyText, match="'late'"):
         save_documents(index, str(tmp_path / "idx"))
     assert {name: (tmp_path / "idx" / name).read_bytes() for name in files} == files

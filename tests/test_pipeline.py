@@ -28,6 +28,7 @@ from helpers import (
     AxisEmbedder,
     UniformScorer,
     binary_depth2_tree,
+    node,
     reference_retrieve,
     topic_corpus,
 )
@@ -61,7 +62,7 @@ def hand_index(beta=1.0):
     tree = binary_depth2_tree(dim=8)
     config = RetrievalConfig(dim=8, beta=beta, gamma=2.0, beam_size=8, k_clusters=8)
     return RetrievalIndex(
-        corpus={d: Document(d, str(i)) for i, d in enumerate(tree.documents.ids)},
+        texts=[str(i) for i in range(len(tree.documents))],
         tree=tree,
         scorer=UniformScorer(),
         adapter=None,
@@ -129,7 +130,10 @@ def test_retrieve_validates_arguments():
     docs, idx = small_index()
     with pytest.raises(ValueError):
         retrieve(idx, "anything", 0)
-    bare = RetrievalIndex(corpus={}, tree=idx.tree,
+    none = DocumentMatrix([], np.zeros((0, 8), dtype=np.float32))
+    empty = cluster_tree.ClusterTree(node(None, [node(1)]), np.zeros((2, 8), dtype=np.float32),
+                                     k=1, c=2, seed=0, dim=8, documents=none)
+    bare = RetrievalIndex(texts=[], tree=empty,
                           scorer=idx.scorer, adapter=None, config=idx.config,
                           embedder=idx.embedder)
     with pytest.raises(EmptyIndex):
@@ -346,8 +350,9 @@ def test_embeddings_are_row_views_of_one_matrix_and_adds_leave_no_copy(tmp_path)
     for index in (idx, loaded):
         assert isinstance(index.embeddings, DocumentMatrix)
         assert index.embeddings.matrix.dtype == np.float32
-        assert index.embeddings.ids == list(index.corpus)
-        for doc_id in list(index.corpus)[:5]:
+        assert index.embeddings.ids == [doc.doc_id for doc in docs]
+        assert index.texts == [doc.text for doc in docs]
+        for doc_id in index.embeddings.ids[:5]:
             assert np.shares_memory(index.embeddings[doc_id], index.embeddings.matrix)
     old = weakref.ref(loaded.embeddings.matrix)
     extra = [Document("new_" + d.doc_id, d.text) for d in topic_corpus(2, 5, seed=16)]
@@ -371,15 +376,27 @@ def test_rank_within_cluster_on_the_document_matrix_equals_intra_score():
         assert top == oracle[:2]
 
 
-def test_failed_add_leaves_the_index_unchanged():
+@pytest.mark.parametrize("batch, error", [
+    pytest.param(["ok1", "bad"], EmptyText, id="no-tokens"),
+    pytest.param(["ok1", "d00_0003"], DuplicateId, id="has-a-row"),
+    pytest.param(["ok1", "ok2", "ok1"], DuplicateId, id="repeated-in-the-call"),
+])
+def test_failed_add_leaves_the_index_unchanged(batch, error):
     docs, idx = small_index(seed=18)
+    documents, matrix = idx.embeddings, idx.embeddings.matrix
     cids = dict(idx.tree.cid_by_doc)
-    members = {cid: list(leaf.members) for cid, leaf in idx.tree.leaves.items()}
-    with pytest.raises(EmptyText):
-        add_documents(idx, [Document("ok1", "alpha beta"), Document("bad", "   ")])
-    assert "ok1" not in idx.corpus and "ok1" not in idx.embeddings
+    leaves = {cid: (list(leaf.members), leaf.rows.tolist())
+              for cid, leaf in idx.tree.leaves.items()}
+    with pytest.raises(error):
+        add_documents(idx, [Document(doc_id, "   " if doc_id == "bad" else "alpha beta")
+                            for doc_id in batch])
+    assert idx.texts == [doc.text for doc in docs]
+    assert idx.embeddings is documents and documents.matrix is matrix
+    assert documents.ids == [doc.doc_id for doc in docs]
+    assert documents.row == {doc.doc_id: i for i, doc in enumerate(docs)}
     assert idx.tree.cid_by_doc == cids
-    assert {cid: leaf.members for cid, leaf in idx.tree.leaves.items()} == members
+    assert {cid: (leaf.members, leaf.rows.tolist())
+            for cid, leaf in idx.tree.leaves.items()} == leaves
 
 
 def test_load_index_rejects_tree_members_outside_the_corpus(tmp_path):
