@@ -124,11 +124,13 @@ def cmd_build_index(args: argparse.Namespace) -> int:
     docs = load_corpus(args.corpus)
     doc_embeddings = _load_sidecar_if_given(args)
     index = build_index(docs, config, doc_embeddings=doc_embeddings)
-    save_index(index, args.out)
-    print(f"indexed {len(index.embeddings)} documents into {index.tree.leaf_count} leaf clusters")
-    if args.qrels:
+    report = None
+    if args.qrels:  # checked against the index before any file is written
         qrels = qrels_mapping(load_queries(args.qrels, require_relevant=True))
         report = index_diagnostics(index.tree.leaves, index.tree.cid_by_doc, qrels)
+    save_index(index, args.out)
+    print(f"indexed {len(index.embeddings)} documents into {index.tree.leaf_count} leaf clusters")
+    if report is not None:
         print(report.format_table())
     return 0
 

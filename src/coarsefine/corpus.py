@@ -153,15 +153,20 @@ def load_corpus(path: str) -> list[Document]:
 
 
 def save_corpus(docs: list[Document], path: str) -> None:
+    _write_corpus([doc.doc_id for doc in docs], [doc.text for doc in docs], path)
+
+
+def _write_corpus(ids: Sequence[str], texts: Sequence[str], path: str) -> None:
+    """Write the corpus file of ids[i] paired with texts[i], in that order."""
     # refuse to write a file load_corpus would reject
-    for doc in docs:
-        if not _has_tokens(doc.text):
-            raise EmptyText(f"document {doc.doc_id!r} has no tokens")
+    for doc_id, text in zip(ids, texts):
+        if not _has_tokens(text):
+            raise EmptyText(f"document {doc_id!r} has no tokens")
     # The bytes of json.dumps({"id": ..., "text": ...}, sort_keys=True) + "\n".
     esc = encode_basestring_ascii
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines('{"id": ' + esc(doc.doc_id) + ', "text": ' + esc(doc.text) + '}\n'
-                      for doc in docs)
+        fh.writelines('{"id": ' + esc(doc_id) + ', "text": ' + esc(text) + '}\n'
+                      for doc_id, text in zip(ids, texts))
 
 
 def load_queries(path: str, require_relevant: bool = False) -> list[QueryRecord]:

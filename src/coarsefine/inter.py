@@ -268,10 +268,10 @@ def _decode_tree(
 
     rows, lps = np.concatenate(done_rows), np.concatenate(done_lps)
     top = np.lexsort((tree.preorder[rows], -np.concatenate(done_scores)))[:k]
-    return [
-        ClusterHypothesis(cid=tree.leaf_cid[row], log_prob=lp, s_inter=math.exp(lp))
-        for row, lp in zip(rows[top].tolist(), lps[top].tolist())
-    ]
+    # positional arguments and local names: k objects per query
+    leaf_cid, exp = tree.leaf_cid, math.exp
+    return [ClusterHypothesis(leaf_cid[row], lp, exp(lp))
+            for row, lp in zip(rows[top].tolist(), lps[top].tolist())]
 
 
 def inter_loss(

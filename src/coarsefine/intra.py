@@ -37,7 +37,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cluster_tree import ClusterTree, row_dots
+from .cluster_tree import ClusterNode, ClusterTree, row_dots
 from .corpus import TrainingPair
 from .errors import DimMismatch, DivergedLoss, UnknownCid, UnknownDoc
 from .kmeans import derive_seed
@@ -85,13 +85,11 @@ def rank_within_cluster(
 ) -> list[IntraScore]:
     """Top-min(m, cluster size) members of a leaf by s_intra, ties by doc id.
 
-    A one-member leaf is scored with one 1-D float64 dot product of the query
-    and the member's row of the tree's document matrix, the product that
-    row_dots equals bit for bit on each row. A larger leaf's vectors are
-    gathered by the leaf's `rows` in one indexing step, and all similarities
-    come from one stacked matmul (row_dots), equal bit for bit to intra_score
-    on each member. The query is checked against the matrix's dimension
-    before either path.
+    The leaf's vectors are gathered from the tree's document matrix by the
+    leaf's `rows` in one indexing step, and all similarities come from one
+    stacked matmul (row_dots), equal bit for bit to intra_score on each
+    member; a one-member leaf takes the same path with a one-row gather. The
+    query is checked against the matrix's dimension first.
 
     s_intra is the per-element _sigmoid, but only for the members that can be
     in the top m. When the leaf holds more than m members, they are screened
@@ -110,14 +108,7 @@ def rank_within_cluster(
     members = leaf.members
     if not members:
         return []
-    # contiguous, so the 1-D product below is BLAS's unit-stride dot, as in row_dots
-    q = np.ascontiguousarray(q, dtype=np.float64)
-    matrix = tree.documents.matrix
-    if q.shape != matrix.shape[1:]:
-        raise DimMismatch(f"query dim {q.shape} != document dim {matrix.shape[1:]}")
-    if len(members) == 1:
-        sim = float(q @ matrix[leaf.rows[0]].astype(np.float64))
-        return [IntraScore(members[0], sim, _sigmoid(sim))]
+    matrix = _checked_matrix(q, tree)
     sims = row_dots(matrix.take(leaf.rows, axis=0), q)
     candidates: Sequence[int] = range(len(members))
     if len(members) > m:
@@ -129,6 +120,32 @@ def rank_within_cluster(
     s_intra = {i: _sigmoid(sims[i]) for i in candidates}
     top = sorted(candidates, key=lambda i: (-s_intra[i], members[i]))[:m]
     return [IntraScore(members[i], sims[i], s_intra[i]) for i in top]
+
+
+def score_one_member_leaves(q: np.ndarray, tree: ClusterTree,
+                            leaves: Sequence[ClusterNode]) -> list[float]:
+    """s_intra of the one member of each of these one-member leaves, in order.
+
+    A one-member leaf needs no ranking: its member is its top 1 for any m >= 1,
+    with the s_intra that rank_within_cluster gives it. All the members' rows
+    are gathered with one take and scored by one row_dots call, which gives
+    each row the bits of its own 1-D float64 product whatever other rows share
+    the call, so every member gets the sim and exact _sigmoid that
+    rank_within_cluster would. The query is checked against the matrix's
+    dimension first.
+    """
+    matrix = _checked_matrix(q, tree)
+    row = tree.documents.row
+    sims = row_dots(matrix.take([row[leaf.members[0]] for leaf in leaves], axis=0), q)
+    return [_sigmoid(sim) for sim in sims.tolist()]
+
+
+def _checked_matrix(q: np.ndarray, tree: ClusterTree) -> np.ndarray:
+    """The tree's document matrix, after checking that `q` is as wide."""
+    matrix = tree.documents.matrix
+    if np.shape(q) != matrix.shape[1:]:
+        raise DimMismatch(f"query dim {np.shape(q)} != document dim {matrix.shape[1:]}")
+    return matrix
 
 
 @dataclass(frozen=True)

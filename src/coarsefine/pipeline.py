@@ -23,10 +23,13 @@ copying rows. The tree owns that matrix (`index.embeddings` is
 rows in it next to their ids. The matrix is the index's only registry of
 document ids and its one duplicate gate (DuplicateId); beside it the index
 keeps only the texts, by row (`index.texts`), which only saving reads, and
-no Document objects. The fine stage scores a one-member leaf with
-one dot product of the query and that row, and a larger leaf with one gather
-and one stacked matmul, taking the exact sigmoid only for the members that a
-vectorised screen leaves in reach of the top k (see rank_within_cluster).
+no Document objects. The fine stage scores the members of all recalled
+one-member leaves, most leaves at the default configuration, with one gather
+and one stacked matmul (intra.score_one_member_leaves): a one-member leaf's
+member is its top 1 whatever k and beta are. Each larger leaf takes one
+rank_within_cluster call, one gather and one stacked matmul, taking the exact
+sigmoid only for the members that a vectorised screen leaves in reach of the
+top k.
 The tree keeps all centroids as one float32 matrix, the root as row 0 and
 every node's children a contiguous block of rows. A beam step gathers the
 children of all frontier nodes with one take, scores them with one stacked
@@ -75,6 +78,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .cluster_tree import (
+    ClusterNode,
     ClusterTree,
     build_cluster_tree,
     load_placements,
@@ -85,11 +89,11 @@ from .cluster_tree import (
 )
 from .corpus import (
     Document,
+    _write_corpus,
     load_corpus,
     read_array,
     read_json_object,
     require_finite,
-    save_corpus,
 )
 from .embed import (
     MIN_DIM,
@@ -109,7 +113,7 @@ from .errors import (
     UnknownDoc,
 )
 from .inter import CentroidScorer, StepScorer, decode_clusters
-from .intra import LinearAdapter, rank_within_cluster
+from .intra import LinearAdapter, rank_within_cluster, score_one_member_leaves
 from .kmeans import derive_seed
 from .trie import PrefixTrie
 
@@ -256,8 +260,12 @@ def query_vector(index: RetrievalIndex, query_text: str) -> np.ndarray:
 def retrieve(index: RetrievalIndex, query_text: str, k: int) -> RetrievalResult:
     """Top-k documents for a query text.
 
-    May return fewer than k entries when the decoded clusters hold fewer
-    documents. Raises EmptyIndex on an index with no documents.
+    The members of the recalled one-member leaves are scored together by
+    score_one_member_leaves and every larger leaf by its own
+    rank_within_cluster call; both give each document the bits that ranking
+    its leaf alone gives it. May return fewer than k entries when the
+    decoded clusters hold fewer documents. Raises EmptyIndex on an index with
+    no documents.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -272,13 +280,23 @@ def retrieve(index: RetrievalIndex, query_text: str, k: int) -> RetrievalResult:
     )
     # Plain tuples in the order of the result: doc ids are unique, so s_inter
     # never decides, and negating a float is exact both ways.
-    beta = cfg.beta
+    tree, beta = index.tree, cfg.beta
     fused: list[tuple[float, float, str, float]] = []
+    singles: list[tuple[float, ClusterNode]] = []  # (s_inter, leaf) of one-member leaves
     for hyp in hypotheses:
-        s_inter = hyp.s_inter
+        s_inter, leaf = hyp.s_inter, tree.leaves[hyp.cid]
+        if len(leaf.members) == 1:
+            singles.append((s_inter, leaf))
+            continue
         fused.extend(
             (-(s_inter + beta * scored.s_intra), -scored.s_intra, scored.doc_id, s_inter)
-            for scored in rank_within_cluster(q, index.tree, hyp.cid, k)
+            for scored in rank_within_cluster(q, tree, hyp.cid, k)
+        )
+    if singles:
+        s_intras = score_one_member_leaves(q, tree, [leaf for _, leaf in singles])
+        fused.extend(
+            (-(s_inter + beta * s_intra), -s_intra, leaf.members[0], s_inter)
+            for (s_inter, leaf), s_intra in zip(singles, s_intras)
         )
     fused.sort()
     return RetrievalResult(entries=[
@@ -340,8 +358,7 @@ def save_documents(index: RetrievalIndex, directory: str) -> None:
     if len(index.texts) < len(ids) == len(index.tree.cid_by_doc):
         raise EmptyText(f"document {ids[len(index.texts)]!r} has no text")
     save_placements(index.tree, os.path.join(directory, PLACEMENTS_FILE))
-    save_corpus([Document(doc_id, text) for doc_id, text in zip(ids, index.texts)],
-                os.path.join(directory, CORPUS_FILE))
+    _write_corpus(ids, index.texts, os.path.join(directory, CORPUS_FILE))
     save_embedding_sidecar(
         ids,
         index.embeddings.matrix,

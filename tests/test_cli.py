@@ -10,9 +10,10 @@ import pytest
 
 import coarsefine
 from coarsefine.cli import CONFIG_FLAGS, main
-from coarsefine.corpus import QueryRecord, TrainingPair
+from coarsefine.corpus import QueryRecord, TrainingPair, load_queries, qrels_mapping
 from coarsefine.embed import HashingEmbedder, save_embedding_sidecar
 from coarsefine.errors import ParseError
+from coarsefine.evaluation import index_diagnostics
 from coarsefine.intra import train_adapter
 from coarsefine.kmeans import derive_seed
 from coarsefine.pipeline import RetrievalConfig, load_config, load_index, retrieve
@@ -312,6 +313,24 @@ def test_inspect_reports_the_leaf_sizes_of_a_hand_built_tree(tmp_path, corpus_pa
             "leaf_size_4-7       1\n"
             "leaf_size_64-127    1\n"
             "config:\n") in text
+
+
+def test_build_index_checks_qrels_before_writing_the_index(
+        tmp_path, corpus_path, queries_path, capsys):
+    out = tmp_path / "idx"
+    qrels = tmp_path / "qrels.jsonl"
+    write_jsonl(qrels, [{"query_id": "q", "query_text": "x", "relevant": ["nowhere"]}])
+    assert main(["build-index", "--corpus", corpus_path, "--out", str(out), *BUILD_FLAGS,
+                 "--qrels", str(qrels)]) == 1
+    assert capsys.readouterr().err == "error: document 'nowhere' (query 'q') has no CID\n"
+    assert not out.exists()
+    # a qrels file the index covers: the count line, then the diagnostics table
+    build(tmp_path, corpus_path, ["--qrels", queries_path])
+    index = load_index(str(out))
+    qrels = qrels_mapping(load_queries(queries_path, require_relevant=True))
+    table = index_diagnostics(index.tree.leaves, index.tree.cid_by_doc, qrels).format_table()
+    assert capsys.readouterr().out == (
+        f"indexed 120 documents into {index.tree.leaf_count} leaf clusters\n{table}\n")
 
 
 @pytest.mark.parametrize("relevant", [[["a"]], [1], ["a", None]])

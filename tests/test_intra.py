@@ -16,6 +16,7 @@ from coarsefine.intra import (
     intra_score,
     rank_within_cluster,
     sample_negatives,
+    score_one_member_leaves,
     train_adapter,
 )
 from helpers import (
@@ -120,6 +121,11 @@ def test_rank_within_cluster_validates_arguments():
             rank_within_cluster(axis_vec(7, 0), tree, cid, 1)
         with pytest.raises(DimMismatch):
             rank_within_cluster(axis_vec(8, 0)[None, :], tree, cid, 1)
+    single = [tree.leaves[(1, 2, 0)]]
+    for q in (axis_vec(7, 0), axis_vec(8, 0)[None, :]):
+        with pytest.raises(DimMismatch):
+            score_one_member_leaves(q, tree, single)
+    assert score_one_member_leaves(axis_vec(8, 0), tree, []) == []
 
 
 def test_sample_negatives_singleton_cluster_has_no_intra():
@@ -573,6 +579,11 @@ def test_a_one_member_leaf_scores_bit_for_bit_like_intra_score_and_row_dots():
             assert row_dots(row[None, :], q).tolist() == [expected.sim]
             for m in (1, 5):
                 assert rank_within_cluster(q, tree, cid, m) == [expected]
+    # all of them in one pass, in an order that is not the matrix's
+    leaves = [tree.leaves[cid] for cid in reversed(singles)]
+    for q in queries:
+        expected = [intra_score(q, matrix[leaf.rows[0]]).s_intra for leaf in leaves]
+        assert score_one_member_leaves(q, tree, leaves) == expected
 
 
 def test_a_leaf_grown_from_one_member_to_two_keeps_its_first_members_score():
