@@ -223,9 +223,10 @@ def cmd_add_docs(args: argparse.Namespace) -> int:
     add_documents(index, docs)
     save_documents(index, args.index)
     print(f"added {len(docs)} documents")
-    added = Counter(index.tree.cid_by_doc[doc.doc_id] for doc in docs)
-    for cid in sorted(added):
-        print(f"  {'.'.join(map(str, cid))}: +{added[cid]}")
+    tree = index.tree
+    added = Counter(tree.leaf_of(doc.doc_id) for doc in docs)
+    for cid, count in sorted((tree.leaf_cids[p], n) for p, n in added.items()):
+        print(f"  {'.'.join(map(str, cid))}: +{count}")
     return 0
 
 

@@ -19,15 +19,28 @@ block. Per row, the tree keeps the node's centroid, the row of its first
 child, its child count, its preorder rank (the walk's order, which sorts nodes
 like their digit paths, across depths too) and, for a leaf, its CID. The row
 is the only node index: digit d of the node at row r leads to row
-first_child[r] + d - 1, so scoring and placement read no node objects. The
-walk also derives the leaf index in preorder: `leaves`, the only node objects
-kept (each leaf's `centroid` is a row view), `cid_by_doc`, and `build_members`
-(the construction-time membership that tree.json records); a document in two
-leaves, or a tree without leaves, is rejected. `root` builds the internal
-nodes on demand. Each tree builds the prefix trie of its leaves once (`trie`);
-later documents only join existing leaves, so it never changes. The tree owns
-the document matrix its leaves index (`documents`): each leaf keeps an int
-array of its members' rows in it, so a leaf member without a row is rejected.
+first_child[r] + d - 1, so scoring and placement read no node objects.
+
+The tree owns the document matrix its leaves index (`documents`), and keeps
+its leaves as arrays, not objects. Leaves are numbered by their position in
+preorder (`leaf_cids` lists their CIDs in that order, `leaf_position` maps a
+CID back to it), and their members are one CSR layout of document rows: `member_rows` holds each
+leaf's build rows, then the rows placed in it later in placement order, and
+leaf p owns member_rows[leaf_start[p]:leaf_start[p + 1]], of which the first
+build_count[p] are the construction-time membership that tree.json records.
+`leaf_of_row` gives each document row's leaf position, -1 for a row in no
+leaf, and `added_rows` the rows placed after the build, in placement order.
+The walk rejects a document in two leaves, a leaf member without a row and a
+tree without leaves.
+
+`leaves`, `cid_by_doc`, `build_members` and `root` are views of those arrays
+as node objects and dicts, each built on first access and cached; a placement
+brings the cached ones up to date, so a view held across an add shows the
+added members. Changing a view changes nothing in the tree. Building, loading, adding,
+training and querying read none of them. The prefix trie of the leaves
+(`trie`) is built the first time something reads it, which only decoding
+does, and kept: later documents only join existing leaves, so it never
+changes.
 
 save_tree writes tree.json with one json.dumps call (the C encoder, the same
 bytes as the streaming json.dump) and centroids.bin as the centroid matrix
@@ -38,17 +51,17 @@ and load_placements places those documents again, in that order, from that
 file or, without it, by descent.
 
 Once built, a tree is immutable in this module and safe for concurrent
-readers, except that place_documents (the single writer) appends documents
-placed after the build to the leaves' member lists, which `root` shares.
+readers, except that place_documents (the single writer) inserts documents
+placed after the build into the leaf arrays and the cached views, and that
+the trie and the views are built on first access.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from dataclasses import InitVar, dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -62,7 +75,8 @@ from .trie import TERMINAL, Cid, PrefixTrie, build_trie
 
 @dataclass
 class ClusterNode:
-    """One node of the identifier tree. The root carries label None."""
+    """One node of the identifier tree, as the tree's views build it. The root
+    carries label None."""
 
     label: int | None
     centroid: np.ndarray
@@ -80,15 +94,20 @@ class ClusterTree:
     seed: int
     dim: int
     documents: DocumentMatrix
-    leaves: dict[Cid, ClusterNode] = field(init=False, repr=False)
-    cid_by_doc: dict[str, Cid] = field(init=False, repr=False)
-    build_members: dict[Cid, tuple[str, ...]] = field(init=False, repr=False)
     centroid_rows: np.ndarray = field(init=False, repr=False)
     first_child: np.ndarray = field(init=False, repr=False)
     child_count: np.ndarray = field(init=False, repr=False)
     preorder: np.ndarray = field(init=False, repr=False)
     leaf_cid: list[Cid | None] = field(init=False, repr=False)
-    trie: PrefixTrie = field(init=False, repr=False)
+    leaf_cids: list[Cid] = field(init=False, repr=False)  # by leaf position
+    leaf_position: dict[Cid, int] = field(init=False, repr=False)
+    member_rows: np.ndarray = field(init=False, repr=False)
+    leaf_start: np.ndarray = field(init=False, repr=False)
+    build_count: np.ndarray = field(init=False, repr=False)
+    leaf_of_row: np.ndarray = field(init=False, repr=False)
+    added_rows: np.ndarray = field(init=False, repr=False)
+    _trie: PrefixTrie | None = field(init=False, default=None, repr=False)
+    _views: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self, manifest: dict, centroids: np.ndarray):
         """Lay out the root `manifest` and `centroids` (preorder), keeping neither.
@@ -101,8 +120,10 @@ class ClusterTree:
             raise ValueError("the root has no children, so the tree has no leaves")
         nodes, paths = [manifest], [()]  # by row: the root is row 0
         visited, first = [], []  # rows in preorder, and the row of each one's first child
-        leaf_of_row: dict[int, Cid] = {}  # in preorder
-        self.cid_by_doc = {}
+        row_of = self.documents.row
+        leaf_of_row = [-1] * len(row_of)  # by document row
+        member_rows, starts = [], [0]
+        self.leaf_cids, self.leaf_position, self.leaf_cid = [], {}, [None]
         stack = [0]
         while stack:
             row = stack.pop()
@@ -119,15 +140,21 @@ class ClusterTree:
                 stack.extend(range(len(nodes) + len(labels) - 1, len(nodes) - 1, -1))
                 nodes += children
                 paths += [path + (label,) for label in labels]
+                self.leaf_cid += [None] * len(labels)
                 continue
-            cid = leaf_of_row[row] = path + (TERMINAL,)
+            cid = self.leaf_cid[row] = path + (TERMINAL,)
+            position = self.leaf_position[cid] = len(self.leaf_cids)
+            self.leaf_cids.append(cid)
             for doc_id in node["members"]:
-                if doc_id in self.cid_by_doc:
-                    raise ValueError(
-                        f"document {doc_id!r} is in leaves {self.cid_by_doc[doc_id]} and {cid}")
-                if doc_id not in self.documents.row:
+                doc_row = row_of.get(doc_id)
+                if doc_row is None:
                     raise ValueError(f"leaf {cid} lists {doc_id!r}, which has no document row")
-                self.cid_by_doc[doc_id] = cid
+                if leaf_of_row[doc_row] >= 0:
+                    other = self.leaf_cids[leaf_of_row[doc_row]]
+                    raise ValueError(f"document {doc_id!r} is in leaves {other} and {cid}")
+                leaf_of_row[doc_row] = position
+                member_rows.append(doc_row)
+            starts.append(len(member_rows))
         if len(centroids) != len(nodes):
             side = "fewer" if len(centroids) < len(nodes) else "more"
             raise DimMismatch(f"{side} centroids than the manifest")
@@ -140,28 +167,82 @@ class ClusterTree:
         self.first_child = np.array(first, dtype=np.intp)[self.preorder]
         self.child_count = np.array([len(node["children"]) for node in nodes], dtype=np.intp)
         self.centroid_rows = np.asarray(centroids, dtype=np.float32)[self.preorder]
-        # cid_by_doc lists the leaves' members, the leaves in preorder: one
-        # array of their rows, and a slice of it for each leaf
-        doc_rows = np.array([self.documents.row[d] for d in self.cid_by_doc], dtype=np.intp)
-        self.leaves, self.leaf_cid, end = {}, [None] * len(nodes), 0
-        for row, cid in leaf_of_row.items():
-            members = list(nodes[row]["members"])
-            start, end = end, end + len(members)
-            self.leaves[cid] = ClusterNode(cid[-2], self.centroid_rows[row], members=members,
-                                           rows=doc_rows[start:end])
-            self.leaf_cid[row] = cid
-        self.build_members = {cid: tuple(leaf.members) for cid, leaf in self.leaves.items()}
-        self.trie = build_trie(self.leaves.keys())
+        self.member_rows = np.array(member_rows, dtype=np.intp)
+        self.leaf_start = np.array(starts, dtype=np.intp)
+        self.build_count = np.diff(self.leaf_start)
+        self.leaf_of_row = np.array(leaf_of_row, dtype=np.intp)
+        self.added_rows = np.zeros(0, dtype=np.intp)
 
     @property
     def leaf_count(self) -> int:
-        return len(self.leaves)
+        return len(self.leaf_cids)
+
+    @property
+    def trie(self) -> PrefixTrie:
+        """The prefix trie of the leaf CIDs, built on first access."""
+        if self._trie is None:
+            self._trie = build_trie(self.leaf_cids)
+        return self._trie
+
+    def leaf_rows(self, position: int) -> np.ndarray:
+        """The member rows of the leaf at `position`: its build rows, then the later ones."""
+        return self.member_rows[self.leaf_start[position] : self.leaf_start[position + 1]]
+
+    def leaf_of(self, doc_id: str) -> int:
+        """The leaf position of a document; -1 when it has no row or is in no leaf."""
+        row = self.documents.row.get(doc_id)
+        if row is None or row >= len(self.leaf_of_row):  # a row appended but not yet placed
+            return -1
+        return int(self.leaf_of_row[row])
+
+    def _view(self, name: str, build: Callable[[], object]):
+        if name not in self._views:
+            self._views[name] = build()
+        return self._views[name]
+
+    @property
+    def leaves(self) -> dict[Cid, ClusterNode]:
+        """Every leaf as a node object, in preorder: its CID's second-last digit
+        as label, a row view of its centroid, and its members' ids and rows,
+        build members first. A view: changing it changes nothing in the tree."""
+        return self._view("leaves", self._leaf_nodes)
+
+    @property
+    def cid_by_doc(self) -> dict[str, Cid]:
+        """The CID of every document in a leaf: build members leaf by leaf in
+        preorder, then the documents placed later, in placement order. A view."""
+        return self._view("cid_by_doc", self._cids_by_doc)
+
+    @property
+    def build_members(self) -> dict[Cid, tuple[str, ...]]:
+        """Each leaf's construction-time members, which tree.json records. A view."""
+        return self._view("build_members", lambda: dict(zip(self.leaf_cids,
+                                                            map(tuple, _build_member_ids(self)))))
 
     @property
     def root(self) -> ClusterNode:
-        """The tree as node objects, built anew on each access: internal nodes
-        hold row views of `centroid_rows`, and the leaves are `leaves`' own."""
-        return self._node(0, None)
+        """The tree as node objects: internal nodes hold row views of
+        `centroid_rows`, and the leaves are `leaves`' own. A view."""
+        return self._view("root", lambda: self._node(0, None))
+
+    def _leaf_nodes(self) -> dict[Cid, ClusterNode]:
+        ids, rows = self.documents.ids, self.member_rows.tolist()
+        starts = self.leaf_start.tolist()
+        nodes = np.flatnonzero(self.child_count == 0)
+        nodes = nodes[np.argsort(self.preorder[nodes])].tolist()  # by leaf position
+        return {cid: ClusterNode(cid[-2], self.centroid_rows[node],
+                                 members=[ids[r] for r in rows[start:end]],
+                                 rows=self.member_rows[start:end])
+                for cid, node, start, end in zip(self.leaf_cids, nodes, starts, starts[1:])}
+
+    def _cids_by_doc(self) -> dict[str, Cid]:
+        cids = self.leaf_cids
+        view = {doc_id: cid for cid, members in zip(cids, _build_member_ids(self))
+                for doc_id in members}
+        ids, added = self.documents.ids, self.added_rows
+        view.update((ids[row], cids[position]) for row, position
+                    in zip(added.tolist(), self.leaf_of_row[added].tolist()))
+        return view
 
     def _node(self, row: int, label: int | None) -> ClusterNode:
         if not self.child_count[row]:
@@ -169,6 +250,14 @@ class ClusterTree:
         children = [self._node(self.first_child[row] + i, i + 1)
                     for i in range(self.child_count[row])]
         return ClusterNode(label, self.centroid_rows[row], children)
+
+
+def _build_member_ids(tree: ClusterTree) -> list[list[str]]:
+    """The ids of each leaf's build members, in leaf order."""
+    ids, rows = tree.documents.ids, tree.member_rows.tolist()
+    starts = tree.leaf_start[:-1]
+    return [[ids[r] for r in rows[start:end]]
+            for start, end in zip(starts.tolist(), (starts + tree.build_count).tolist())]
 
 
 def row_dots(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -273,32 +362,68 @@ def place_documents(tree: ClusterTree, ids: Sequence[str],
     The one step that places documents after the build: new ones, and loaded
     ones with or without their saved placements (load_placements). Every
     (document, leaf) pair is checked before the tree changes, so a call that
-    raises leaves members, rows and cid_by_doc as they were: UnknownDoc for an
-    id without a row, DuplicateId for an id already in a leaf or repeated in
-    `ids`, ValueError unless `cids` has one CID per id, and UnknownCid for a
-    CID that is not a leaf.
+    raises leaves the leaf arrays as they were: UnknownDoc for an id without
+    a row, DuplicateId for an id already in a leaf or repeated in `ids`,
+    ValueError unless `cids` has one CID per id, and UnknownCid for a CID
+    that is not a leaf.
     """
-    rows: dict[str, int] = {}  # by id, in call order
-    for doc_id in ids:
-        if doc_id not in tree.documents.row:
-            raise UnknownDoc(f"document {doc_id!r} has no row in the document matrix")
-        if doc_id in tree.cid_by_doc or doc_id in rows:
-            raise DuplicateId(f"document {doc_id!r} is in a leaf already or twice in the call")
-        rows[doc_id] = tree.documents.row[doc_id]
+    row_of = tree.documents.row
+    rows = [row_of.get(doc_id, -1) for doc_id in ids]
+    leaf_of_row = _row_leaves(tree)
+    if -1 in rows or len(set(rows)) < len(rows) or (leaf_of_row[rows] >= 0).any():
+        seen = set()  # the first offending id, in call order
+        for doc_id, row in zip(ids, rows):
+            if row < 0:
+                raise UnknownDoc(f"document {doc_id!r} has no row in the document matrix")
+            if row in seen or leaf_of_row[row] >= 0:
+                raise DuplicateId(f"document {doc_id!r} is in a leaf already or twice in the call")
+            seen.add(row)
     if cids is None:
-        cids = [assign_new_document(tree, tree.documents.matrix[row]) for row in rows.values()]
+        cids = [assign_new_document(tree, tree.documents.matrix[row]) for row in rows]
     elif len(cids) != len(ids):
         raise ValueError(f"{len(cids)} CIDs for {len(ids)} documents")
-    if unknown := [cid for cid in cids if cid not in tree.leaves]:
-        raise UnknownCid(f"{unknown[0]} is not a leaf CID of the tree")
-    added: dict[Cid, list[int]] = {}
-    for (doc_id, row), cid in zip(rows.items(), cids):
-        tree.leaves[cid].members.append(doc_id)
-        tree.cid_by_doc[doc_id] = cid
-        added.setdefault(cid, []).append(row)
-    for cid, new_rows in added.items():
-        leaf = tree.leaves[cid]
-        leaf.rows = np.concatenate([leaf.rows, np.asarray(new_rows, dtype=np.intp)])
+    positions = [tree.leaf_position.get(cid, -1) for cid in cids]
+    if -1 in positions:
+        raise UnknownCid(f"{cids[positions.index(-1)]} is not a leaf CID of the tree")
+    if rows:
+        _place(tree, leaf_of_row, np.array(rows, dtype=np.intp),
+               np.array(positions, dtype=np.intp))
+
+
+def _row_leaves(tree: ClusterTree) -> np.ndarray:
+    """`tree.leaf_of_row`, with -1 for the rows appended to the matrix since it was last set."""
+    missing = len(tree.documents) - len(tree.leaf_of_row)
+    if not missing:
+        return tree.leaf_of_row
+    return np.pad(tree.leaf_of_row, (0, missing), constant_values=-1)
+
+
+def _place(tree: ClusterTree, leaf_of_row: np.ndarray, rows: np.ndarray,
+           positions: np.ndarray) -> None:
+    """Insert `rows` after the members of leaves `positions`, in this order
+    within each leaf, and bring the cached views up to date. `leaf_of_row` is
+    the tree's, padded to the matrix; the rows must be in no leaf."""
+    grown = np.bincount(positions, minlength=tree.leaf_count)
+    # np.insert puts values bound for one index in call order, and an empty
+    # leaf ends where the leaf before it does: insert the rows in leaf order
+    order = np.argsort(positions, kind="stable")
+    tree.member_rows = np.insert(tree.member_rows, tree.leaf_start[1:][positions[order]],
+                                 rows[order])
+    tree.leaf_start = tree.leaf_start + np.concatenate([[0], np.cumsum(grown)])
+    tree.leaf_of_row = leaf_of_row
+    leaf_of_row[rows] = positions
+    tree.added_rows = np.concatenate([tree.added_rows, rows])
+    if not tree._views:  # `build_members` never changes, and `root` holds the leaves' objects
+        return
+    ids, cids = tree.documents.ids, tree.leaf_cids
+    placed = [(ids[row], cids[p]) for row, p in zip(rows.tolist(), positions.tolist())]
+    if (leaves := tree._views.get("leaves")) is not None:
+        for doc_id, cid in placed:
+            leaves[cid].members.append(doc_id)
+        for position in np.flatnonzero(grown).tolist():
+            leaves[cids[position]].rows = tree.leaf_rows(position)
+    if (cid_by_doc := tree._views.get("cid_by_doc")) is not None:
+        cid_by_doc.update(placed)
 
 
 def prefix_overlap_pair(s1: Cid, s2: Cid) -> float:
@@ -341,13 +466,16 @@ def mean_prefix_overlap(
     return total / len(qrels)
 
 
-def _node_manifest(tree: ClusterTree, row: int, label: int | None) -> dict:
-    if not tree.child_count[row]:  # a leaf; json writes the member tuple as an array
-        return {"label": label, "members": tree.build_members[tree.leaf_cid[row]], "children": []}
+def _node_manifest(tree: ClusterTree, members: list[list[str]], row: int,
+                   label: int | None) -> dict:
+    """tree.json's node at `row`; `members` are the leaves' build members, in leaf order."""
+    if not tree.child_count[row]:
+        return {"label": label, "members": members[tree.leaf_position[tree.leaf_cid[row]]],
+                "children": []}
     return {
         "label": label,
         "members": [],
-        "children": [_node_manifest(tree, tree.first_child[row] + i, i + 1)
+        "children": [_node_manifest(tree, members, tree.first_child[row] + i, i + 1)
                      for i in range(tree.child_count[row])],
     }
 
@@ -364,7 +492,7 @@ def save_tree(tree: ClusterTree, json_path: str, bin_path: str) -> None:
         "c": tree.c,
         "seed": tree.seed,
         "dim": tree.dim,
-        "root": _node_manifest(tree, 0, None),
+        "root": _node_manifest(tree, _build_member_ids(tree), 0, None),
     }
     with open(json_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(manifest, sort_keys=True, separators=(",", ":")))
@@ -425,17 +553,16 @@ def load_tree(json_path: str, bin_path: str, documents: DocumentMatrix) -> Clust
 def save_placements(tree: ClusterTree, path: str) -> None:
     """Write the leaf of every document that tree.json does not list, in the
     document matrix's row order, as the little-endian int32 position of that
-    leaf in `tree.leaves` (preorder); nothing when there is none. Raises
+    leaf among the leaves in preorder; nothing when there is none. Raises
     MissingCid, before it opens `path`, for a row that no leaf lists, which
     load_placements could not place back.
     """
-    built = set(itertools.chain.from_iterable(tree.build_members.values()))
-    added = [doc_id for doc_id in tree.documents.ids if doc_id not in built]
-    if unplaced := [doc_id for doc_id in added if doc_id not in tree.cid_by_doc]:
-        raise MissingCid(f"document {unplaced[0]!r} has a row but is in no leaf")
-    position = {cid: i for i, cid in enumerate(tree.leaves)}
+    leaf_of_row = _row_leaves(tree)
+    if len(unplaced := np.flatnonzero(leaf_of_row < 0)):
+        doc_id = tree.documents.ids[unplaced[0]]
+        raise MissingCid(f"document {doc_id!r} has a row but is in no leaf")
     with open(path, "wb") as fh:
-        fh.write(np.array([position[tree.cid_by_doc[d]] for d in added], dtype="<i4"))
+        fh.write(leaf_of_row[np.sort(tree.added_rows)].astype("<i4"))
 
 
 def load_placements(tree: ClusterTree, path: str) -> None:
@@ -447,12 +574,13 @@ def load_placements(tree: ClusterTree, path: str) -> None:
     leaves that descent picks. A file of the wrong size or naming a leaf
     outside the tree is a ParseError naming it.
     """
-    added = [doc_id for doc_id in tree.documents.ids if doc_id not in tree.cid_by_doc]
-    cids = None
-    if os.path.exists(path):
-        positions = read_array(path, "<i4", (len(added),))
-        if added and not (positions.min() >= 0 and positions.max() < tree.leaf_count):
+    leaf_of_row = _row_leaves(tree)
+    added = np.flatnonzero(leaf_of_row < 0)
+    if not os.path.exists(path):
+        place_documents(tree, [tree.documents.ids[row] for row in added.tolist()])
+        return
+    positions = read_array(path, "<i4", (len(added),)).astype(np.intp)
+    if len(added):
+        if not (positions.min() >= 0 and positions.max() < tree.leaf_count):
             raise ParseError(f"{path}: a placement lies outside the {tree.leaf_count} leaves")
-        leaf_cids = list(tree.leaves)
-        cids = [leaf_cids[p] for p in positions.tolist()]
-    place_documents(tree, added, cids)
+        _place(tree, leaf_of_row, added, positions)

@@ -133,13 +133,19 @@ def require_finite(path: str, array: np.ndarray) -> np.ndarray:
 
 
 def load_corpus(path: str) -> list[Document]:
-    """Read a JSONL corpus of {"id", "text"} objects.
+    """Read a JSONL corpus of {"id", "text"} objects, checked as read_corpus checks it."""
+    return list(map(Document, *read_corpus(path)))
+
+
+def read_corpus(path: str) -> tuple[list[str], list[str]]:
+    """The ids and the texts of a JSONL corpus of {"id", "text"} objects, in file order.
 
     Raises ParseError (with the offending line number) for malformed lines
     and DuplicateId for repeated document ids. Documents must have at least
     one token.
     """
-    docs: list[Document] = []
+    ids: list[str] = []
+    texts: list[str] = []
     seen: set[str] = set()
     for lineno, obj in read_jsonl(path, ("id", "text")):
         doc_id, text = obj["id"], obj["text"]
@@ -148,8 +154,9 @@ def load_corpus(path: str) -> list[Document]:
         if doc_id in seen:
             raise DuplicateId(f"duplicate document id {doc_id!r}")
         seen.add(doc_id)
-        docs.append(Document(doc_id, text))
-    return docs
+        ids.append(doc_id)
+        texts.append(text)
+    return ids, texts
 
 
 def save_corpus(docs: list[Document], path: str) -> None:

@@ -133,11 +133,22 @@ class DocumentMatrix(Mapping[str, np.ndarray]):
         return len(self.ids)
 
     def append(self, ids: Sequence[str], vectors: Sequence[np.ndarray]) -> None:
-        """Add one row per id at the end. The grown matrix is built, and checked,
-        apart, so an id that is already here or repeats in `ids` changes nothing."""
+        """Add one row per id at the end. The ids are checked first, so one that
+        is already here or repeats in `ids` changes nothing; DuplicateId names
+        what the constructor over all ids would: the first id here, in row
+        order, that the call repeats, else the first id the call repeats. The
+        id bookkeeping grows by the new ids only; the matrix is copied whole."""
+        ids = list(ids)
         new = np.asarray(vectors, dtype=np.float32).reshape(len(ids), self.matrix.shape[1])
-        grown = DocumentMatrix(self.ids + list(ids), np.concatenate([self.matrix, new]))
-        self.ids, self.row, self.matrix = grown.ids, grown.row, grown.matrix
+        row = self.row
+        if len(set(ids)) < len(ids) or any(doc_id in row for doc_id in ids):
+            known = [doc_id for doc_id in ids if doc_id in row]
+            repeated = (min(known, key=row.__getitem__) if known
+                        else next(doc_id for doc_id, n in Counter(ids).items() if n > 1))
+            raise DuplicateId(f"duplicate document id {repeated!r}")
+        self.matrix = np.concatenate([self.matrix, new])
+        row.update(zip(ids, range(len(self.ids), len(self.ids) + len(ids))))
+        self.ids += ids
 
 
 def save_embedding_sidecar(

@@ -37,7 +37,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cluster_tree import ClusterNode, ClusterTree, row_dots
+from .cluster_tree import ClusterTree, row_dots
 from .corpus import TrainingPair
 from .errors import DimMismatch, DivergedLoss, UnknownCid, UnknownDoc
 from .kmeans import derive_seed
@@ -85,11 +85,11 @@ def rank_within_cluster(
 ) -> list[IntraScore]:
     """Top-min(m, cluster size) members of a leaf by s_intra, ties by doc id.
 
-    The leaf's vectors are gathered from the tree's document matrix by the
-    leaf's `rows` in one indexing step, and all similarities come from one
-    stacked matmul (row_dots), equal bit for bit to intra_score on each
-    member; a one-member leaf takes the same path with a one-row gather. The
-    query is checked against the matrix's dimension first.
+    The leaf's vectors are gathered from the tree's document matrix by its
+    slice of `tree.member_rows` in one indexing step, and all similarities
+    come from one stacked matmul (row_dots), equal bit for bit to intra_score
+    on each member; a one-member leaf takes the same path with a one-row
+    gather. The query is checked against the matrix's dimension first.
 
     s_intra is the per-element _sigmoid, but only for the members that can be
     in the top m. When the leaf holds more than m members, they are screened
@@ -102,29 +102,29 @@ def rank_within_cluster(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    leaf = tree.leaves.get(tuple(cid))
-    if leaf is None:
+    position = tree.leaf_position.get(tuple(cid))
+    if position is None:
         raise UnknownCid(f"{tuple(cid)} is not a leaf CID of the tree")
-    members = leaf.members
-    if not members:
+    rows = tree.leaf_rows(position)
+    if not len(rows):
         return []
     matrix = _checked_matrix(q, tree)
-    sims = row_dots(matrix.take(leaf.rows, axis=0), q)
-    candidates: Sequence[int] = range(len(members))
-    if len(members) > m:
+    sims = row_dots(matrix.take(rows, axis=0), q)
+    if len(rows) > m:
         with np.errstate(over="ignore"):  # exp(-sim) overflows to inf, screening 0
             screen = 1.0 / (1.0 + np.exp(-sims))
         bar = np.partition(screen, len(screen) - m)[len(screen) - m]
-        candidates = np.flatnonzero(screen >= bar - SIGMOID_SCREEN_MARGIN).tolist()
-    sims = sims.tolist()
-    s_intra = {i: _sigmoid(sims[i]) for i in candidates}
-    top = sorted(candidates, key=lambda i: (-s_intra[i], members[i]))[:m]
-    return [IntraScore(members[i], sims[i], s_intra[i]) for i in top]
+        candidates = np.flatnonzero(screen >= bar - SIGMOID_SCREEN_MARGIN)
+        rows, sims = rows[candidates], sims[candidates]
+    # doc ids are unique, so the sim never decides, and negating is exact both ways
+    ids = tree.documents.ids
+    top = sorted((-_sigmoid(sim), ids[row], sim) for row, sim in zip(rows.tolist(), sims.tolist()))
+    return [IntraScore(doc_id, sim, -neg_intra) for neg_intra, doc_id, sim in top[:m]]
 
 
 def score_one_member_leaves(q: np.ndarray, tree: ClusterTree,
-                            leaves: Sequence[ClusterNode]) -> list[float]:
-    """s_intra of the one member of each of these one-member leaves, in order.
+                            positions: np.ndarray) -> list[float]:
+    """s_intra of the one member of each one-member leaf at `positions`, in order.
 
     A one-member leaf needs no ranking: its member is its top 1 for any m >= 1,
     with the s_intra that rank_within_cluster gives it. All the members' rows
@@ -135,8 +135,8 @@ def score_one_member_leaves(q: np.ndarray, tree: ClusterTree,
     dimension first.
     """
     matrix = _checked_matrix(q, tree)
-    row = tree.documents.row
-    sims = row_dots(matrix.take([row[leaf.members[0]] for leaf in leaves], axis=0), q)
+    rows = tree.member_rows[tree.leaf_start[positions]]
+    sims = row_dots(matrix.take(rows, axis=0), q)
     return [_sigmoid(sim) for sim in sims.tolist()]
 
 
@@ -175,15 +175,15 @@ def sample_negatives(
     """
     if n_a < 0:
         raise ValueError("n_a must be >= 0")
-    cid = tree.cid_by_doc.get(pair.positive_doc_id)
-    if cid is None:
+    position = tree.leaf_of(pair.positive_doc_id)
+    if position < 0:
         raise UnknownDoc(f"positive document {pair.positive_doc_id!r} has no CID")
     exclusion = {pair.positive_doc_id}
     if relevant is not None:
         exclusion.update(relevant)
-    rows = tree.leaves[cid].rows
+    rows = tree.leaf_rows(position)
     for doc_id in exclusion:
-        if tree.cid_by_doc.get(doc_id) == cid:
+        if tree.leaf_of(doc_id) == position:
             rows = rows[rows != tree.documents.row[doc_id]]
     if len(rows) > n_a:
         rows = rows[np.random.default_rng(seed).choice(len(rows), size=n_a, replace=False)]
@@ -327,7 +327,7 @@ def train_adapter(
     positives: dict[str, set[str]] = {}
     for pair in pairs:
         doc_id = pair.positive_doc_id
-        if doc_id not in tree.cid_by_doc:
+        if tree.leaf_of(doc_id) < 0:
             raise UnknownDoc(f"positive document {doc_id!r} is not indexed")
         positives.setdefault(pair.query_id, set()).add(doc_id)
     documents = tree.documents

@@ -19,11 +19,13 @@ In memory an index holds its document vectors as one float32 [N, dim]
 DocumentMatrix in the row order of embeddings.bin (corpus order, as
 save_index writes it), so loading reads the file into that matrix without
 copying rows. The tree owns that matrix (`index.embeddings` is
-`index.tree.documents`), and each leaf carries an int array of its members'
-rows in it next to their ids. The matrix is the index's only registry of
-document ids and its one duplicate gate (DuplicateId); beside it the index
-keeps only the texts, by row (`index.texts`), which only saving reads, and
-no Document objects. The fine stage scores the members of all recalled
+`index.tree.documents`) and keeps its leaves as one CSR array of their
+members' rows in it (see cluster_tree). The matrix is the index's only
+registry of document ids and its one duplicate gate (DuplicateId); beside it
+the index keeps only the texts, by row (`index.texts`), which only saving
+reads, and no Document objects: load_index reads corpus.jsonl into an id list
+and a text list. Building, loading, adding and training make no node object
+and no trie. The fine stage scores the members of all recalled
 one-member leaves, most leaves at the default configuration, with one gather
 and one stacked matmul (intra.score_one_member_leaves): a one-member leaf's
 member is its top 1 whatever k and beta are. Each larger leaf takes one
@@ -37,8 +39,8 @@ matmul, and normalises each group of nodes with the same child count as one
 2-D array (see inter.py for why a stacked 1 x d . d x 1 matmul and not a
 gemv, and why groups rather than np.add.reduceat); math.log is taken only
 for the children that a vectorised np.log screen leaves in reach of the
-beam. `index.trie` is the tree's own trie, built once with the tree at build
-and on load, so decoding takes that path.
+beam. `index.trie` is the tree's own trie, built by the first decode of each
+built or loaded index and kept, so decoding takes that path.
 
 On disk an index is a directory: corpus.jsonl, embeddings.bin +
 manifest.json (sidecar format), placements.bin, tree.json + centroids.bin,
@@ -73,12 +75,12 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .cluster_tree import (
-    ClusterNode,
     ClusterTree,
     build_cluster_tree,
     load_placements,
@@ -90,8 +92,8 @@ from .cluster_tree import (
 from .corpus import (
     Document,
     _write_corpus,
-    load_corpus,
     read_array,
+    read_corpus,
     read_json_object,
     require_finite,
 )
@@ -281,22 +283,22 @@ def retrieve(index: RetrievalIndex, query_text: str, k: int) -> RetrievalResult:
     # Plain tuples in the order of the result: doc ids are unique, so s_inter
     # never decides, and negating a float is exact both ways.
     tree, beta = index.tree, cfg.beta
+    positions = np.array([tree.leaf_position[hyp.cid] for hyp in hypotheses], dtype=np.intp)
+    starts = tree.leaf_start[positions]
+    one = tree.leaf_start[positions + 1] - starts == 1  # the recalled one-member leaves
     fused: list[tuple[float, float, str, float]] = []
-    singles: list[tuple[float, ClusterNode]] = []  # (s_inter, leaf) of one-member leaves
-    for hyp in hypotheses:
-        s_inter, leaf = hyp.s_inter, tree.leaves[hyp.cid]
-        if len(leaf.members) == 1:
-            singles.append((s_inter, leaf))
-            continue
+    for hyp in compress(hypotheses, (~one).tolist()):
         fused.extend(
-            (-(s_inter + beta * scored.s_intra), -scored.s_intra, scored.doc_id, s_inter)
+            (-(hyp.s_inter + beta * scored.s_intra), -scored.s_intra, scored.doc_id, hyp.s_inter)
             for scored in rank_within_cluster(q, tree, hyp.cid, k)
         )
-    if singles:
-        s_intras = score_one_member_leaves(q, tree, [leaf for _, leaf in singles])
+    if one.any():
+        ids = tree.documents.ids
+        s_intras = score_one_member_leaves(q, tree, positions[one])
         fused.extend(
-            (-(s_inter + beta * s_intra), -s_intra, leaf.members[0], s_inter)
-            for (s_inter, leaf), s_intra in zip(singles, s_intras)
+            (-(hyp.s_inter + beta * s_intra), -s_intra, ids[row], hyp.s_inter)
+            for hyp, row, s_intra in zip(compress(hypotheses, one.tolist()),
+                                         tree.member_rows[starts[one]].tolist(), s_intras)
         )
     fused.sort()
     return RetrievalResult(entries=[
@@ -353,9 +355,9 @@ def save_documents(index: RetrievalIndex, directory: str) -> None:
     lists raises MissingCid (save_placements, which goes first), and one that
     a leaf lists but that has no text raises EmptyText."""
     ids = index.embeddings.ids
-    # texts trail the rows they lack; every leaf member has a row, so equal counts
-    # mean every row is in a leaf and save_placements will not raise first
-    if len(index.texts) < len(ids) == len(index.tree.cid_by_doc):
+    # texts trail the rows they lack; leaf members are distinct rows, so equal
+    # counts mean every row is in a leaf and save_placements will not raise first
+    if len(index.texts) < len(ids) == len(index.tree.member_rows):
         raise EmptyText(f"document {ids[len(index.texts)]!r} has no text")
     save_placements(index.tree, os.path.join(directory, PLACEMENTS_FILE))
     _write_corpus(ids, index.texts, os.path.join(directory, CORPUS_FILE))
@@ -414,11 +416,13 @@ def load_index(directory: str) -> RetrievalIndex:
     puts them in the leaves placements.bin names or, without that file, in
     the leaves the same deterministic descent used at add time picks. The
     texts of corpus.jsonl, in any line order, are paired with the rows of
-    embeddings.bin by id, so a save writes them back in row order.
+    embeddings.bin by id, so a save writes them back in row order; when the
+    two orders agree, as in every index save_index writes, the texts are kept
+    as read.
     """
     config_path = os.path.join(directory, CONFIG_FILE)
     config = load_config(config_path)
-    docs = load_corpus(os.path.join(directory, CORPUS_FILE))
+    doc_ids, texts = read_corpus(os.path.join(directory, CORPUS_FILE))
     manifest_path = os.path.join(directory, MANIFEST_FILE)
     embeddings_path = os.path.join(directory, EMBEDDINGS_FILE)
     ids, matrix = load_embedding_sidecar(embeddings_path, manifest_path)
@@ -427,9 +431,11 @@ def load_index(directory: str) -> RetrievalIndex:
         raise ParseError(
             f"{manifest_path}: dim {matrix.shape[1]} disagrees with {config_path} dim {config.dim}"
         )
-    text_of = {doc.doc_id: doc.text for doc in docs}
-    if set(ids) != text_of.keys():  # the sidecar reader rejects a repeated id
-        raise ParseError(f"{manifest_path}: ids do not match {CORPUS_FILE}")
+    if doc_ids != ids:
+        text_of = dict(zip(doc_ids, texts))
+        if set(ids) != text_of.keys():  # the sidecar reader rejects a repeated id
+            raise ParseError(f"{manifest_path}: ids do not match {CORPUS_FILE}")
+        texts = [text_of[doc_id] for doc_id in ids]
     # load_tree checks tree.json's dim against the matrix, so against config.json's too
     tree = load_tree(os.path.join(directory, TREE_FILE), os.path.join(directory, CENTROIDS_FILE),
                      DocumentMatrix(ids, matrix))
@@ -447,4 +453,4 @@ def load_index(directory: str) -> RetrievalIndex:
             )
         weight = read_array(adapter_path, "<f4", (config.dim, config.dim))
         adapter = LinearAdapter(weight=require_finite(adapter_path, weight))
-    return _assemble([text_of[doc_id] for doc_id in ids], tree, adapter, config)
+    return _assemble(texts, tree, adapter, config)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from coarsefine import Document
-from coarsefine.cluster_tree import TERMINAL, Cid, ClusterTree, row_dots
+from coarsefine.cluster_tree import TERMINAL, Cid, ClusterNode, ClusterTree, row_dots
 from coarsefine.corpus import tokenize
 from coarsefine.embed import DocumentMatrix, QueryRepresentation
 from coarsefine.errors import DimMismatch, DivergedLoss, EmptySet, ParseError, UnknownDoc
@@ -223,6 +223,58 @@ def binary_depth2_tree(dim=8):
         (cid, axis_vec(dim, axis).tolist())
         for cid, axis in [((1, 1, 0), 0), ((1, 2, 0), 1), ((2, 1, 0), 2), ((2, 2, 0), 3)]]
     return tree
+
+
+class ReferenceLeafIndex:
+    """The leaf index as ClusterTree.__post_init__ and place_documents derived
+    it when every leaf was a ClusterNode, kept verbatim (less the node checks
+    and the internal-node layout, which the tree still makes) as the oracle
+    for the tree's `leaves`, `cid_by_doc` and `build_members` views.
+    `manifest` is tree.json's root and `centroids` centroids.bin's matrix."""
+
+    def __init__(self, manifest, centroids, documents):
+        self.documents = documents
+        nodes, paths = [manifest], [()]  # by row: the root is row 0
+        visited = []  # rows in preorder
+        leaf_of_row = {}  # in preorder
+        self.cid_by_doc = {}
+        stack = [0]
+        while stack:
+            row = stack.pop()
+            node, path = nodes[row], paths[row]
+            visited.append(row)
+            children = node["children"]
+            if children:
+                labels = [child["label"] for child in children]
+                stack.extend(range(len(nodes) + len(labels) - 1, len(nodes) - 1, -1))
+                nodes += children
+                paths += [path + (label,) for label in labels]
+                continue
+            cid = leaf_of_row[row] = path + (TERMINAL,)
+            for doc_id in node["members"]:
+                self.cid_by_doc[doc_id] = cid
+        centroid_rows = np.asarray(centroids, dtype=np.float32)[np.argsort(visited)]
+        # cid_by_doc lists the leaves' members, the leaves in preorder: one
+        # array of their rows, and a slice of it for each leaf
+        doc_rows = np.array([documents.row[d] for d in self.cid_by_doc], dtype=np.intp)
+        self.leaves, end = {}, 0
+        for row, cid in leaf_of_row.items():
+            members = list(nodes[row]["members"])
+            start, end = end, end + len(members)
+            self.leaves[cid] = ClusterNode(cid[-2], centroid_rows[row], members=members,
+                                           rows=doc_rows[start:end])
+        self.build_members = {cid: tuple(leaf.members) for cid, leaf in self.leaves.items()}
+
+    def place(self, ids, cids):
+        """place_documents' update of the leaves, after its checks."""
+        added = {}
+        for doc_id, cid in zip(ids, cids):
+            self.leaves[cid].members.append(doc_id)
+            self.cid_by_doc[doc_id] = cid
+            added.setdefault(cid, []).append(self.documents.row[doc_id])
+        for cid, new_rows in added.items():
+            leaf = self.leaves[cid]
+            leaf.rows = np.concatenate([leaf.rows, np.asarray(new_rows, dtype=np.intp)])
 
 
 def internal_nodes(node, path=()):

@@ -13,17 +13,20 @@ from coarsefine.cluster_tree import (
     assign_new_document,
     build_cluster_tree,
     compute_c,
+    load_placements,
     load_tree,
     mean_prefix_overlap,
     place_documents,
     prefix_overlap_pair,
     row_dots,
+    save_placements,
     save_tree,
 )
 from coarsefine.embed import DocumentMatrix
 from coarsefine.errors import (DimMismatch, DuplicateId, EmptyCorpus, MissingCid, ParseError,
                               UnknownCid, UnknownDoc)
-from helpers import binary_depth2_tree, blob_embeddings, reference_assign_new_document
+from helpers import (ReferenceLeafIndex, binary_depth2_tree, blob_embeddings, node,
+                     reference_assign_new_document)
 
 
 def blob_tree(counts=(40, 40, 40), dim=16, seed=0, expected=6, branching=8):
@@ -478,6 +481,64 @@ def placement_state(tree):
     return leaves, list(tree.cid_by_doc.items())
 
 
+def test_the_views_of_a_hand_built_tree_follow_tree_json_and_placement_order():
+    """Members listed out of row order, an empty leaf, and documents placed out
+    of row order, against the leaf index of node objects."""
+    def views(tree):
+        return ([(cid, leaf.label, leaf.members, leaf.rows.tolist(), leaf.centroid.tolist())
+                 for cid, leaf in tree.leaves.items()],
+                list(tree.cid_by_doc.items()), list(tree.build_members.items()))
+
+    manifest = node(None, [node(1, [node(1, members=["d", "a"]), node(2, members=["c"])]),
+                           node(2, members=["e", "b"]), node(3)])
+    centroids = np.eye(6, 8, k=1, dtype=np.float32)
+    documents = DocumentMatrix(list("abcde"), np.eye(5, 8, dtype=np.float32))
+    tree, fresh = (ClusterTree(json.loads(json.dumps(manifest)), centroids, k=3, c=2, seed=0,
+                               dim=8, documents=documents) for _ in range(2))
+    reference = ReferenceLeafIndex(manifest, centroids, documents)
+    assert views(tree) == views(reference)  # cached from here on, and kept up to date
+    documents.append(list("fgh"), np.eye(3, 8, k=5, dtype=np.float32))
+    for ids, cids in ((["g", "f"], [(2, 0), (1, 1, 0)]), (["h"], [(3, 0)])):
+        for placed in (tree, fresh):
+            place_documents(placed, ids, cids)
+        reference.place(ids, cids)
+        assert views(tree) == views(reference)
+    assert views(fresh) == views(reference)  # built after the placements
+    assert tree.leaf_of_row.tolist() == [0, 2, 1, 0, 2, 0, 2, 3]
+    assert tree.member_rows.tolist() == [3, 0, 5, 2, 4, 1, 6, 7]
+
+
+def test_one_call_places_into_an_empty_leaf_and_the_leaf_before_it_apart(tmp_path):
+    """An empty leaf ends where the leaf before it does; documents bound for
+    the two in one call, the empty leaf's first, still land in their own
+    leaves, whether placed directly or again by load_placements."""
+    def views(tree):
+        return ([(cid, leaf.members, leaf.rows.tolist()) for cid, leaf in tree.leaves.items()],
+                list(tree.cid_by_doc.items()))
+
+    manifest = node(None, [node(1, members=["a"]), node(2), node(3, members=["b"])])
+    centroids = np.eye(4, 8, k=1, dtype=np.float32)
+    documents = DocumentMatrix(["a", "b"], np.eye(2, 8, dtype=np.float32))
+    tree = ClusterTree(json.loads(json.dumps(manifest)), centroids, k=3, c=2, seed=0, dim=8,
+                       documents=documents)
+    reference = ReferenceLeafIndex(manifest, centroids, documents)
+    documents.append(["x", "y", "z"], np.eye(3, 8, k=4, dtype=np.float32))
+    ids, cids = ["x", "y", "z"], [(2, 0), (1, 0), (2, 0)]
+    place_documents(tree, ids, cids)
+    reference.place(ids, cids)
+    assert tree.member_rows.tolist() == [0, 3, 2, 4, 1]
+    assert views(tree) == views(reference)
+    assert tree.leaf_of_row.tolist() == [0, 2, 1, 0, 1]
+    save_tree(tree, str(tmp_path / "tree.json"), str(tmp_path / "centroids.bin"))
+    save_placements(tree, str(tmp_path / "placements.bin"))
+    loaded = load_tree(str(tmp_path / "tree.json"), str(tmp_path / "centroids.bin"),
+                       DocumentMatrix(documents.ids, documents.matrix))
+    load_placements(loaded, str(tmp_path / "placements.bin"))  # rows 2, 3, 4 to leaves 1, 0, 1
+    assert loaded.member_rows.tolist() == tree.member_rows.tolist()
+    assert loaded.leaf_of_row.tolist() == tree.leaf_of_row.tolist()
+    assert views(loaded) == views(reference)
+
+
 @pytest.mark.parametrize("ids, cids, error", [
     pytest.param(["d12a"], [(2, 2, 0)], DuplicateId, id="already-in-a-leaf"),
     pytest.param(["new", "d12a"], None, DuplicateId, id="already-in-a-leaf-by-descent"),
@@ -509,10 +570,10 @@ def node_walk(node):
     return walk
 
 
-def test_root_is_built_on_each_access_around_the_trees_own_leaves():
+def test_root_is_built_once_around_the_trees_own_leaves():
     emb, tree = blob_tree(counts=(30, 30, 30, 5), expected=20, branching=3)
     root = tree.root
-    assert tree.root is not root and node_walk(tree.root) == node_walk(root)
+    assert tree.root is root
     found, stack = [], [root]
     while stack:
         node = stack.pop()

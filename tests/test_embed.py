@@ -253,3 +253,26 @@ def test_document_matrix_append_refuses_a_known_or_repeated_id_and_changes_nothi
     assert documents.matrix is matrix and matrix.tolist() == np.eye(1, 8).tolist()
     documents.append(["b", "c"], np.eye(2, 8, k=1, dtype=np.float32))
     assert documents.ids == ["a", "b", "c"] and documents.row == {"a": 0, "b": 1, "c": 2}
+
+
+@settings(max_examples=300, deadline=None)
+@given(held=st.lists(st.sampled_from("abcdefg"), unique=True, max_size=5),
+       ids=st.lists(st.sampled_from("abcdefghij"), max_size=6))
+def test_document_matrix_append_names_and_keeps_what_the_constructor_over_all_ids_would(held,
+                                                                                         ids):
+    documents = DocumentMatrix(held, np.eye(len(held), 8, dtype=np.float32))
+    vectors = np.eye(len(ids), 8, k=2, dtype=np.float32)
+    try:  # the path append took before it grew its bookkeeping by the new ids only
+        whole = DocumentMatrix(held + ids, np.concatenate([documents.matrix, vectors]))
+    except DuplicateId as exc:
+        before, matrix = (list(documents.ids), list(documents.row.items())), documents.matrix
+        with pytest.raises(DuplicateId) as raised:
+            documents.append(ids, vectors)
+        assert str(raised.value) == str(exc)
+        assert (documents.ids, list(documents.row.items())) == before
+        assert documents.matrix is matrix
+        return
+    documents.append(tuple(ids), vectors)
+    assert documents.ids == whole.ids and list(documents.row.items()) == list(whole.row.items())
+    assert documents.matrix.tobytes() == whole.matrix.tobytes()
+

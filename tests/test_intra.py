@@ -121,7 +121,7 @@ def test_rank_within_cluster_validates_arguments():
             rank_within_cluster(axis_vec(7, 0), tree, cid, 1)
         with pytest.raises(DimMismatch):
             rank_within_cluster(axis_vec(8, 0)[None, :], tree, cid, 1)
-    single = [tree.leaves[(1, 2, 0)]]
+    single = [tree.leaf_position[(1, 2, 0)]]
     for q in (axis_vec(7, 0), axis_vec(8, 0)[None, :]):
         with pytest.raises(DimMismatch):
             score_one_member_leaves(q, tree, single)
@@ -581,9 +581,10 @@ def test_a_one_member_leaf_scores_bit_for_bit_like_intra_score_and_row_dots():
                 assert rank_within_cluster(q, tree, cid, m) == [expected]
     # all of them in one pass, in an order that is not the matrix's
     leaves = [tree.leaves[cid] for cid in reversed(singles)]
+    positions = [tree.leaf_position[cid] for cid in reversed(singles)]
     for q in queries:
         expected = [intra_score(q, matrix[leaf.rows[0]]).s_intra for leaf in leaves]
-        assert score_one_member_leaves(q, tree, leaves) == expected
+        assert score_one_member_leaves(q, tree, positions) == expected
 
 
 def test_a_leaf_grown_from_one_member_to_two_keeps_its_first_members_score():

@@ -22,14 +22,17 @@ from coarsefine.corpus import _has_tokens, read_jsonl, save_corpus, tokenize
 from coarsefine.embed import DocumentMatrix, save_embedding_sidecar
 from coarsefine.errors import (DuplicateId, EmptySet, EmptyText, InvalidPrefix, MissingCid,
                                ParseError)
-from coarsefine.intra import LinearAdapter
+from coarsefine.corpus import TrainingPair
+from coarsefine.intra import LinearAdapter, train_adapter
 from coarsefine.pipeline import (RetrievalConfig, _assemble, read_config_file, save_documents,
                                  save_settings)
 from coarsefine.trie import PrefixTrie
 from helpers import (
+    ReferenceLeafIndex,
     ReferencePrefixTrie,
     binary_depth2_tree,
     blob_embeddings,
+    reference_assign_new_document,
     reference_read_jsonl,
     reference_save_corpus,
     reference_save_embedding_sidecar,
@@ -511,28 +514,82 @@ def test_added_documents_survive_save_and_load_and_a_failed_add_changes_no_byte(
     assert {path.name: path.read_bytes() for path in directory.iterdir()} == saved
 
 
-def test_only_leaves_are_node_objects_after_build_load_add_and_retrieve(added_index,
-                                                                       monkeypatch):
-    made = []
+def test_load_add_save_and_train_build_no_trie_and_no_view(added_index, tmp_path,
+                                                           monkeypatch):
+    made, views, tries = [], [], []
 
     class CountedNode(cluster_tree.ClusterNode):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             made.append(self)
 
+    view, build_trie = cluster_tree.ClusterTree._view, cluster_tree.build_trie
     monkeypatch.setattr(cluster_tree, "ClusterNode", CountedNode)
+    monkeypatch.setattr(cluster_tree.ClusterTree, "_view", lambda tree, name, build: view(
+        tree, name, lambda: views.append(name) or build()))  # counts builds, not reads
+    monkeypatch.setattr(cluster_tree, "build_trie",
+                        lambda cids: tries.append(1) or build_trie(cids))
+    pairs = [TrainingPair(f"q{i}", doc.text, doc.doc_id) for i, doc in enumerate(BASE[::5])]
     for make in (lambda: load_index(str(added_index)), lambda: build_index(BASE, CONFIG)):
         index = make()
-        assert len(made) == index.tree.leaf_count
-        assert {id(node) for node in made} == {id(leaf) for leaf in index.tree.leaves.values()}
-        made.clear()
         add_documents(index, [Document("late", BASE[0].text)])
+        save_documents(index, str(tmp_path))
+        query_embeddings = {pair.query_id: index.embedder.embed(pair.query_text) for pair in pairs}
+        index.adapter, _ = train_adapter(pairs, index.tree, query_embeddings, epochs=2)
+        save_settings(index, str(tmp_path))
+        assert (made, views, tries) == ([], [], [])
         retrieve(index, QUERIES[0], 10)
-        assert made == []
-        root = index.tree.root  # the internal nodes are built only on request
-        assert len(made) == len(index.tree.centroid_rows) - index.tree.leaf_count
-        assert root.children
-        made.clear()
+        assert (made, views, len(tries)) == ([], [], 1)
+        root = index.tree.root  # node objects only on request
+        assert len(made) == len(index.tree.centroid_rows) and root.children
+        assert views == ["root", "leaves"]
+        made.clear(), views.clear(), tries.clear()
+
+
+def view_state(tree):
+    """The `leaves`, `cid_by_doc` and `build_members` of a tree, or of a
+    ReferenceLeafIndex, as plain data in iteration order."""
+    leaves = [(cid, leaf.label, leaf.members, leaf.rows.tolist(), leaf.centroid.tolist(),
+               leaf.children) for cid, leaf in tree.leaves.items()]
+    return leaves, list(tree.cid_by_doc.items()), list(tree.build_members.items())
+
+
+def reference_leaf_index(directory, documents):
+    """ReferenceLeafIndex over an index directory's tree.json and centroids.bin."""
+    root = json.loads((directory / "tree.json").read_text())["root"]
+    centroids = np.fromfile(directory / "centroids.bin", "<f4").reshape(-1, CONFIG.dim)
+    return ReferenceLeafIndex(root, centroids, documents)
+
+
+@pytest.mark.parametrize("batches", [0, 1, 2, 3])
+def test_the_views_equal_the_leaf_index_of_node_objects_built_added_and_loaded(tmp_path,
+                                                                                batches):
+    seen, fresh = build_index(BASE, CONFIG), build_index(BASE, CONFIG)
+    view_state(seen.tree)  # cached from here on, and kept up to date by each add
+    save_index(fresh, str(tmp_path / "built"))
+    reference = reference_leaf_index(tmp_path / "built", seen.embeddings)
+    for batch in range(batches):
+        docs = [Document(f"late{batch}_{i}", doc.text)
+                for i, doc in enumerate(topic_corpus(3, 2, seed=7 + batch))]
+        for index in (seen, fresh):
+            add_documents(index, docs)
+        reference.place([doc.doc_id for doc in docs],
+                        [reference_assign_new_document(seen.tree, seen.embeddings[doc.doc_id])
+                         for doc in docs])
+    assert view_state(seen.tree) == view_state(fresh.tree) == view_state(reference)
+    directory = tmp_path / "idx"
+    save_index(fresh, str(directory))
+    positions = np.fromfile(directory / "placements.bin", "<i4").tolist()
+    for placed in (True, False):  # from placements.bin, then by descent without it
+        loaded = load_index(str(directory))
+        reference = reference_leaf_index(directory, loaded.embeddings)
+        added = [doc_id for doc_id in loaded.embeddings.ids if doc_id not in reference.cid_by_doc]
+        leaf_cids = list(reference.leaves)
+        reference.place(added, [leaf_cids[p] for p in positions] if placed else
+                        [reference_assign_new_document(loaded.tree, loaded.embeddings[doc_id])
+                         for doc_id in added])
+        assert view_state(loaded.tree) == view_state(reference) == view_state(fresh.tree)
+        (directory / "placements.bin").unlink(missing_ok=True)
 
 
 def save_and_check_placements(tree, directory):

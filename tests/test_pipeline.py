@@ -140,7 +140,8 @@ def test_retrieve_validates_arguments():
         retrieve(bare, "anything", 5)
 
 
-def test_each_tree_builds_its_trie_once_and_the_index_uses_it(tmp_path, monkeypatch):
+def test_each_tree_builds_its_trie_on_its_first_decode_and_the_index_uses_it(tmp_path,
+                                                                               monkeypatch):
     built = []
     build_trie = cluster_tree.build_trie
 
@@ -150,14 +151,18 @@ def test_each_tree_builds_its_trie_once_and_the_index_uses_it(tmp_path, monkeypa
 
     monkeypatch.setattr(cluster_tree, "build_trie", counting_build_trie)
     docs, idx = small_index()
-    assert len(built) == 1 and idx.trie is idx.tree.trie
-    idx.scorer = dataclasses.replace(idx.scorer, temperature=0.2)
-    for qtext in sample_queries(docs, 20, seed=3):
-        retrieve(idx, qtext, 5)
-    assert len(built) == 1
     save_index(idx, str(tmp_path))
     loaded = load_index(str(tmp_path))
-    assert len(built) == 2 and loaded.trie is loaded.tree.trie
+    assert built == []
+    queries = sample_queries(docs, 21, seed=3)
+    for index in (idx, loaded):
+        retrieve(index, queries[0], 5)
+        assert len(built) == 1 and index.trie is index.tree.trie
+        index.scorer = dataclasses.replace(index.scorer, temperature=0.2)
+        for qtext in queries[1:]:
+            retrieve(index, qtext, 5)
+        assert len(built) == 1
+        built.clear()
 
 
 def test_fusion_identity_holds_bitwise():
