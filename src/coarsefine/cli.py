@@ -138,7 +138,6 @@ def cmd_build_index(args: argparse.Namespace) -> int:
 def cmd_retrieve(args: argparse.Namespace) -> int:
     index = load_index(args.index)
     index.config = _resolve_config(args, base=index.config)
-    index.scorer = dataclasses.replace(index.scorer, temperature=index.config.temperature)
     queries = load_queries(args.queries)
     for query in queries:
         if not _has_tokens(query.text):
@@ -252,7 +251,7 @@ def cmd_train_adapter(args: argparse.Namespace) -> int:
     index.config = _resolve_config(args, base=index.config)
     pairs = _load_pairs(args.pairs)
     text_of = {p.query_id: p.query_text for p in pairs}
-    query_embeddings = {qid: index.embedder.embed(text) for qid, text in text_of.items()}
+    query_embeddings = dict(zip(text_of, map(index.embedder.embed, text_of.values())))
     adapter, losses = train_adapter(
         pairs,
         index.tree,

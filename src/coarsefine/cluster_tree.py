@@ -21,8 +21,8 @@ like their digit paths, across depths too) and, for a leaf, its CID. The row
 is the only node index: digit d of the node at row r leads to row
 first_child[r] + d - 1, so scoring and placement read no node objects.
 
-The tree owns the document matrix its leaves index (`documents`), and keeps
-its leaves as arrays, not objects. Leaves are numbered by their position in
+The tree owns the document matrix its leaves index (`documents`), whose width
+is the tree's `dim`, and keeps its leaves as arrays, not objects. Leaves are numbered by their position in
 preorder (`leaf_cids` lists their CIDs in that order, `leaf_position` maps a
 CID back to it), and their members are one CSR layout of document rows: `member_rows` holds each
 leaf's build rows, then the rows placed in it later in placement order, and
@@ -34,13 +34,13 @@ The walk rejects a document in two leaves, a leaf member without a row and a
 tree without leaves.
 
 `leaves`, `cid_by_doc`, `build_members` and `root` are views of those arrays
-as node objects and dicts, each built on first access and cached; a placement
-brings the cached ones up to date, so a view held across an add shows the
-added members. Changing a view changes nothing in the tree. Building, loading, adding,
-training and querying read none of them. The prefix trie of the leaves
-(`trie`) is built the first time something reads it, which only decoding
-does, and kept: later documents only join existing leaves, so it never
-changes.
+as node objects and dicts, each built on first access and cached until a
+placement drops them: a view is a snapshot, so one held across an add does not
+show the added members. Changing a view changes nothing in the tree. Building,
+loading, adding, training and querying read none of them. The prefix trie of
+the leaves (`trie`) is built the first time something reads it, which only
+decoding does, and kept: later documents only join existing leaves, so it
+never changes.
 
 save_tree writes tree.json with one json.dumps call (the C encoder, the same
 bytes as the streaming json.dump) and centroids.bin as the centroid matrix
@@ -52,8 +52,8 @@ file or, without it, by descent.
 
 Once built, a tree is immutable in this module and safe for concurrent
 readers, except that place_documents (the single writer) inserts documents
-placed after the build into the leaf arrays and the cached views, and that
-the trie and the views are built on first access.
+placed after the build into the leaf arrays and drops the cached views, and
+that the trie and the views are built on first access.
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ class ClusterTree:
     k: int
     c: int
     seed: int
-    dim: int
     documents: DocumentMatrix
     centroid_rows: np.ndarray = field(init=False, repr=False)
     first_child: np.ndarray = field(init=False, repr=False)
@@ -114,7 +113,7 @@ class ClusterTree:
         ValueError, in the text load_tree prefixes with its file, for a node that
         breaks tree.json's rules, a repeated document, a member without a row or
         a tree without leaves; DimMismatch unless `centroids` has a row per node
-        and it and the document matrix are `dim` wide."""
+        and is as wide as the document matrix."""
         _check_node(manifest, None)
         if not manifest["children"]:
             raise ValueError("the root has no children, so the tree has no leaves")
@@ -160,9 +159,6 @@ class ClusterTree:
             raise DimMismatch(f"{side} centroids than the manifest")
         if np.shape(centroids)[1:] != (self.dim,):
             raise DimMismatch(f"centroids of shape {np.shape(centroids)}, not dim {self.dim} wide")
-        if self.documents.matrix.shape[1] != self.dim:
-            raise DimMismatch(f"document matrix of shape {self.documents.matrix.shape}, "
-                              f"not dim {self.dim} wide")
         self.preorder = np.argsort(visited)  # the inverse of the visiting order
         self.first_child = np.array(first, dtype=np.intp)[self.preorder]
         self.child_count = np.array([len(node["children"]) for node in nodes], dtype=np.intp)
@@ -172,6 +168,16 @@ class ClusterTree:
         self.build_count = np.diff(self.leaf_start)
         self.leaf_of_row = np.array(leaf_of_row, dtype=np.intp)
         self.added_rows = np.zeros(0, dtype=np.intp)
+
+    @property
+    def dim(self) -> int:
+        """The width of the document matrix, and so of every centroid and query."""
+        return self.documents.matrix.shape[1]
+
+    def require_dim(self, vector, name: str) -> None:
+        """DimMismatch, naming `name`, unless `vector` is one vector `dim` wide."""
+        if np.shape(vector) != (self.dim,):
+            raise DimMismatch(f"{name} of shape {np.shape(vector)}, not dim {self.dim} wide")
 
     @property
     def leaf_count(self) -> int:
@@ -336,16 +342,16 @@ def build_cluster_tree(
     root = {"label": None, "members": [],
             "children": _split(X, np.arange(len(X)), documents.ids, (), k, c, seed, centroids)}
     centroids = np.stack(centroids)  # frees k-means' outputs before the layout gathers a copy
-    return ClusterTree(root, centroids, k=k, c=c, seed=seed, dim=int(X.shape[1]),
-                       documents=documents)
+    return ClusterTree(root, centroids, k=k, c=c, seed=seed, documents=documents)
 
 
 def assign_new_document(tree: ClusterTree, embedding: np.ndarray) -> Cid:
     """CID for a new document: descend by highest inner product per level.
 
     Ties prefer the smaller child label (argmax returns the first maximum).
-    Read-only: the tree is not modified.
+    Read-only: the tree is not modified. DimMismatch unless it is `tree.dim` wide.
     """
+    tree.require_dim(embedding, "embedding")
     row = 0
     while count := tree.child_count[row]:
         start = tree.first_child[row]
@@ -401,8 +407,8 @@ def _row_leaves(tree: ClusterTree) -> np.ndarray:
 def _place(tree: ClusterTree, leaf_of_row: np.ndarray, rows: np.ndarray,
            positions: np.ndarray) -> None:
     """Insert `rows` after the members of leaves `positions`, in this order
-    within each leaf, and bring the cached views up to date. `leaf_of_row` is
-    the tree's, padded to the matrix; the rows must be in no leaf."""
+    within each leaf, and drop the cached views. `leaf_of_row` is the tree's,
+    padded to the matrix; the rows must be in no leaf."""
     grown = np.bincount(positions, minlength=tree.leaf_count)
     # np.insert puts values bound for one index in call order, and an empty
     # leaf ends where the leaf before it does: insert the rows in leaf order
@@ -413,17 +419,7 @@ def _place(tree: ClusterTree, leaf_of_row: np.ndarray, rows: np.ndarray,
     tree.leaf_of_row = leaf_of_row
     leaf_of_row[rows] = positions
     tree.added_rows = np.concatenate([tree.added_rows, rows])
-    if not tree._views:  # `build_members` never changes, and `root` holds the leaves' objects
-        return
-    ids, cids = tree.documents.ids, tree.leaf_cids
-    placed = [(ids[row], cids[p]) for row, p in zip(rows.tolist(), positions.tolist())]
-    if (leaves := tree._views.get("leaves")) is not None:
-        for doc_id, cid in placed:
-            leaves[cid].members.append(doc_id)
-        for position in np.flatnonzero(grown).tolist():
-            leaves[cids[position]].rows = tree.leaf_rows(position)
-    if (cid_by_doc := tree._views.get("cid_by_doc")) is not None:
-        cid_by_doc.update(placed)
+    tree._views.clear()
 
 
 def prefix_overlap_pair(s1: Cid, s2: Cid) -> float:
@@ -543,7 +539,7 @@ def load_tree(json_path: str, bin_path: str, documents: DocumentMatrix) -> Clust
     centroids = require_finite(bin_path, read_array(bin_path, "<f4", (-1, manifest["dim"])))
     try:
         return ClusterTree(manifest.get("root"), centroids, k=manifest["k"], c=manifest["c"],
-                           seed=manifest["seed"], dim=manifest["dim"], documents=documents)
+                           seed=manifest["seed"], documents=documents)
     except ValueError as exc:
         raise ParseError(f"{json_path}: {exc}")
     except DimMismatch as exc:

@@ -119,9 +119,9 @@ class CentroidScorer:
 
     Logits are <pooled, centroid>/temperature for each child the trie allows,
     all of one step scored by _step_probs with the allowed children as one
-    group. At a leaf-complete prefix the terminal digit gets
-    probability 1. It holds no state beyond an immutable tree, so instances
-    are safe to share across threads.
+    group. At a leaf-complete prefix the terminal digit gets probability 1,
+    and a query that is not `tree.dim` wide raises DimMismatch. It holds no
+    state beyond an immutable tree, so instances are safe to share across threads.
     """
 
     tree: ClusterTree
@@ -130,6 +130,8 @@ class CentroidScorer:
     def score_next(
         self, query: QueryRepresentation, prefix: Cid, valid: frozenset[int]
     ) -> dict[int, float]:
+        tree, row = self.tree, 0
+        tree.require_dim(query.pooled, "query")
         valid = frozenset(valid)
         if not valid:
             return {}
@@ -137,7 +139,6 @@ class CentroidScorer:
             return {TERMINAL: 1.0}
         if TERMINAL in valid:
             raise InvalidPrefix(f"{tuple(prefix)}: terminal digit mixed with branch digits")
-        tree, row = self.tree, 0
         for digit in prefix:
             if not 1 <= digit <= tree.child_count[row]:
                 raise InvalidPrefix(f"{tuple(prefix)} does not name a tree node")

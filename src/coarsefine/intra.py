@@ -108,8 +108,8 @@ def rank_within_cluster(
     rows = tree.leaf_rows(position)
     if not len(rows):
         return []
-    matrix = _checked_matrix(q, tree)
-    sims = row_dots(matrix.take(rows, axis=0), q)
+    tree.require_dim(q, "query")
+    sims = row_dots(tree.documents.matrix.take(rows, axis=0), q)
     if len(rows) > m:
         with np.errstate(over="ignore"):  # exp(-sim) overflows to inf, screening 0
             screen = 1.0 / (1.0 + np.exp(-sims))
@@ -134,18 +134,10 @@ def score_one_member_leaves(q: np.ndarray, tree: ClusterTree,
     rank_within_cluster would. The query is checked against the matrix's
     dimension first.
     """
-    matrix = _checked_matrix(q, tree)
+    tree.require_dim(q, "query")
     rows = tree.member_rows[tree.leaf_start[positions]]
-    sims = row_dots(matrix.take(rows, axis=0), q)
+    sims = row_dots(tree.documents.matrix.take(rows, axis=0), q)
     return [_sigmoid(sim) for sim in sims.tolist()]
-
-
-def _checked_matrix(q: np.ndarray, tree: ClusterTree) -> np.ndarray:
-    """The tree's document matrix, after checking that `q` is as wide."""
-    matrix = tree.documents.matrix
-    if np.shape(q) != matrix.shape[1:]:
-        raise DimMismatch(f"query dim {np.shape(q)} != document dim {matrix.shape[1:]}")
-    return matrix
 
 
 @dataclass(frozen=True)
@@ -312,9 +304,10 @@ def train_adapter(
     Each query vector q is replaced by W q inside intra_loss; W starts as the
     identity and follows the mean batch gradient. Document vectors are the
     rows of the tree's document matrix. Returns the adapter and the mean loss
-    per epoch. Raises DivergedLoss if any loss is non-finite, and UnknownDoc,
-    before any training, for the first positive in pair order that has no
-    leaf. learning_rate == 0 or epochs == 0 leaves W at the identity.
+    per epoch. Raises DivergedLoss if any loss is non-finite, and, before any
+    training, UnknownDoc for the first positive in pair order that has no
+    leaf and DimMismatch for a query embedding that is not `tree.dim` wide.
+    learning_rate == 0 or epochs == 0 leaves W at the identity.
     """
     if not pairs:
         raise ValueError("pairs must be non-empty")
@@ -330,8 +323,10 @@ def train_adapter(
         if tree.leaf_of(doc_id) < 0:
             raise UnknownDoc(f"positive document {doc_id!r} is not indexed")
         positives.setdefault(pair.query_id, set()).add(doc_id)
+    for query_id, vec in query_embeddings.items():
+        tree.require_dim(vec, f"the embedding of query {query_id!r}")
     documents = tree.documents
-    weight = np.eye(documents.matrix.shape[1], dtype=np.float64)
+    weight = np.eye(tree.dim, dtype=np.float64)
     rng = np.random.default_rng(derive_seed(seed, "adapter"))
     epoch_losses: list[float] = []
     for epoch in range(epochs):

@@ -23,15 +23,17 @@ copying rows. The tree owns that matrix (`index.embeddings` is
 members' rows in it (see cluster_tree). The matrix is the index's only
 registry of document ids and its one duplicate gate (DuplicateId); beside it
 the index keeps only the texts, by row (`index.texts`), which only saving
-reads, and no Document objects: load_index reads corpus.jsonl into an id list
-and a text list. Building, loading, adding and training make no node object
-and no trie. The fine stage scores the members of all recalled
-one-member leaves, most leaves at the default configuration, with one gather
-and one stacked matmul (intra.score_one_member_leaves): a one-member leaf's
-member is its top 1 whatever k and beta are. Each larger leaf takes one
-rank_within_cluster call, one gather and one stacked matmul, taking the exact
-sigmoid only for the members that a vectorised screen leaves in reach of the
-top k.
+reads, the adapter and the config, and no Document objects: load_index reads
+corpus.jsonl into an id list and a text list. The step scorer and the query
+embedder are derived from the config on each read, as a reload derives them,
+so a changed config retrieves live what it retrieves after a save and load.
+Building, loading, adding and training make no node object and no trie. The
+fine stage scores the members of all recalled one-member leaves, most leaves
+at the default configuration, with one gather and one stacked matmul
+(intra.score_one_member_leaves): a one-member leaf's member is its top 1
+whatever k and beta are. Each larger leaf takes one rank_within_cluster call,
+one gather and one stacked matmul, taking the exact sigmoid only for the
+members that a vectorised screen leaves in reach of the top k.
 The tree keeps all centroids as one float32 matrix, the root as row 0 and
 every node's children a contiguous block of rows. A beam step gathers the
 children of all frontier nodes with one take, scores them with one stacked
@@ -108,6 +110,7 @@ from .embed import (
 from .errors import (
     BadEmbedding,
     DimMismatch,
+    DuplicateId,
     EmptyCorpus,
     EmptyIndex,
     EmptyText,
@@ -178,14 +181,23 @@ class RetrievalResult:
 class RetrievalIndex:
     """A built or loaded index. Its documents are the rows of the tree's
     DocumentMatrix (`embeddings`), the only registry of their ids; `texts[i]`
-    is the text of `embeddings.ids[i]`, kept only to be saved."""
+    is the text of `embeddings.ids[i]`, kept only to be saved. The scorer and
+    the embedder are derived from `config` on each read, as a reload would."""
 
     texts: list[str]
     tree: ClusterTree
-    scorer: StepScorer
     adapter: LinearAdapter | None
     config: RetrievalConfig
-    embedder: HashingEmbedder
+
+    @property
+    def scorer(self) -> StepScorer:
+        """The centroid scorer over the tree at the configured temperature."""
+        return CentroidScorer(self.tree, temperature=self.config.temperature)
+
+    @property
+    def embedder(self) -> HashingEmbedder:
+        """The embedder of documents and queries, which the config determines."""
+        return _embedder(self.config)
 
     @property
     def trie(self) -> PrefixTrie:
@@ -196,6 +208,10 @@ class RetrievalIndex:
     def embeddings(self) -> DocumentMatrix:
         """The document matrix, owned by the tree because its leaves index it."""
         return self.tree.documents
+
+
+def _embedder(config: RetrievalConfig) -> HashingEmbedder:
+    return HashingEmbedder(dim=config.dim, seed=derive_seed(config.seed, "embed"))
 
 
 def build_index(
@@ -213,7 +229,7 @@ def build_index(
     """
     if not docs:
         raise EmptyCorpus("cannot build an index from zero documents")
-    embedder = HashingEmbedder(dim=config.dim, seed=derive_seed(config.seed, "embed"))
+    embedder = _embedder(config)
     vectors: list[np.ndarray] = []
     for doc in docs:
         if doc_embeddings is None:
@@ -235,20 +251,7 @@ def build_index(
     tree = build_cluster_tree(
         embeddings, config.branching, config.expected_clusters, derive_seed(config.seed, "tree")
     )
-    return _assemble([doc.text for doc in docs], tree, None, config)
-
-
-def _assemble(texts: list[str], tree: ClusterTree, adapter: LinearAdapter | None,
-              config: RetrievalConfig) -> RetrievalIndex:
-    """The index over these parts, with the scorer and embedder they determine."""
-    return RetrievalIndex(
-        texts=texts,
-        tree=tree,
-        scorer=CentroidScorer(tree, temperature=config.temperature),
-        adapter=adapter,
-        config=config,
-        embedder=HashingEmbedder(dim=config.dim, seed=derive_seed(config.seed, "embed")),
-    )
+    return RetrievalIndex([doc.text for doc in docs], tree, None, config)
 
 
 def query_vector(index: RetrievalIndex, query_text: str) -> np.ndarray:
@@ -317,7 +320,7 @@ def add_documents(index: RetrievalIndex, docs: Sequence[Document]) -> RetrievalI
     the document matrix raises DuplicateId, still before any change, for an
     id already present or repeated within this call.
     """
-    vectors = [index.embedder.embed(doc.text) for doc in docs]
+    vectors = list(map(index.embedder.embed, (doc.text for doc in docs)))
     ids = [doc.doc_id for doc in docs]
     index.tree.documents.append(ids, vectors)
     index.texts.extend(doc.text for doc in docs)
@@ -422,7 +425,11 @@ def load_index(directory: str) -> RetrievalIndex:
     """
     config_path = os.path.join(directory, CONFIG_FILE)
     config = load_config(config_path)
-    doc_ids, texts = read_corpus(os.path.join(directory, CORPUS_FILE))
+    corpus_path = os.path.join(directory, CORPUS_FILE)
+    try:
+        doc_ids, texts = read_corpus(corpus_path)
+    except DuplicateId as exc:  # an input corpus's error, but a damaged index file here
+        raise ParseError(f"{corpus_path}: {exc}")
     manifest_path = os.path.join(directory, MANIFEST_FILE)
     embeddings_path = os.path.join(directory, EMBEDDINGS_FILE)
     ids, matrix = load_embedding_sidecar(embeddings_path, manifest_path)
@@ -453,4 +460,4 @@ def load_index(directory: str) -> RetrievalIndex:
             )
         weight = read_array(adapter_path, "<f4", (config.dim, config.dim))
         adapter = LinearAdapter(weight=require_finite(adapter_path, weight))
-    return _assemble(texts, tree, adapter, config)
+    return RetrievalIndex(texts, tree, adapter, config)

@@ -217,7 +217,7 @@ def binary_depth2_tree(dim=8):
         "d21a": (2, 1, 0), "d22a": (2, 2, 0),
     }
     documents = DocumentMatrix(list(cid_by_doc), np.eye(len(cid_by_doc), dim, dtype=np.float32))
-    tree = ClusterTree(root, centroids, k=2, c=2, seed=0, dim=dim, documents=documents)
+    tree = ClusterTree(root, centroids, k=2, c=2, seed=0, documents=documents)
     assert tree.cid_by_doc == cid_by_doc and list(tree.cid_by_doc) == list(cid_by_doc)
     assert [(cid, leaf.centroid.tolist()) for cid, leaf in tree.leaves.items()] == [
         (cid, axis_vec(dim, axis).tolist())

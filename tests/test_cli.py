@@ -720,3 +720,44 @@ def test_an_int_beta_in_config_json_still_loads(tmp_path, corpus_path, queries_p
     assert load_index(idx).config.beta == 1
     assert main(["retrieve", "--index", idx, "--queries", queries_path,
                  "--out", str(tmp_path / "results.jsonl")]) == 0
+
+
+def test_a_corpus_jsonl_that_repeats_an_id_makes_inspect_exit_2_naming_it(tmp_path,
+                                                                           corpus_path):
+    """A repeated id in an input corpus stays DuplicateId (exit 1); in an index's
+    corpus.jsonl it is a damaged file."""
+    idx = build(tmp_path, corpus_path)
+    path = tmp_path / "idx" / "corpus.jsonl"
+    first, second, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    second = json.dumps({**json.loads(second), "id": json.loads(first)["id"]}) + "\n"
+    path.write_text("".join([first, second, *rest]), encoding="utf-8")
+    proc = run_cli("inspect", "--index", idx)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {path}: duplicate document id ")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--beta", "0.25"),
+    ("--beam-size", "2"),
+    ("--k-clusters", "1"),
+    ("--length-penalty", "0"),
+    ("--temperature", "0.5"),
+])
+def test_each_retrieve_flag_writes_the_library_results_at_that_config_value(
+        tmp_path, corpus_path, queries_path, flag, value):
+    # leaves at depths 3-7 and a beam that prunes, so that every flag changes the results
+    idx = build(tmp_path, corpus_path, ["--branching", "3", "--expected-clusters", "30",
+                                        "--k-clusters", "2", "--beam-size", "8"])
+    default, out = tmp_path / "default.jsonl", tmp_path / "results.jsonl"
+    for path, flags in ((default, []), (out, [flag, value])):
+        assert main(["retrieve", "--index", idx, "--queries", queries_path, "--out", str(path),
+                     "--k", "10", *flags]) == 0
+    index = load_index(idx)
+    field = flag[2:].replace("-", "_")
+    index.config = dataclasses.replace(index.config, **{field: type(getattr(index.config,
+                                                                            field))(value)})
+    queries = load_queries(queries_path)
+    reference_write_results(str(tmp_path / "reference.jsonl"), queries,
+                            [retrieve(index, q.text, 10) for q in queries], 10)
+    assert out.read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
+    assert out.read_bytes() != default.read_bytes()  # the flag takes effect

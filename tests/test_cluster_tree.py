@@ -80,7 +80,7 @@ def test_a_leaf_member_without_a_row_in_the_document_matrix_is_rejected(tmp_path
     cid = tree.cid_by_doc[missing]
     manifest, centroids = node_form(tree, tmp_path)
     with pytest.raises(ValueError, match=re.escape(f"leaf {cid} lists {missing!r}")):
-        ClusterTree(manifest, centroids, k=2, c=2, seed=0, dim=8, documents=short)
+        ClusterTree(manifest, centroids, k=2, c=2, seed=0, documents=short)
 
 
 def test_empty_corpus_is_rejected():
@@ -390,7 +390,7 @@ def test_built_loaded_and_rebuilt_from_tree_json_trees_lay_out_alike(tmp_path, s
     manifest, centroids = node_form(tree, tmp_path)
     loaded = load_tree(str(tmp_path / "tree.json"), str(tmp_path / "centroids.bin"),
                        tree.documents)
-    rebuilt = ClusterTree(manifest, centroids, k=tree.k, c=tree.c, seed=tree.seed, dim=tree.dim,
+    rebuilt = ClusterTree(manifest, centroids, k=tree.k, c=tree.c, seed=tree.seed,
                           documents=tree.documents)
     assert layout(loaded) == layout(tree)
     assert layout(rebuilt) == layout(tree)
@@ -424,7 +424,7 @@ def test_a_hand_built_tree_gets_tree_json_rules_in_the_text_load_tree_prefixes(
     manifest, centroids = node_form(tree, tmp_path)
     damage(manifest)
     with pytest.raises(ValueError) as built:
-        ClusterTree(manifest, centroids, k=2, c=2, seed=0, dim=8, documents=tree.documents)
+        ClusterTree(manifest, centroids, k=2, c=2, seed=0, documents=tree.documents)
     assert str(built.value) == message
     jp = tmp_path / "tree.json"
     saved = json.loads(jp.read_text())
@@ -441,7 +441,7 @@ def test_a_centroid_matrix_without_one_row_per_node_is_rejected(tmp_path, side):
     manifest, centroids = node_form(tree, tmp_path)
     changed = centroids[:-1] if side == "fewer" else np.vstack([centroids, centroids[-1:]])
     with pytest.raises(DimMismatch) as built:
-        ClusterTree(manifest, changed, k=2, c=2, seed=0, dim=8, documents=tree.documents)
+        ClusterTree(manifest, changed, k=2, c=2, seed=0, documents=tree.documents)
     assert str(built.value) == f"{side} centroids than the manifest"
     bp = tmp_path / "centroids.bin"
     bp.write_bytes(changed.astype("<f4").tobytes())
@@ -456,7 +456,7 @@ def test_a_centroid_matrix_of_another_width_than_dim_is_rejected_at_construction
     manifest, centroids = node_form(tree, tmp_path)
     changed = np.zeros((len(centroids), width), dtype=np.float32)  # a row per node
     with pytest.raises(DimMismatch) as built:
-        ClusterTree(manifest, changed, k=2, c=2, seed=0, dim=8, documents=tree.documents)
+        ClusterTree(manifest, changed, k=2, c=2, seed=0, documents=tree.documents)
     assert str(built.value) == f"centroids of shape (7, {width}), not dim 8 wide"
 
 
@@ -466,9 +466,9 @@ def test_a_document_matrix_of_another_width_than_dim_is_rejected(tmp_path, width
     manifest, centroids = node_form(tree, tmp_path)
     documents = DocumentMatrix(tree.documents.ids,
                                np.eye(len(tree.documents), width, dtype=np.float32))
-    with pytest.raises(DimMismatch) as built:
-        ClusterTree(manifest, centroids, k=2, c=2, seed=0, dim=8, documents=documents)
-    assert str(built.value) == f"document matrix of shape (5, {width}), not dim 8 wide"
+    with pytest.raises(DimMismatch) as built:  # a tree is as wide as its documents
+        ClusterTree(manifest, centroids, k=2, c=2, seed=0, documents=documents)
+    assert str(built.value) == f"centroids of shape (7, 8), not dim {width} wide"
     jp = tmp_path / "tree.json"
     with pytest.raises(ParseError) as loaded:
         load_tree(str(jp), str(tmp_path / "centroids.bin"), documents)
@@ -494,9 +494,9 @@ def test_the_views_of_a_hand_built_tree_follow_tree_json_and_placement_order():
     centroids = np.eye(6, 8, k=1, dtype=np.float32)
     documents = DocumentMatrix(list("abcde"), np.eye(5, 8, dtype=np.float32))
     tree, fresh = (ClusterTree(json.loads(json.dumps(manifest)), centroids, k=3, c=2, seed=0,
-                               dim=8, documents=documents) for _ in range(2))
+                               documents=documents) for _ in range(2))
     reference = ReferenceLeafIndex(manifest, centroids, documents)
-    assert views(tree) == views(reference)  # cached from here on, and kept up to date
+    assert views(tree) == views(reference)  # cached until each placement below
     documents.append(list("fgh"), np.eye(3, 8, k=5, dtype=np.float32))
     for ids, cids in ((["g", "f"], [(2, 0), (1, 1, 0)]), (["h"], [(3, 0)])):
         for placed in (tree, fresh):
@@ -519,7 +519,7 @@ def test_one_call_places_into_an_empty_leaf_and_the_leaf_before_it_apart(tmp_pat
     manifest = node(None, [node(1, members=["a"]), node(2), node(3, members=["b"])])
     centroids = np.eye(4, 8, k=1, dtype=np.float32)
     documents = DocumentMatrix(["a", "b"], np.eye(2, 8, dtype=np.float32))
-    tree = ClusterTree(json.loads(json.dumps(manifest)), centroids, k=3, c=2, seed=0, dim=8,
+    tree = ClusterTree(json.loads(json.dumps(manifest)), centroids, k=3, c=2, seed=0,
                        documents=documents)
     reference = ReferenceLeafIndex(manifest, centroids, documents)
     documents.append(["x", "y", "z"], np.eye(3, 8, k=4, dtype=np.float32))
@@ -571,6 +571,8 @@ def node_walk(node):
 
 
 def test_root_is_built_once_around_the_trees_own_leaves():
+    """The views are built once until a placement: one read before it stays as
+    it was, and one read after it shows the placed document."""
     emb, tree = blob_tree(counts=(30, 30, 30, 5), expected=20, branching=3)
     root = tree.root
     assert tree.root is root
@@ -584,9 +586,15 @@ def test_root_is_built_once_around_the_trees_own_leaves():
     assert len(found) == tree.leaf_count
     assert all(a is b for a, b in zip(found, tree.leaves.values()))
     point = next(iter(tree.leaves.values())).centroid.copy()
+    leaves, cid_by_doc, walk = tree.leaves, tree.cid_by_doc, node_walk(root)
     tree.documents.append(["new"], [point])
     place_documents(tree, ["new"])
-    node = root
-    for digit in tree.cid_by_doc["new"][:-1]:
-        node = node.children[digit - 1]
-    assert node.members[-1] == "new" and node.rows[-1] == tree.documents.row["new"]
+    assert tree.root is not root and tree.root is tree.root and node_walk(tree.root) == walk
+    cid = tree.cid_by_doc["new"]
+    assert "new" not in cid_by_doc and tree.cid_by_doc == {**cid_by_doc, "new": cid}
+    held, fresh = root, tree.root
+    for digit in cid[:-1]:
+        held, fresh = held.children[digit - 1], fresh.children[digit - 1]
+    assert held is leaves[cid] and fresh is tree.leaves[cid]
+    assert fresh.members == held.members + ["new"] and "new" not in held.members
+    assert fresh.rows.tolist() == held.rows.tolist() + [tree.documents.row["new"]]

@@ -88,6 +88,7 @@ def test_retrieve_equals_the_per_leaf_oracle_before_and_after_one_member_leaves_
     singles = [leaf.members[0] for leaf in leaves.values() if len(leaf.members) == 1]
     add_documents(index, [Document(f"copy_{doc_id}", index.texts[index.embeddings.row[doc_id]])
                           for doc_id in singles[::3]])
+    leaves = index.tree.leaves  # read again: a view read before the add is a snapshot
     assert any(leaves[index.tree.cid_by_doc[doc_id]].members == [doc_id, f"copy_{doc_id}"]
                for doc_id in singles[::3])  # a copy of a member's text joins its leaf
     recalled = [set(recalled_sizes(index, text)) for text in texts]

@@ -1,12 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from coarsefine import inter
 from coarsefine.embed import DocumentMatrix, QueryRepresentation
-from coarsefine.errors import BeamTooSmall, InvalidPrefix, UnknownCid
+from coarsefine.corpus import TrainingPair
+from coarsefine.errors import BeamTooSmall, DimMismatch, InvalidPrefix, UnknownCid
 from coarsefine.inter import CentroidScorer, decode_clusters, inter_loss
+from coarsefine.intra import train_adapter
 from coarsefine.trie import build_trie
 from helpers import (
     SeededScorer,
@@ -21,7 +24,7 @@ from helpers import (
     rank_by_penalized,
     reference_step_probs,
 )
-from coarsefine.cluster_tree import ClusterTree, build_cluster_tree
+from coarsefine.cluster_tree import ClusterTree, assign_new_document, build_cluster_tree
 
 QUERY = QueryRepresentation(pooled=np.zeros(8, dtype=np.float32))
 
@@ -331,7 +334,7 @@ def test_ties_across_depths_break_toward_the_lexicographically_smaller_cid():
     root = node(None, [node(1, [node(1, members=["a"])]), node(2, members=["b"])])
     centroids = np.stack([axis_vec(4, axis) for axis in (2, 0, 0, 1)])  # preorder
     documents = DocumentMatrix(["a", "b"], np.eye(2, 4, dtype=np.float32))  # on deep and shallow
-    tree = ClusterTree(root, centroids, k=2, c=2, seed=0, dim=4, documents=documents)
+    tree = ClusterTree(root, centroids, k=2, c=2, seed=0, documents=documents)
     assert tree.cid_by_doc == {"a": (1, 1, 0), "b": (2, 0)}
     assert [leaf.centroid.tolist() for leaf in tree.leaves.values()] == [
         axis_vec(4, 0).tolist(), axis_vec(4, 1).tolist()]
@@ -426,3 +429,22 @@ def test_kept_children_take_math_log_not_the_screened_value(monkeypatch):
             for beam, k in ((1, 1), (3, 2), (6, 4)):
                 got = decode_clusters(q, scorer, tree.trie, beam, 0.8, k)
                 assert got == decode_clusters(q, scorer, covering, beam, 0.8, k)
+
+
+@pytest.mark.parametrize("shape", [(5,), (9,), (1, 8)])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda tree, q: decode_clusters(QueryRepresentation(q), CentroidScorer(tree),
+                                                 tree.trie, 8, 0.8, 2), id="decode-frontier"),
+    pytest.param(lambda tree, q: decode_clusters(QueryRepresentation(q), CentroidScorer(tree),
+                                                 build_trie(tree.leaf_cids), 8, 0.8, 2),
+                 id="decode-generic"),
+    pytest.param(lambda tree, q: inter_loss(QueryRepresentation(q), (1, 1, 0),
+                                            CentroidScorer(tree), tree.trie), id="inter-loss"),
+    pytest.param(assign_new_document, id="assign-new-document"),
+    pytest.param(lambda tree, q: train_adapter([TrainingPair("p", "x", "d11a")], tree, {"p": q},
+                                               epochs=1), id="train-adapter"),
+])
+def test_a_vector_that_is_not_as_wide_as_the_tree_is_a_dim_mismatch(call, shape):
+    tree = binary_depth2_tree(dim=8)
+    with pytest.raises(DimMismatch, match=re.escape(f"of shape {shape}, not dim 8 wide")):
+        call(tree, np.ones(shape, dtype=np.float32))

@@ -3,6 +3,7 @@ the trie and JSONL reader behave exactly like the versions kept in helpers.
 Added documents keep their leaves through placements.bin, and add-docs and
 train-adapter rewrite only their own files, with the bytes of a full save."""
 
+import dataclasses
 import json
 import os
 import re
@@ -24,8 +25,8 @@ from coarsefine.errors import (DuplicateId, EmptySet, EmptyText, InvalidPrefix, 
                                ParseError)
 from coarsefine.corpus import TrainingPair
 from coarsefine.intra import LinearAdapter, train_adapter
-from coarsefine.pipeline import (RetrievalConfig, _assemble, read_config_file, save_documents,
-                                 save_settings)
+from coarsefine.pipeline import (RetrievalConfig, RetrievalIndex, read_config_file,
+                                 save_documents, save_settings)
 from coarsefine.trie import PrefixTrie
 from helpers import (
     ReferenceLeafIndex,
@@ -312,6 +313,12 @@ def repeat_first_id(obj):
     obj["ids"][1] = obj["ids"][0]
 
 
+def repeat_first_corpus_id(data):
+    first, second, *rest = data.decode("utf-8").splitlines(keepends=True)
+    second = json.dumps({**json.loads(second), "id": json.loads(first)["id"]}) + "\n"
+    return "".join([first, second, *rest]).encode("utf-8")
+
+
 def append_ff(data):
     return data + b"\xff"  # a byte that never occurs in UTF-8
 
@@ -330,6 +337,7 @@ def write_float(offset, value):
 
 @pytest.mark.parametrize("name, damage", [
     pytest.param("corpus.jsonl", append_ff, id="corpus-0xff"),
+    pytest.param("corpus.jsonl", repeat_first_corpus_id, id="corpus-repeated-id"),
     pytest.param("tree.json", append_ff, id="tree-0xff"),
     pytest.param("tree.json", lambda data: data[:-2], id="tree-invalid-json"),
     pytest.param("tree.json", lambda data: b"[]", id="tree-not-an-object"),
@@ -388,6 +396,21 @@ def test_a_damaged_file_is_a_parse_error_naming_it_and_exits_2(added_index, tmp_
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:") and name in err
+
+
+def test_a_changed_config_retrieves_live_what_it_retrieves_after_a_reload(tmp_path):
+    """The scorer and the embedder follow the config, as a reload builds them from it."""
+    docs = topic_corpus(6, 50, seed=0)
+    index = build_index(docs, RetrievalConfig(dim=64, k_clusters=20))
+    queries = [" ".join(doc.text.split()[:6]) for doc in docs[::10]]
+    before = [retrieve(index, q, 10) for q in queries]
+    index.config = dataclasses.replace(index.config, temperature=2.0, beta=0.5, beam_size=50)
+    live = [retrieve(index, q, 10) for q in queries]
+    save_index(index, str(tmp_path / "idx"))
+    reloaded = load_index(str(tmp_path / "idx"))
+    assert reloaded.config == index.config
+    assert live == [retrieve(reloaded, q, 10) for q in queries]
+    assert all(a != b for a, b in zip(live, before))  # every query sees the change
 
 
 def test_directory_without_placements_loads_the_same_and_the_next_add_writes_them(
@@ -565,7 +588,7 @@ def reference_leaf_index(directory, documents):
 def test_the_views_equal_the_leaf_index_of_node_objects_built_added_and_loaded(tmp_path,
                                                                                 batches):
     seen, fresh = build_index(BASE, CONFIG), build_index(BASE, CONFIG)
-    view_state(seen.tree)  # cached from here on, and kept up to date by each add
+    view_state(seen.tree)  # cached here until the first add drops it
     save_index(fresh, str(tmp_path / "built"))
     reference = reference_leaf_index(tmp_path / "built", seen.embeddings)
     for batch in range(batches):
@@ -629,8 +652,8 @@ def test_placements_bin_equals_the_descent_reference_after_build_adds_and_reload
 def test_save_refuses_a_document_row_that_no_leaf_lists_before_writing_a_file(tmp_path):
     tree = binary_depth2_tree()
     tree.documents.append(["stray"], np.eye(1, 8, k=7, dtype=np.float32))
-    index = add_documents(_assemble(list(tree.documents.ids), tree, None, RetrievalConfig(dim=8)),
-                          [Document("late", "late words")])
+    index = add_documents(RetrievalIndex(list(tree.documents.ids), tree, None,
+                                         RetrievalConfig(dim=8)), [Document("late", "late words")])
     with pytest.raises(MissingCid, match="'stray'"):
         save_index(index, str(tmp_path / "fresh"))
     assert os.listdir(tmp_path / "fresh") == []

@@ -57,18 +57,25 @@ def sample_queries(docs, n, seed):
     return out
 
 
+class UniformAxisIndex(RetrievalIndex):
+    """An index whose step scorer is uniform and whose embedder maps a text to
+    the basis vector its first token names, in place of the derived ones."""
+
+    @property
+    def scorer(self):
+        return UniformScorer()
+
+    @property
+    def embedder(self):
+        return AxisEmbedder(self.config.dim)
+
+
 def hand_index(beta=1.0):
     """Index over the hand-built two-level tree with axis embeddings."""
     tree = binary_depth2_tree(dim=8)
     config = RetrievalConfig(dim=8, beta=beta, gamma=2.0, beam_size=8, k_clusters=8)
-    return RetrievalIndex(
-        texts=[str(i) for i in range(len(tree.documents))],
-        tree=tree,
-        scorer=UniformScorer(),
-        adapter=None,
-        config=config,
-        embedder=AxisEmbedder(8),
-    )
+    return UniformAxisIndex(texts=[str(i) for i in range(len(tree.documents))], tree=tree,
+                            adapter=None, config=config)
 
 
 def test_config_validates_beam_and_cluster_counts():
@@ -132,10 +139,8 @@ def test_retrieve_validates_arguments():
         retrieve(idx, "anything", 0)
     none = DocumentMatrix([], np.zeros((0, 8), dtype=np.float32))
     empty = cluster_tree.ClusterTree(node(None, [node(1)]), np.zeros((2, 8), dtype=np.float32),
-                                     k=1, c=2, seed=0, dim=8, documents=none)
-    bare = RetrievalIndex(texts=[], tree=empty,
-                          scorer=idx.scorer, adapter=None, config=idx.config,
-                          embedder=idx.embedder)
+                                     k=1, c=2, seed=0, documents=none)
+    bare = UniformAxisIndex(texts=[], tree=empty, adapter=None, config=idx.config)
     with pytest.raises(EmptyIndex):
         retrieve(bare, "anything", 5)
 
@@ -158,7 +163,7 @@ def test_each_tree_builds_its_trie_on_its_first_decode_and_the_index_uses_it(tmp
     for index in (idx, loaded):
         retrieve(index, queries[0], 5)
         assert len(built) == 1 and index.trie is index.tree.trie
-        index.scorer = dataclasses.replace(index.scorer, temperature=0.2)
+        index.config = dataclasses.replace(index.config, temperature=0.2)
         for qtext in queries[1:]:
             retrieve(index, qtext, 5)
         assert len(built) == 1
