@@ -15,11 +15,14 @@ import json
 import math
 import sys
 from collections import Counter
+from itertools import chain
+
+import numpy as np
 
 from .corpus import TrainingPair, _has_tokens, load_corpus, load_queries, qrels_mapping, read_jsonl
 from .embed import DocumentMatrix, load_embedding_sidecar
 from .errors import DuplicateId, ParseError, RetrievalError
-from .evaluation import EvalReport, evaluate_results, index_diagnostics, position_error_rate
+from .evaluation import evaluate_results, index_diagnostics, position_error_rate
 from .intra import train_adapter
 from .kmeans import derive_seed
 from .pipeline import (
@@ -127,7 +130,8 @@ def cmd_build_index(args: argparse.Namespace) -> int:
     report = None
     if args.qrels:  # checked against the index before any file is written
         qrels = qrels_mapping(load_queries(args.qrels, require_relevant=True))
-        report = index_diagnostics(index.tree.leaves, index.tree.cid_by_doc, qrels)
+        tree = index.tree
+        report = index_diagnostics(tree.leaf_cids, tree.cids_of(chain(*qrels.values())), qrels)
     save_index(index, args.out)
     print(f"indexed {len(index.embeddings)} documents into {index.tree.leaf_count} leaf clusters")
     if report is not None:
@@ -183,20 +187,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
     qrels = qrels_mapping(load_queries(args.qrels, require_relevant=True))
     report = evaluate_results(results, qrels, args.k)
     if args.index:
-        index = load_index(args.index)
+        tree = load_index(args.index).tree
+        cids = tree.cids_of(chain(*results.values(), *qrels.values()))
         scored_qrels = {qid: docs for qid, docs in qrels.items() if qid in results}
-        diag = index_diagnostics(index.tree.leaves, index.tree.cid_by_doc, scored_qrels)
+        diag = index_diagnostics(tree.leaf_cids, cids, scored_qrels)
         report.leaf_count = diag.leaf_count
         report.cid_length_histogram = diag.cid_length_histogram
         report.mean_prefix_overlap = diag.mean_prefix_overlap
-        predicted = {
-            qid: _unique_cids(docs, index.tree.cid_by_doc) for qid, docs in results.items()
-        }
-        relevant_cids = {
-            qid: {index.tree.cid_by_doc[d] for d in docs if d in index.tree.cid_by_doc}
-            for qid, docs in qrels.items()
-        }
-        max_len = max((len(c) for cids in predicted.values() for c in cids), default=0)
+        predicted = {qid: list(dict.fromkeys(cids[d] for d in docs if d in cids))
+                     for qid, docs in results.items()}
+        relevant_cids = {qid: {cids[d] for d in docs if d in cids} for qid, docs in qrels.items()}
+        max_len = max((len(c) for found in predicted.values() for c in found), default=0)
         for pos in range(1, max_len + 1):
             report.position_error_rates[pos] = position_error_rate(predicted, relevant_cids, pos)
     print(report.format_table())
@@ -207,24 +208,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _unique_cids(doc_ids: list[str], cid_by_doc: dict) -> list:
-    out = []
-    for doc_id in doc_ids:
-        cid = cid_by_doc.get(doc_id)
-        if cid is not None and cid not in out:
-            out.append(cid)
-    return out
-
-
 def cmd_add_docs(args: argparse.Namespace) -> int:
     index = load_index(args.index)
     docs = load_corpus(args.corpus)
     add_documents(index, docs)
     save_documents(index, args.index)
     print(f"added {len(docs)} documents")
-    tree = index.tree
-    added = Counter(tree.leaf_of(doc.doc_id) for doc in docs)
-    for cid, count in sorted((tree.leaf_cids[p], n) for p, n in added.items()):
+    added = Counter(index.tree.cids_of(doc.doc_id for doc in docs).values())
+    for cid, count in sorted(added.items()):
         print(f"  {'.'.join(map(str, cid))}: +{count}")
     return 0
 
@@ -271,10 +262,9 @@ def cmd_train_adapter(args: argparse.Namespace) -> int:
     return 0
 
 
-def _leaf_shape(leaves) -> str:
+def _leaf_shape(sizes: list[int]) -> str:
     """How many leaves hold one member, the largest leaf, and a histogram of
     leaf sizes in power-of-two bins (1, 2-3, 4-7, ...; 0 for an empty leaf)."""
-    sizes = [len(leaf.members) for leaf in leaves.values()]
     one = sizes.count(1)
     rows = [("one_member_leaves", f"{one} of {len(sizes)} ({one / len(sizes):.4f})"),
             ("largest_leaf", str(max(sizes)))]
@@ -286,14 +276,13 @@ def _leaf_shape(leaves) -> str:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     index = load_index(args.index)
-    qrels = None
-    if args.qrels:
-        qrels = qrels_mapping(load_queries(args.qrels, require_relevant=True))
-    report = index_diagnostics(index.tree.leaves, index.tree.cid_by_doc, qrels)
+    qrels = qrels_mapping(load_queries(args.qrels, require_relevant=True)) if args.qrels else {}
+    tree = index.tree
+    report = index_diagnostics(tree.leaf_cids, tree.cids_of(chain(*qrels.values())), qrels)
     print(f"documents           {len(index.embeddings)}")
     print(f"adapter             {'yes' if index.adapter is not None else 'no'}")
     print(report.format_table())
-    print(_leaf_shape(index.tree.leaves))
+    print(_leaf_shape(np.diff(tree.leaf_start).tolist()))  # Python ints, which have bit_length
     print("config:")
     for key, value in sorted(dataclasses.asdict(index.config).items()):
         print(f"  {key} = {value}")

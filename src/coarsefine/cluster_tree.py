@@ -33,11 +33,12 @@ leaf, and `added_rows` the rows placed after the build, in placement order.
 The walk rejects a document in two leaves, a leaf member without a row and a
 tree without leaves.
 
-`leaves`, `cid_by_doc`, `build_members` and `root` are views of those arrays
-as node objects and dicts, each built on first access and cached until a
-placement drops them: a view is a snapshot, so one held across an add does not
-show the added members. Changing a view changes nothing in the tree. Building,
-loading, adding, training and querying read none of them. The prefix trie of
+`cids_of` looks the CIDs of given documents up in those arrays, which is
+how every command reports leaves. `leaves`, `cid_by_doc`, `build_members` and
+`root` are views of the arrays as node objects and dicts, which only tests and
+the benchmark read, each built on first access and cached until a placement
+drops them: a view is a snapshot, so one held across an add does not show the
+added members. Changing a view changes nothing in the tree. The prefix trie of
 the leaves (`trie`) is built the first time something reads it, which only
 decoding does, and kept: later documents only join existing leaves, so it
 never changes.
@@ -200,6 +201,11 @@ class ClusterTree:
         if row is None or row >= len(self.leaf_of_row):  # a row appended but not yet placed
             return -1
         return int(self.leaf_of_row[row])
+
+    def cids_of(self, doc_ids: Iterable[str]) -> dict[str, Cid]:
+        """The CID of each of `doc_ids` that is in a leaf, by id; the others are left out."""
+        return {doc_id: self.leaf_cids[position] for doc_id in doc_ids
+                if (position := self.leaf_of(doc_id)) >= 0}
 
     def _view(self, name: str, build: Callable[[], object]):
         if name not in self._views:
@@ -370,8 +376,8 @@ def place_documents(tree: ClusterTree, ids: Sequence[str],
     (document, leaf) pair is checked before the tree changes, so a call that
     raises leaves the leaf arrays as they were: UnknownDoc for an id without
     a row, DuplicateId for an id already in a leaf or repeated in `ids`,
-    ValueError unless `cids` has one CID per id, and UnknownCid for a CID
-    that is not a leaf.
+    ValueError unless `cids` has one CID per id, and UnknownCid for a CID,
+    any sequence of digits, that is not a leaf.
     """
     row_of = tree.documents.row
     rows = [row_of.get(doc_id, -1) for doc_id in ids]
@@ -388,7 +394,7 @@ def place_documents(tree: ClusterTree, ids: Sequence[str],
         cids = [assign_new_document(tree, tree.documents.matrix[row]) for row in rows]
     elif len(cids) != len(ids):
         raise ValueError(f"{len(cids)} CIDs for {len(ids)} documents")
-    positions = [tree.leaf_position.get(cid, -1) for cid in cids]
+    positions = [tree.leaf_position.get(tuple(cid), -1) for cid in cids]
     if -1 in positions:
         raise UnknownCid(f"{cids[positions.index(-1)]} is not a leaf CID of the tree")
     if rows:
@@ -561,20 +567,26 @@ def save_placements(tree: ClusterTree, path: str) -> None:
         fh.write(leaf_of_row[np.sort(tree.added_rows)].astype("<i4"))
 
 
-def load_placements(tree: ClusterTree, path: str) -> None:
+def load_placements(tree: ClusterTree, path: str, tree_path: str) -> None:
     """Place the documents of a loaded tree's matrix that no leaf lists.
 
-    Build members keep the leaves tree.json gives them. The other documents,
-    in row order, go to the leaves that save_placements wrote to `path`, or,
-    when there is no such file (an index saved before it existed), to the
-    leaves that descent picks. A file of the wrong size or naming a leaf
-    outside the tree is a ParseError naming it.
+    Build members keep the leaves tree.json (at `tree_path`) gives them. The
+    other documents, in row order, go to the leaves that save_placements wrote
+    to `path`, or, when there is no such file (an index saved before it
+    existed), to the leaves that descent picks. A file that is not a whole
+    number of entries or names a leaf outside the tree is a ParseError naming
+    it; one of whole entries, but not one per such document, a ParseError
+    naming both files.
     """
     leaf_of_row = _row_leaves(tree)
     added = np.flatnonzero(leaf_of_row < 0)
     if not os.path.exists(path):
         place_documents(tree, [tree.documents.ids[row] for row in added.tolist()])
         return
+    entries, partial = divmod(os.path.getsize(path), 4)
+    if not partial and entries != len(added):
+        raise ParseError(f"{tree_path} leaves {len(added)} documents out of its leaves; "
+                         f"{path} places {entries}")
     positions = read_array(path, "<i4", (len(added),)).astype(np.intp)
     if len(added):
         if not (positions.min() >= 0 and positions.max() < tree.leaf_count):

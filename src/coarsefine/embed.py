@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -174,4 +175,7 @@ def load_embedding_sidecar(bin_path: str, manifest_path: str) -> tuple[list[str]
     if len(set(ids)) != len(ids):
         repeated = next(doc_id for doc_id, n in Counter(ids).items() if n > 1)
         raise ParseError(f"{manifest_path}: id {repeated!r} appears more than once")
+    rows, partial = divmod(os.path.getsize(bin_path), 4 * dim)
+    if not partial and rows != len(ids):
+        raise ParseError(f"{manifest_path} lists {len(ids)} ids; {bin_path} holds {rows} rows")
     return ids, read_array(bin_path, "<f4", (len(ids), dim))

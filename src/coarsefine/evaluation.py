@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .cluster_tree import Cid, mean_prefix_overlap
 from .errors import MissingQrel
@@ -151,17 +151,18 @@ def evaluate_results(
     return report
 
 
-def index_diagnostics(tree_leaves: Mapping[Cid, object], cid_by_doc: Mapping[str, Cid],
+def index_diagnostics(leaf_cids: Collection[Cid], cid_by_doc: Mapping[str, Cid],
                       qrels: Qrels | None = None) -> EvalReport:
-    """Structural summary of an identifier tree.
+    """Structural summary of an identifier tree, given its leaf CIDs.
 
     Reports the number of leaves, the histogram of CID lengths, and (when
-    judgments are supplied) the mean prefix overlap of relevant documents.
+    judgments are supplied) the mean prefix overlap of relevant documents,
+    whose CIDs `cid_by_doc` must hold.
     """
     report = EvalReport()
-    report.leaf_count = len(tree_leaves)
+    report.leaf_count = len(leaf_cids)
     histogram: dict[int, int] = {}
-    for cid in tree_leaves:
+    for cid in leaf_cids:
         histogram[len(cid)] = histogram.get(len(cid), 0) + 1
     report.cid_length_histogram = histogram
     if qrels:

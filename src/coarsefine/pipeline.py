@@ -27,7 +27,9 @@ reads, the adapter and the config, and no Document objects: load_index reads
 corpus.jsonl into an id list and a text list. The step scorer and the query
 embedder are derived from the config on each read, as a reload derives them,
 so a changed config retrieves live what it retrieves after a save and load.
-Building, loading, adding and training make no node object and no trie. The
+Building, loading, adding and training make no node object and no trie, and
+no command reads the tree's node views, which only tests and the benchmark
+read: the CLI looks documents' leaves up with tree.cids_of. The
 fine stage scores the members of all recalled one-member leaves, most leaves
 at the default configuration, with one gather and one stacked matmul
 (intra.score_one_member_leaves): a one-member leaf's member is its top 1
@@ -444,9 +446,10 @@ def load_index(directory: str) -> RetrievalIndex:
             raise ParseError(f"{manifest_path}: ids do not match {CORPUS_FILE}")
         texts = [text_of[doc_id] for doc_id in ids]
     # load_tree checks tree.json's dim against the matrix, so against config.json's too
-    tree = load_tree(os.path.join(directory, TREE_FILE), os.path.join(directory, CENTROIDS_FILE),
+    tree_path = os.path.join(directory, TREE_FILE)
+    tree = load_tree(tree_path, os.path.join(directory, CENTROIDS_FILE),
                      DocumentMatrix(ids, matrix))
-    load_placements(tree, os.path.join(directory, PLACEMENTS_FILE))
+    load_placements(tree, os.path.join(directory, PLACEMENTS_FILE), tree_path)
     adapter = None
     adapter_path = os.path.join(directory, ADAPTER_FILE)
     if os.path.exists(adapter_path):

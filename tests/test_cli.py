@@ -13,7 +13,7 @@ from coarsefine.cli import CONFIG_FLAGS, main
 from coarsefine.corpus import QueryRecord, TrainingPair, load_queries, qrels_mapping
 from coarsefine.embed import HashingEmbedder, save_embedding_sidecar
 from coarsefine.errors import ParseError
-from coarsefine.evaluation import index_diagnostics
+from coarsefine.evaluation import evaluate_results, index_diagnostics, position_error_rate
 from coarsefine.intra import train_adapter
 from coarsefine.kmeans import derive_seed
 from coarsefine.pipeline import RetrievalConfig, load_config, load_index, retrieve
@@ -313,6 +313,75 @@ def test_inspect_reports_the_leaf_sizes_of_a_hand_built_tree(tmp_path, corpus_pa
             "leaf_size_4-7       1\n"
             "leaf_size_64-127    1\n"
             "config:\n") in text
+
+
+def test_inspect_prints_the_leaf_size_0_line_of_an_empty_leaf(tmp_path, corpus_path, capsys):
+    idx = build(tmp_path, corpus_path)
+    ids = [json.loads(line)["id"] for line in open(f"{idx}/corpus.jsonl")]
+    root = {"label": None, "members": [], "children": [
+        {"label": label, "members": members, "children": []}
+        for label, members in ((1, ids[:60]), (2, []), (3, ids[60:]))]}
+    tree = json.loads(open(f"{idx}/tree.json").read())
+    (tmp_path / "idx" / "tree.json").write_text(json.dumps({**tree, "root": root}))
+    np.eye(4, 64, dtype="<f4").tofile(f"{idx}/centroids.bin")  # 4 nodes in preorder
+    assert main(["inspect", "--index", idx]) == 0
+    assert ("leaf_count  3\n"
+            "cid_len_2   3\n"
+            "one_member_leaves   0 of 3 (0.0000)\n"
+            "largest_leaf        60\n"
+            "leaf_size_0         1\n"
+            "leaf_size_32-63     2\n"
+            "config:\n") in capsys.readouterr().out
+
+
+def test_eval_index_prints_and_writes_what_the_views_give(tmp_path, corpus_path, queries_path,
+                                                         capsys):
+    """An oracle over `leaves` and `cid_by_doc` of an index with added documents,
+    a result that names no document of the index and a judged query without results."""
+    idx = build(tmp_path, corpus_path)
+    extra = tmp_path / "extra.jsonl"
+    added = [{"id": "new_" + d.doc_id, "text": d.text} for d in topic_corpus(4, 5, seed=99)]
+    write_jsonl(extra, added)
+    assert main(["add-docs", "--index", idx, "--corpus", str(extra)]) == 0
+    out = tmp_path / "results.jsonl"
+    assert main(["retrieve", "--index", idx, "--queries", queries_path, "--out", str(out),
+                 "--k", "10"]) == 0
+    rows = [json.loads(line) for line in open(out)]
+    rows[0]["results"].insert(1, {"doc_id": "ghost"})
+    write_jsonl(out, rows)
+    qrels_path = tmp_path / "qrels.jsonl"
+    judged = [json.loads(line) for line in open(queries_path)]
+    for i, row in enumerate(judged):
+        row["relevant"].append(added[i % len(added)]["id"])
+    judged.append({"query_id": "unscored", "query_text": "x", "relevant": [added[0]["id"]]})
+    write_jsonl(qrels_path, judged)
+    capsys.readouterr()
+    report_path = tmp_path / "report.json"
+    assert main(["eval", "--results", str(out), "--qrels", str(qrels_path), "--k", "1", "10",
+                 "--index", idx, "--out", str(report_path)]) == 0
+
+    tree = load_index(idx).tree
+    cid_by_doc = tree.cid_by_doc
+    results = {row["query_id"]: [entry["doc_id"] for entry in row["results"]] for row in rows}
+    qrels = qrels_mapping(load_queries(str(qrels_path), require_relevant=True))
+    report = evaluate_results(results, qrels, [1, 10])
+    diag = index_diagnostics(tree.leaves, cid_by_doc,
+                             {qid: docs for qid, docs in qrels.items() if qid in results})
+    report.leaf_count = diag.leaf_count
+    report.cid_length_histogram = diag.cid_length_histogram
+    report.mean_prefix_overlap = diag.mean_prefix_overlap
+    predicted = {qid: [] for qid in results}
+    for qid, docs in results.items():
+        for doc_id in docs:
+            if doc_id in cid_by_doc and cid_by_doc[doc_id] not in predicted[qid]:
+                predicted[qid].append(cid_by_doc[doc_id])
+    relevant = {qid: {cid_by_doc[d] for d in docs} for qid, docs in qrels.items()}
+    longest = max(len(cid) for cids in predicted.values() for cid in cids)
+    report.position_error_rates = {pos: position_error_rate(predicted, relevant, pos)
+                                   for pos in range(1, longest + 1)}
+    assert report.position_error_rates[1] is not None and report.mean_prefix_overlap < 1
+    assert capsys.readouterr().out == report.format_table() + "\n"
+    assert report_path.read_text() == report.to_json() + "\n"
 
 
 def test_build_index_checks_qrels_before_writing_the_index(

@@ -533,7 +533,8 @@ def test_one_call_places_into_an_empty_leaf_and_the_leaf_before_it_apart(tmp_pat
     save_placements(tree, str(tmp_path / "placements.bin"))
     loaded = load_tree(str(tmp_path / "tree.json"), str(tmp_path / "centroids.bin"),
                        DocumentMatrix(documents.ids, documents.matrix))
-    load_placements(loaded, str(tmp_path / "placements.bin"))  # rows 2, 3, 4 to leaves 1, 0, 1
+    load_placements(loaded, str(tmp_path / "placements.bin"),  # rows 2, 3, 4 to leaves 1, 0, 1
+                    str(tmp_path / "tree.json"))
     assert loaded.member_rows.tolist() == tree.member_rows.tolist()
     assert loaded.leaf_of_row.tolist() == tree.leaf_of_row.tolist()
     assert views(loaded) == views(reference)
@@ -560,6 +561,31 @@ def test_place_documents_checks_every_pair_before_it_changes_the_tree(ids, cids,
     place_documents(tree, ["new", "other"], [(2, 2, 0), (1, 1, 0)])  # the tree is still usable
     assert tree.leaves[(2, 2, 0)].rows.tolist() == [4, 5]
     assert tree.leaves[(1, 1, 0)].members == ["d11a", "d11b", "other"]
+
+
+@pytest.mark.parametrize("cid", [[2, 2, 0], np.array([2, 2, 0], dtype=np.int32), (2, 2, 0)],
+                         ids=["list", "array", "tuple"])
+def test_place_documents_takes_any_digit_sequence_as_a_cid(cid):
+    """As rank_within_cluster does: a sequence is looked up as its tuple."""
+    tree = binary_depth2_tree()
+    tree.documents.append(["x", "y"], np.eye(2, 8, k=5, dtype=np.float32))
+    place_documents(tree, ["x"], [cid])
+    assert tree.cids_of(["x"]) == {"x": (2, 2, 0)}
+    before = placement_state(tree)
+    with pytest.raises(UnknownCid):
+        place_documents(tree, ["y"], [[2, 3, 0]])
+    assert placement_state(tree) == before
+
+
+def test_cids_of_is_cid_by_doc_for_the_ids_asked_and_leaves_out_the_rest():
+    tree = binary_depth2_tree()
+    tree.documents.append(["placed", "unplaced"], np.eye(2, 8, k=5, dtype=np.float32))
+    place_documents(tree, ["placed"], [(1, 2, 0)])
+    asked = ["placed", "ghost", "d22a", "unplaced", "d11a", "d22a"]
+    assert tree.cids_of(asked) == {doc_id: tree.cid_by_doc[doc_id]
+                                   for doc_id in asked if doc_id in tree.cid_by_doc}
+    assert list(tree.cids_of(asked)) == ["placed", "d22a", "d11a"]
+    assert tree.cids_of(iter(tree.documents.ids)) == tree.cid_by_doc
 
 
 def node_walk(node):

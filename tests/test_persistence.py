@@ -398,6 +398,36 @@ def test_a_damaged_file_is_a_parse_error_naming_it_and_exits_2(added_index, tmp_
     assert err.startswith(f"error: {path}:") and name in err
 
 
+def drop_a_leaf_member(obj):
+    node = obj["root"]
+    while node["children"]:
+        node = node["children"][0]
+    node["members"].pop()
+
+
+@pytest.mark.parametrize("name, damage, partner", [
+    pytest.param("manifest.json", edit_json(lambda obj: obj["ids"].pop()), "embeddings.bin",
+                 id="manifest-drops-an-id"),
+    pytest.param("embeddings.bin", lambda data: data[:-4 * CONFIG.dim], "manifest.json",
+                 id="embeddings-loses-a-row"),
+    pytest.param("tree.json", edit_json(drop_a_leaf_member), "placements.bin",
+                 id="tree-drops-a-member"),
+    pytest.param("placements.bin", lambda data: data[:-4], "tree.json",
+                 id="placements-loses-an-entry"),
+])
+def test_a_pair_of_files_that_disagree_on_a_count_is_a_parse_error_naming_both(
+        added_index, capsys, name, damage, partner):
+    """Whole rows or entries, but not as many as the other file of the pair implies."""
+    path = added_index / name
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ParseError) as raised:
+        load_index(str(added_index))
+    assert str(path) in str(raised.value) and str(added_index / partner) in str(raised.value)
+    capsys.readouterr()
+    assert main(["inspect", "--index", str(added_index)]) == 2
+    assert capsys.readouterr().err == f"error: {raised.value}\n"
+
+
 def test_a_changed_config_retrieves_live_what_it_retrieves_after_a_reload(tmp_path):
     """The scorer and the embedder follow the config, as a reload builds them from it."""
     docs = topic_corpus(6, 50, seed=0)
@@ -567,6 +597,22 @@ def test_load_add_save_and_train_build_no_trie_and_no_view(added_index, tmp_path
         assert len(made) == len(index.tree.centroid_rows) and root.children
         assert views == ["root", "leaves"]
         made.clear(), views.clear(), tries.clear()
+    qrels, results = tmp_path / "qrels.jsonl", tmp_path / "results.jsonl"
+    judged = list(zip(QUERIES, BASE[::7]))
+    qrels.write_text("".join(json.dumps({"query_id": f"q{i}", "query_text": text,
+                                         "relevant": [doc.doc_id]}) + "\n"
+                             for i, (text, doc) in enumerate(judged)))
+    results.write_text("".join(json.dumps({"query_id": f"q{i}", "results": [
+        {"doc_id": doc_id} for doc_id in (doc.doc_id, "late0_0", "ghost")]}) + "\n"
+                               for i, (text, doc) in enumerate(judged)))
+    idx = str(added_index)
+    for argv in (["inspect", "--index", idx], ["inspect", "--index", idx, "--qrels", str(qrels)],
+                 ["eval", "--results", str(results), "--qrels", str(qrels), "--index", idx],
+                 ["build-index", "--corpus", str(tmp_path / "base.jsonl"), "--out",
+                  str(tmp_path / "other"), *CLI_FLAGS, "--qrels", str(qrels)],
+                 ["add-docs", "--index", idx, "--corpus", late_corpus(tmp_path, 2)]):
+        run(*argv)
+        assert (argv[0], made, views, tries) == (argv[0], [], [], [])
 
 
 def view_state(tree):
@@ -644,7 +690,8 @@ def test_placements_bin_equals_the_descent_reference_after_build_adds_and_reload
     documents = DocumentMatrix(tree.documents.ids, tree.documents.matrix)
     loaded = load_tree(str(tmp_path / "batch1/tree.json"), str(tmp_path / "batch1/centroids.bin"),
                        documents)
-    load_placements(loaded, str(tmp_path / "batch1/placements.bin"))
+    load_placements(loaded, str(tmp_path / "batch1/placements.bin"),
+                    str(tmp_path / "batch1/tree.json"))
     assert loaded.cid_by_doc == tree.cid_by_doc
     assert save_and_check_placements(loaded, tmp_path / "reloaded") == placements
 
